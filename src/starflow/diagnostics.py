@@ -27,7 +27,6 @@ import numpy as np
 
 from .geometry import GeometryState, sphere_gap
 from .spheregrid import grids_compatible
-from .symfunc import Cone, in_cone
 
 __all__ = [
     "HISTORY_CSV_MAGIC",
@@ -76,12 +75,12 @@ def snapshot(
     q: np.ndarray,
     f_val: np.ndarray,
     residual: float,
-    guard: Cone,
 ) -> DiagnosticsRecord:
     """Reduce one assembled state to a history row.
 
     All reductions are plain min/max over the fixed node ordering, so repeated
-    runs of the same configuration produce identical rows.
+    runs of the same configuration produce identical rows.  run() records only
+    states that have just passed its cone guard, so cone_ok is always True.
     """
     return DiagnosticsRecord(
         step=step,
@@ -98,7 +97,7 @@ def snapshot(
         f_min=float(np.min(f_val)),
         f_max=float(np.max(f_val)),
         sphere_gap=float(sphere_gap(geom)),
-        cone_ok=bool(np.all(in_cone(geom.kappa, guard))),
+        cone_ok=True,
     )
 
 
@@ -322,6 +321,7 @@ def read_history_csv(path) -> list:
 
 
 def write_summary_json(path, summary: dict) -> None:
+    """Write strict JSON: a NaN or infinity raises instead of being written."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diagnostics
-from .geometry import GeometryState, assemble
+from .geometry import GeometryState, assemble, star_shape_check
 from .speed import G_eval, SpeedSpec
 from .spheregrid import Grid, min_metric_spacing
 from .symfunc import (
@@ -63,7 +63,6 @@ __all__ = [
     "Spheroid",
     "Perturbed",
     "initial_gamma",
-    "normalized_time_map",
 ]
 
 PSI_IDENTITY = "identity"
@@ -74,6 +73,11 @@ STATUS_DIVERGED = "diverged"
 STATUS_CONE_EXIT = "cone_exit"
 STATUS_STAR_SHAPE_LOST = "star_shape_lost"
 STATUS_TIME_CAP = "time_cap"
+
+# a run diverges once some radius leaves [RHO_FLOOR, RHO_CEIL]
+RHO_FLOOR, RHO_CEIL = 1e-6, 1e6
+# accepted steps over which tol_stall demands a residual decrease
+STALL_WINDOW = 200
 
 
 def psi_apply(mode: str, s):
@@ -106,14 +110,11 @@ class FlowConfig:
     dt_safety: float = 0.2
     t_max: float = 50.0
     tol_residual: float = 1e-6
-    # minimum residual decrease demanded over each stall_window of accepted
+    # minimum residual decrease demanded over each STALL_WINDOW of accepted
     # steps; 0 disables stall detection entirely
     tol_stall: float = 0.0
     cadence: int = 50
-    guard: Cone | None = None
-    rho_floor: float = 1e-6
-    rho_ceil: float = 1e6
-    stall_window: int = 200
+    guard: Cone = field(init=False)  # always natural_cone(F)
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -124,8 +125,7 @@ class FlowConfig:
             raise ValueError("dt_safety must lie in (0, 1]")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
-        if self.guard is None:
-            self.guard = natural_cone(self.F)
+        self.guard = natural_cone(self.F)
         if self.grid.mode == "axisym" and not self.G.axis_aligned():
             raise ValueError(
                 "axisym grids require every anisotropy direction to be the polar axis"
@@ -249,7 +249,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     t_start = time.perf_counter()
     state = FlowState(t=0.0, step=0, gamma=gamma0)
     history: list = []
-    window: deque = deque(maxlen=config.stall_window + 1)
+    window: deque = deque(maxlen=STALL_WINDOW + 1)
     last_recorded = -1
     residual = float("inf")
     stalled = False
@@ -259,7 +259,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         nonlocal last_recorded
         if state.step != last_recorded:
             history.append(
-                diagnostics.snapshot(state.step, state.t, geom, q, f_val, res, config.guard)
+                diagnostics.snapshot(state.step, state.t, geom, q, f_val, res)
             )
             last_recorded = state.step
             if on_record is not None:
@@ -281,10 +281,10 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             status = STATUS_CONVERGED
             record(geom, q, f_val, residual)
             break
-        if np.min(geom.rho) < config.rho_floor or np.max(geom.rho) > config.rho_ceil:
+        if np.min(geom.rho) < RHO_FLOOR or np.max(geom.rho) > RHO_CEIL:
             status = STATUS_DIVERGED
             detail = (
-                f"radius left [{config.rho_floor:g}, {config.rho_ceil:g}] "
+                f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] "
                 f"(range [{float(np.min(geom.rho)):.3g}, {float(np.max(geom.rho)):.3g}])"
             )
             record(geom, q, f_val, residual)
@@ -297,13 +297,13 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         window.append(residual)
         if (
             config.tol_stall > 0.0
-            and len(window) == config.stall_window + 1
+            and len(window) == STALL_WINDOW + 1
             and window[0] - residual < config.tol_stall
         ):
             status = STATUS_TIME_CAP
             stalled = True
             detail = (
-                f"residual stalled: decrease over {config.stall_window} steps was "
+                f"residual stalled: decrease over {STALL_WINDOW} steps was "
                 f"{window[0] - residual:.3g} < {config.tol_stall:g}"
             )
             record(geom, q, f_val, residual)
@@ -396,47 +396,10 @@ def initial_gamma(kind, grid: Grid) -> np.ndarray:
     else:
         raise TypeError(f"unknown initial-data kind {kind!r}")
 
-    ok, u_min = _star_check(grid, gamma)
+    ok, u_min = star_shape_check(grid, gamma)
     if not ok:
         raise ValueError(
             f"initial profile is not a star-shaped graph (min u = {u_min:.6g})"
         )
     return gamma
 
-
-def _star_check(grid: Grid, gamma: np.ndarray) -> tuple[bool, float]:
-    from .geometry import star_shape_check
-
-    return star_shape_check(grid, gamma)
-
-
-def normalized_time_map(
-    alpha: float, beta: float, delta: float, eta: float, c0: float, t
-):
-    """Scale factor and stretched time for the self-similar normalization.
-
-    With m = 1 - α - β - δ (m ≠ 0) and C₀ > 0:
-
-        φ(t) = (C₀ + m η t)^{1/m},
-        τ(t) = [log(C₀ + m η t) - log C₀] / (m η),
-
-    so τ(0) = 0 and φ(t)^m grows linearly: the pair turns a power-law
-    expansion into a unit-rate flow in the stretched time τ.  Requires the
-    argument C₀ + m η t to stay positive.
-    """
-    m = 1.0 - alpha - beta - delta
-    if m == 0.0:
-        raise ValueError("normalization degenerates at alpha + beta + delta = 1")
-    if c0 <= 0.0:
-        raise ValueError("C0 must be positive")
-    if eta == 0.0:
-        raise ValueError("eta must be nonzero")
-    t = np.asarray(t, dtype=float)
-    arg = c0 + m * eta * t
-    if np.any(arg <= 0.0):
-        raise ValueError("time map argument C0 + (1-a-b-d) eta t must stay positive")
-    phi = arg ** (1.0 / m)
-    tau = (np.log(arg) - np.log(c0)) / (m * eta)
-    if phi.ndim == 0:
-        return float(phi), float(tau)
-    return phi, tau

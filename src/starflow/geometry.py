@@ -38,7 +38,6 @@ __all__ = [
     "DegenerateGeometry",
     "GeometryState",
     "assemble",
-    "principal_curvatures",
     "star_shape_check",
     "support_identity_residual",
     "sphere_gap",
@@ -197,27 +196,6 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
                 f"graph is not star-shaped: min u = {float(np.min(u)):.6g}"
             )
     return state
-
-
-def principal_curvatures(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the pencil (h, g) for SPD g, sorted descending.
-
-    Works on stacks: g and h may have shape (..., d, d).  The problem is
-    reduced symmetrically, A = L⁻¹ h L⁻ᵀ with g = L Lᵀ, so the eigensolve
-    stays on a symmetric matrix and the result is real by construction.
-    """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if g.shape != h.shape or g.shape[-1] != g.shape[-2]:
-        raise ValueError("g and h must be matching square matrix stacks")
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateGeometry(f"metric is not positive definite: {exc}") from exc
-    y = np.linalg.solve(L, h)
-    a = np.linalg.solve(L, np.swapaxes(y, -1, -2))
-    vals = np.linalg.eigvalsh(a)
-    return vals[..., ::-1]
 
 
 def star_shape_check(grid: Grid, gamma: np.ndarray) -> tuple[bool, float]:

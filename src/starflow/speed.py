@@ -9,13 +9,15 @@ the anisotropy; with no terms ψ ≡ 1 and G depends on the point only through u
 and ρ.  Admissibility of a (G, F, β) triple is decided here:
 
 - barrier_radii: the largest sphere pinched from inside and the smallest
-  pinching from outside, found by bisection on r ↦ (c ψ_ext)^{1/β} r^{(a+b+β)/β}
-  against F(1, ..., 1), with ψ extremized over a Fibonacci direction lattice.
+  pinching from outside, where the power law r ↦ (c ψ_ext)^{1/β} r^{(a+b+β)/β}
+  meets F(1, ..., 1), with ψ extremized over a Fibonacci direction lattice.
 - monotonicity_report: the closed-form exponent conditions that the various
   convergence and uniqueness arguments need, each with its margin.
 - radius_root: for isotropic G, the radius of the stationary sphere solving
   η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.  The normalization η is kept
   explicit rather than folded into c.
+
+Both radii solve a power law in r, so they come in closed form in log r.
 
 Validators are report-only: nothing here mutates a flow, and the run loop
 never calls them unless asked to gate on them.
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .symfunc import F_eval
 
@@ -175,7 +176,7 @@ def barrier_radii(
     A sphere of radius r pinches the flow from inside when
     G^{1/β}(rξ, ξ) · r >= F(1, ..., 1) for every direction ξ, and from outside
     under the reversed inequality.  On spheres u = ρ = r, so each side is a
-    power law in r and the critical radii come from a bisection against the
+    power law in r and the critical radii follow in closed form from the
     sampled extrema of ψ.  They exist exactly when a + b + β < 0; the scale
     of r₁ uses ψ_min, that of r₂ uses ψ_max, hence r₁ <= r₂.
     """
@@ -200,17 +201,13 @@ def barrier_radii(
         )
 
     def edge(psi_val: float) -> float:
-        # root of (c psi)^{1/beta} r^{slope} - f_unit, decreasing in r
-        def fn(r: float) -> float:
-            return (spec.c * psi_val) ** (1.0 / beta) * r**slope - f_unit
-
-        lo, hi = fn(_R_LO), fn(_R_HI)
-        if not (lo > 0.0 > hi):
+        # root of (c psi)^{1/beta} r^{slope} = f_unit
+        r = float(np.exp((np.log(f_unit) - np.log(spec.c * psi_val) / beta) / slope))
+        if not _R_LO < r < _R_HI:
             raise ValueError(
-                f"no barrier radius inside [{_R_LO:g}, {_R_HI:g}] "
-                f"(endpoint values {lo:.3g}, {hi:.3g})"
+                f"no barrier radius inside [{_R_LO:g}, {_R_HI:g}] (root at r = {r:.3g})"
             )
-        return float(bisect(fn, _R_LO, _R_HI, xtol=1e-13, rtol=8.9e-16))
+        return r
 
     try:
         r1 = edge(psi_min)
@@ -250,19 +247,15 @@ def monotonicity_report(spec: SpeedSpec, beta: float) -> MonotonicityReport:
         "support_free": (-(spec.b + 1.0)) if spec.a == 0.0 else float("-inf"),
         "support_nonzero": abs(spec.a),
     }
-    return MonotonicityReport(margins=margins)
+    # adding 0.0 turns a signed zero into +0.0, so no margin reads -0
+    return MonotonicityReport(margins={name: m + 0.0 for name, m in margins.items()})
 
 
-def radius_root(
-    spec: SpeedSpec, F_spec, n: int, beta: float, psi_mode: str = "identity"
-) -> float:
+def radius_root(spec: SpeedSpec, F_spec, n: int, beta: float) -> float:
     """Radius of the stationary sphere for isotropic forcing.
 
-    In "identity" mode the SpeedSpec encodes G itself and the equation is
-    η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.  In "neg_reciprocal" mode
-    it is read as the contracting form's forcing G̃ = 1/G, and the
-    equivalent reciprocal equation η^{-1} c R^{a+b-β} = 1 is solved instead.
-    Both are handled by bisection in log R over [1e-6, 1e6].  Requires ψ ≡ 1
+    Solves η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}, so
+    R = (η c)^{-1/(a+b+β)}, which must lie in [1e-6, 1e6].  Requires ψ ≡ 1
     and a nonzero net exponent.
     """
     if beta <= 0.0:
@@ -270,21 +263,10 @@ def radius_root(
     if not spec.isotropic:
         raise ValueError("radius_root needs isotropic forcing (no psi terms)")
     eta = float(F_eval(F_spec, np.ones(n)) ** (-beta))
-    if psi_mode == "identity":
-        s = spec.a + spec.b + beta
-        const = np.log(eta * spec.c)
-    elif psi_mode == "neg_reciprocal":
-        s = spec.a + spec.b - beta
-        const = np.log(spec.c / eta)
-    else:
-        raise ValueError(f"unknown psi mode {psi_mode!r}")
+    s = spec.a + spec.b + beta
     if s == 0.0:
         raise ValueError("net radial exponent is zero: stationary radius is not isolated")
-
-    def fn(log_r: float) -> float:
-        return const + s * log_r
-
-    lo, hi = np.log(_R_LO), np.log(_R_HI)
-    if fn(lo) * fn(hi) > 0.0:
+    r = float(np.exp(-np.log(eta * spec.c) / s))
+    if not _R_LO <= r <= _R_HI:
         raise ValueError("stationary radius falls outside [1e-6, 1e6]")
-    return float(np.exp(bisect(fn, lo, hi, xtol=1e-14)))
+    return r

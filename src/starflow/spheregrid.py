@@ -30,7 +30,6 @@ __all__ = [
     "axisym_grid",
     "full_s2_grid",
     "grids_compatible",
-    "ScalarField",
     "pad_theta",
     "grad",
     "grad_norm_sq",
@@ -112,21 +111,6 @@ def grids_compatible(a: Grid, b: Grid) -> bool:
         and a.m_theta == b.m_theta
         and a.m_phi == b.m_phi
     )
-
-
-@dataclass
-class ScalarField:
-    """A scalar sampled at every grid node."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
 
 
 def _check_shape(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -42,13 +42,11 @@ __all__ = [
     "sigma",
     "sigma_all",
     "sigma_grad",
-    "sigma_second_partial",
     "in_cone",
     "cone_failure",
     "F_eval",
     "F_grad",
     "natural_cone",
-    "eta_of",
     "newton_maclaurin_margin",
 ]
 
@@ -110,20 +108,6 @@ def sigma_grad(kappa, k: int) -> np.ndarray:
         rest = np.delete(arr, i, axis=-1)
         out[..., i] = sigma(rest, k - 1) if n > 1 else 1.0
     return out
-
-
-def sigma_second_partial(kappa, k: int, i: int, j: int):
-    """∂²σ_k/∂κ_i∂κ_j: σ_{k-2} of κ with entries i and j removed, 0 when i == j."""
-    arr = _as_batch(kappa)
-    n = arr.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("index out of range")
-    if i == j or k < 2:
-        return np.zeros(arr.shape[:-1])
-    rest = np.delete(arr, [i, j], axis=-1)
-    return sigma(rest, k - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +323,6 @@ def _F_grad_raw(spec, arr: np.ndarray) -> np.ndarray:
             acc += w * _F_grad_raw(sub, arr) / fi[..., None]
         return f[..., None] * acc
     raise TypeError(f"unknown curvature-function spec {spec!r}")
-
-
-def eta_of(spec, n: int, beta: float) -> float:
-    """Normalization η = F(1, ..., 1)^{-β} for the unit curvature vector in dim n."""
-    ones = np.ones(n)
-    return float(F_eval(spec, ones) ** (-beta))
 
 
 def newton_maclaurin_margin(kappa, m: int):

@@ -4,8 +4,13 @@ Everything calls cli.main() in process; argparse-level usage errors surface
 as SystemExit(64) and are asserted as such.
 """
 
+import configparser
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +179,7 @@ def test_validate_isotropic(tmp_path, capsys):
     assert "coincident" in out
     assert "stationary sphere radius: R = 1" in out
     assert "condition radial_scaling" in out and "(holds)" in out
+    assert "margin = -0" not in out  # a = 0 gives +0, never a signed zero
 
 
 def test_validate_anisotropic_and_failing(tmp_path, capsys):
@@ -334,3 +340,82 @@ def test_full_s2_run_emits_meshes(tmp_path, capsys):
     assert text.startswith("# starflow surface export")
     assert text.count("\nf ") > 0
     capsys.readouterr()
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_config_hash_covers_cli_overrides(tmp_path, capsys):
+    cfg = make_cfg(tmp_path / "h.cfg")
+
+    def run_hash(name, *extra):
+        out = tmp_path / name
+        cli.main(["run", str(cfg), "--out", str(out), *extra])
+        return json.loads((out / "summary.json").read_text())["config_hash"]
+
+    file_hash = cli.parse_config(cfg).config_hash
+    # without overrides the hash is the file's own
+    assert run_hash("none") == file_hash
+    # an override changes the problem, and the hash with it
+    assert run_hash("loose", "--tol-residual", "1e-2") != file_hash
+    assert run_hash("short", "--t-max", "0.01") != run_hash("long", "--t-max", "0.02")
+    capsys.readouterr()
+
+
+def test_step0_abort_writes_strict_json(tmp_path, capsys):
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(CONFIGS / "aniso_s2.cfg")
+    cp["initial"] = {"kind": "perturbed", "radius": "1.0", "amplitude": "1.5"}
+    cfg = tmp_path / "bump.cfg"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["status"] == "cone_exit"
+    assert summary["steps"] == 0 and summary["records"] == 0
+    assert summary["final_residual"] is None
+    capsys.readouterr()
+
+
+def test_product_variant_runs_from_the_cli(tmp_path, capsys):
+    # F = sigma_2^{1/4} (sum of 1/kappa_i)^{-1/2}: F(1, 1) = 2^{-1/2}, so the
+    # stationary sphere of G = rho^{-2} has radius sqrt(2)
+    terms = "0.5*sigma_k_root(2), 0.5*power_mean(-1)"
+    cfg = make_cfg(
+        tmp_path / "prod.cfg", F__variant="product", F__k=None, F__terms=terms
+    )
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert "stationary sphere radius: R = 1.41421356237" in capsys.readouterr().out
+
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    record = json.loads((out / "summary.json").read_text())["final_record"]
+    assert record["rho_min"] == pytest.approx(np.sqrt(2.0), rel=1e-5)
+    assert record["rho_max"] == pytest.approx(np.sqrt(2.0), rel=1e-5)
+
+    # the variant:args form is not a product term
+    colon_form = make_cfg(
+        tmp_path / "colon.cfg", F__variant="product", F__terms="sigma_k_root:2"
+    )
+    assert cli.main(["validate", str(colon_form)]) == 64
+    capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, starflow.cli\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from starflow.flow import Constant, FlowConfig, FlowState, initial_gamma, step
 from starflow.geometry import assemble
 from starflow.speed import SpeedSpec
 from starflow.spheregrid import axisym_grid
-from starflow.symfunc import Cone, SigmaKRoot
+from starflow.symfunc import SigmaKRoot
 
 
 def rec(t, grad=0.1, **overrides):
@@ -57,7 +57,6 @@ def test_snapshot_reduces_a_round_sphere():
         q=np.full(16, 0.5),
         f_val=np.full(16, 0.5),
         residual=0.5,
-        guard=Cone(2),
     )
     assert row.step == 7 and row.t == 0.25
     assert row.rho_min == row.rho_max == pytest.approx(2.0, abs=1e-15)

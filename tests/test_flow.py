@@ -23,7 +23,6 @@ from starflow.flow import (
     Spheroid,
     cfl_dt,
     initial_gamma,
-    normalized_time_map,
     run,
     speed_field,
     step,
@@ -273,24 +272,3 @@ def test_initial_gamma_shapes():
         initial_gamma(Constant(R=0.0), grid)
     with pytest.raises(ValueError):
         initial_gamma(Spheroid(a=-1.0, b=1.0), grid)
-
-
-def test_normalized_time_map():
-    phi, tau = normalized_time_map(0.0, 0.5, 0.0, 1.0, 1.0, 0.0)
-    assert tau == 0.0
-    assert phi == pytest.approx(1.0, rel=1e-15)
-    phi, tau = normalized_time_map(0.0, 0.5, 0.0, 1.0, 1.0, 2.0)
-    assert phi == pytest.approx(4.0, rel=1e-13)  # (1 + 0.5*2)^2
-    assert tau == pytest.approx(2.0 * np.log(2.0), rel=1e-13)
-    # C0 sets the scale at t = 0
-    phi, _ = normalized_time_map(0.0, 0.5, 0.0, 1.0, 2.0, 0.0)
-    assert phi == pytest.approx(4.0, rel=1e-13)
-    # vectorized in t
-    phi, tau = normalized_time_map(0.0, 0.5, 0.0, 1.0, 1.0, np.array([0.0, 2.0]))
-    assert np.allclose(phi, [1.0, 4.0], rtol=1e-13)
-    with pytest.raises(ValueError):
-        normalized_time_map(0.5, 0.5, 0.0, 1.0, 1.0, 1.0)  # m = 0
-    with pytest.raises(ValueError):
-        normalized_time_map(0.0, 2.0, 0.0, 1.0, 1.0, 2.0)  # argument goes negative
-    with pytest.raises(ValueError):
-        normalized_time_map(0.0, 0.5, 0.0, 1.0, -1.0, 0.0)  # C0 <= 0

@@ -18,7 +18,6 @@ from starflow.geometry import (
     DegenerateGeometry,
     assemble,
     export_obj,
-    principal_curvatures,
     sphere_gap,
     star_shape_check,
     support_identity_residual,
@@ -130,42 +129,6 @@ def test_support_identity_residual_second_order():
     # and on a sphere the identity is 0 = 0
     grid = axisym_grid(n=2, m_theta=16)
     assert support_identity_residual(assemble(grid, np.zeros(16))) <= 1e-13
-
-
-def test_principal_curvatures_hand_values():
-    g = np.eye(2)
-    h = np.diag([2.0, 3.0])
-    assert np.allclose(principal_curvatures(g, h), [3.0, 2.0], atol=1e-14)
-    # scaling the metric by 4 scales eigenvalues by 1/4
-    assert np.allclose(principal_curvatures(4.0 * g, h), [0.75, 0.5], atol=1e-14)
-    # h proportional to g gives the umbilic value everywhere
-    rng = np.random.default_rng(8)
-    m = rng.normal(size=(3, 3))
-    gg = m @ m.T + 3.0 * np.eye(3)
-    assert np.allclose(principal_curvatures(gg, gg / 2.5), 1.0 / 2.5, atol=1e-12)
-
-
-def test_principal_curvatures_batched_match_direct():
-    rng = np.random.default_rng(21)
-    g = np.empty((40, 2, 2))
-    h = np.empty((40, 2, 2))
-    for i in range(40):
-        m = rng.normal(size=(2, 2))
-        g[i] = m @ m.T + 2.0 * np.eye(2)
-        s = rng.normal(size=(2, 2))
-        h[i] = 0.5 * (s + s.T)
-    kappa = principal_curvatures(g, h)
-    assert kappa.shape == (40, 2)
-    for i in range(40):
-        want = np.sort(np.linalg.eigvals(np.linalg.solve(g[i], h[i])).real)[::-1]
-        assert np.allclose(kappa[i], want, atol=1e-10)
-
-
-def test_principal_curvatures_reject_bad_metric():
-    with pytest.raises(DegenerateGeometry):
-        principal_curvatures(np.diag([1.0, -1.0]), np.eye(2))
-    with pytest.raises(ValueError):
-        principal_curvatures(np.eye(2), np.eye(3))
 
 
 def test_star_shape_check():

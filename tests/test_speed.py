@@ -186,16 +186,6 @@ def test_radius_root_identity_mode():
     assert r == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
-def test_radius_root_neg_reciprocal_mode():
-    # the SpeedSpec is the contracting forcing itself: eta^{-1} c R^{a+b-beta} = 1
-    # with eta = 3^{-1} gives 3R = 1
-    r = radius_root(
-        SpeedSpec(c=1.0, a=0.0, b=3.0), SigmaKRoot(k=2), 3, 2.0,
-        psi_mode="neg_reciprocal",
-    )
-    assert r == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-
 def test_radius_root_rejections():
     with pytest.raises(ValueError):
         radius_root(SpeedSpec(c=1.0, a=0.0, b=-1.0), SigmaKRoot(k=2), 2, 1.0)
@@ -204,5 +194,3 @@ def test_radius_root_rejections():
             SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.1, v=EZ),)),
             SigmaKRoot(k=2), 2, 1.0,
         )
-    with pytest.raises(ValueError):
-        radius_root(SpeedSpec(c=1.0, a=0.0, b=-2.0), SigmaKRoot(k=2), 2, 1.0, psi_mode="cubed")

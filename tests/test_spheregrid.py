@@ -5,7 +5,6 @@ import pytest
 
 from starflow.spheregrid import (
     Grid,
-    ScalarField,
     axisym_grid,
     covariant_hessian,
     full_s2_grid,
@@ -54,13 +53,6 @@ def test_grids_compatible():
     assert grids_compatible(axisym_grid(2, 16), axisym_grid(2, 16))
     assert not grids_compatible(axisym_grid(2, 16), axisym_grid(3, 16))
     assert not grids_compatible(axisym_grid(2, 16), full_s2_grid(16, 16))
-
-
-def test_scalar_field_shape_guard():
-    g = axisym_grid(n=2, m_theta=16)
-    ScalarField(g, np.zeros(16))
-    with pytest.raises(ValueError):
-        ScalarField(g, np.zeros(17))
 
 
 def test_pad_theta_axisym_mirror():

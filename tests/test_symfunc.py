@@ -20,14 +20,12 @@ from starflow.symfunc import (
     SigmaKRoot,
     WeightedProduct,
     cone_failure,
-    eta_of,
     in_cone,
     natural_cone,
     newton_maclaurin_margin,
     sigma,
     sigma_all,
     sigma_grad,
-    sigma_second_partial,
 )
 
 
@@ -92,20 +90,6 @@ def test_sigma_grad_is_deleted_sigma():
         for i in range(n):
             want = brute_sigma(np.delete(kappa, i), k - 1)
             assert g[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_sigma_second_partial():
-    rng = np.random.default_rng(13)
-    kappa = rng.uniform(0.2, 2.0, 5)
-    for k in range(2, 6):
-        for i in range(5):
-            assert sigma_second_partial(kappa, k, i, i) == 0.0
-            for j in range(5):
-                if i == j:
-                    continue
-                want = brute_sigma(np.delete(kappa, [i, j]), k - 2)
-                got = sigma_second_partial(kappa, k, i, j)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_sigma_identities():
@@ -207,12 +191,6 @@ def test_natural_cones():
     assert natural_cone(mixed).k is None or natural_cone(mixed).k == 2
 
 
-def test_eta_of():
-    assert eta_of(SigmaKRoot(k=2), 2, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert eta_of(SigmaKRoot(k=2), 3, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert eta_of(SigmaKRoot(k=1), 3, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
 def test_newton_maclaurin_margin():
     assert newton_maclaurin_margin(np.array([1.0, 1.0, 1.0]), 3) == 0.0
     assert newton_maclaurin_margin(np.array([2.0, 2.0]), 2) == pytest.approx(0.0, abs=1e-15)
@@ -264,7 +242,8 @@ def test_diagonal_quadratic_form_bound():
             for q in range(n):
                 if p == q:
                     continue
-                lhs += sigma_second_partial(kappa, k, p, q) * (B[p, p] * B[q, q] - B[p, q] ** 2)
+                second = brute_sigma(np.delete(kappa, [p, q]), k - 2)
+                lhs += second * (B[p, p] * B[q, q] - B[p, q] ** 2)
         s1 = brute_sigma(kappa, 1)
         sk = brute_sigma(kappa, k)
         x = float(np.dot(sigma_grad(kappa, k), np.diag(B))) / sk
