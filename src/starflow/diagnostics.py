@@ -199,7 +199,7 @@ def evolution_identity_check(config, state_a, state_b) -> float:
     if dt <= 0.0:
         raise ValueError("states must be time-ordered with distinct times")
     grid = config.grid
-    speed, _, _, geom_a = speed_field(config, state_a.gamma)
+    speed, _, _, _, geom_a = speed_field(config, state_a.gamma)
     geom_b = assemble(grid, state_b.gamma)
     lhs = (geom_b.u - geom_a.u) / dt
 

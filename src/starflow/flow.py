@@ -35,16 +35,9 @@ import numpy as np
 
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_check
-from .speed import G_eval, SpeedSpec
+from .speed import G_from_table, SpeedSpec, psi_eval
 from .spheregrid import Grid, min_metric_spacing
-from .symfunc import (
-    Cone,
-    F_eval,
-    F_grad,
-    cone_failure,
-    in_cone,
-    natural_cone,
-)
+from .symfunc import Cone, F_fused, cone_failure, natural_cone
 
 __all__ = [
     "PSI_IDENTITY",
@@ -115,6 +108,8 @@ class FlowConfig:
     tol_stall: float = 0.0
     cadence: int = 50
     guard: Cone = field(init=False)  # always natural_cone(F)
+    # c ψ(ξ) at the grid nodes: the part of G that no step changes
+    G_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -126,6 +121,7 @@ class FlowConfig:
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
         self.guard = natural_cone(self.F)
+        self.G_table = self.G.c * psi_eval(self.G, self.grid.xi)
         if self.grid.mode == "axisym" and not self.G.axis_aligned():
             raise ValueError(
                 "axisym grids require every anisotropy direction to be the polar axis"
@@ -161,10 +157,11 @@ class RunResult:
 
 
 def speed_field(config: FlowConfig, gamma: np.ndarray):
-    """Pointwise speed Ψ(Q) - Ψ(1) plus the geometry it was computed from.
+    """Pointwise speed Ψ(Q) - Ψ(1) plus what it was computed from.
 
-    Returns (speed, Q, F values, geometry).  Raises FlowAbort when the profile
-    stops being an admissible star-shaped graph; the detail names the first
+    Returns (speed, Q, F values, λ_max(∂F/∂κ), geometry); the cone test, F
+    and λ_max come from one σ sweep.  Raises FlowAbort when the profile stops
+    being an admissible star-shaped graph; the detail names the first
     offending node.
     """
     grid = config.grid
@@ -175,10 +172,9 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
             STATUS_STAR_SHAPE_LOST,
             f"non-finite state or u <= 0 (min u = {u_min:.6g})",
         )
-    ok = in_cone(geom.kappa, config.guard)
+    ok, f_val, lam = F_fused(config.F, geom.kappa)
     if not np.all(ok):
-        flat = np.asarray(ok).reshape(-1)
-        bad = int(np.argmin(flat))
+        bad = int(np.argmin(ok.reshape(-1)))
         node = np.unravel_index(bad, grid.shape)
         kappa_bad = geom.kappa.reshape(-1, geom.kappa.shape[-1])[bad]
         raise FlowAbort(
@@ -186,27 +182,24 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
             f"curvature left {config.guard.describe()} at node {tuple(int(i) for i in node)}: "
             f"{cone_failure(kappa_bad, config.guard)}",
         )
-    f_val = F_eval(config.F, geom.kappa, checked=False)
-    q = G_eval(config.G, geom.xi, geom.u, geom.rho, checked=False) * f_val ** (
-        -config.beta
-    )
+    g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
+    q = g * f_val ** (-config.beta)
     speed = psi_apply(config.psi_mode, q) - psi_apply(config.psi_mode, 1.0)
-    return speed, q, f_val, geom
+    return speed, q, f_val, lam, geom
 
 
 def cfl_dt(
-    config: FlowConfig, geom: GeometryState, q: np.ndarray, f_val: np.ndarray
+    config: FlowConfig,
+    geom: GeometryState,
+    q: np.ndarray,
+    f_val: np.ndarray,
+    lam: np.ndarray,
 ) -> float:
-    """Parabolic step bound dt = dt_safety · min(Δs_min² / (2 n D))."""
-    lam = np.max(F_grad(config.F, geom.kappa, checked=False), axis=-1)
-    diff = (
-        config.beta
-        * geom.u
-        * psi_prime(config.psi_mode, q)
-        * q
-        * lam
-        / f_val
-    )
+    """Parabolic step bound dt = dt_safety · min(Δs_min² / (2 n D)).
+
+    lam is λ_max(∂F/∂κ) per node, as speed_field returns it.
+    """
+    diff = config.beta * geom.u * psi_prime(config.psi_mode, q) * q * lam / f_val
     ds = min_metric_spacing(config.grid, geom.rho)
     dt = config.dt_safety * float(np.min(ds * ds / (2.0 * config.grid.n * diff)))
     if not (np.isfinite(dt) and dt > 0.0):
@@ -226,9 +219,9 @@ def step(
     passing it avoids recomputing the first stage.
     """
     if k1 is None:
-        k1, _, _, _ = speed_field(config, state.gamma)
+        k1 = speed_field(config, state.gamma)[0]
     half = state.gamma + 0.5 * dt * k1
-    k2, _, _, _ = speed_field(config, half)
+    k2 = speed_field(config, half)[0]
     return FlowState(t=state.t + dt, step=state.step + 1, gamma=state.gamma + dt * k2)
 
 
@@ -267,7 +260,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 
     while True:
         try:
-            speed, q, f_val, geom = speed_field(config, state.gamma)
+            speed, q, f_val, lam, geom = speed_field(config, state.gamma)
         except FlowAbort as abort:
             status = abort.status
             detail = abort.detail
@@ -310,7 +303,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             break
 
         try:
-            dt = cfl_dt(config, geom, q, f_val)
+            dt = cfl_dt(config, geom, q, f_val, lam)
             dt = min(dt, config.t_max - state.t)
             state = step(config, state, dt, k1=speed)
         except FlowAbort as abort:

@@ -22,8 +22,10 @@ entirely because the meridian and parallel directions are already principal:
 the parallel value carrying multiplicity n-1.
 
 Axisym states embed the meridian half-plane into the Cartesian xz-plane, so X
-and ν are 3-vectors in both modes.  All functions are pure; a GeometryState is
-a plain bundle of arrays that is never mutated after construction.
+and ν are 3-vectors in both modes; both are computed on demand from the
+grid's frames, since the flow itself never reads them.  All functions are
+pure; a GeometryState is a plain bundle of arrays that is never mutated after
+construction.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spheregrid import Grid, covariant_hessian, grad, grad_norm_sq
+from .spheregrid import Grid, derivatives, grad, grad_norm_sq
 
 __all__ = [
     "DegenerateGeometry",
@@ -74,35 +76,24 @@ class GeometryState:
     h_tp: np.ndarray
     h_pp: np.ndarray
     kappa: np.ndarray            # (..., n), sorted descending per node
-    X: np.ndarray                # (..., 3) Cartesian position
-    nu: np.ndarray               # (..., 3) outward unit normal
 
     @property
     def xi(self) -> np.ndarray:
-        """Radial unit direction X/ρ."""
-        return self.X / self.rho[..., None]
+        """Radial unit direction X/ρ, the grid's node direction."""
+        return self.grid.xi
 
+    @property
+    def X(self) -> np.ndarray:
+        """Cartesian position ρξ, shape (..., 3); computed on demand."""
+        return self.rho[..., None] * self.grid.xi
 
-def _cartesian_frames(grid: Grid):
-    st, ct = grid.sin_theta, grid.cos_theta
-    if grid.mode == "axisym":
-        zeros = np.zeros_like(st)
-        xi = np.stack([st, zeros, ct], axis=-1)
-        e_t = np.stack([ct, zeros, -st], axis=-1)
-        e_p = None
-    else:
-        ph = grid.phi[None, :]
-        sp, cp = np.sin(ph), np.cos(ph)
-        st2, ct2 = np.broadcast_to(st, (grid.m_theta, grid.m_phi)), np.broadcast_to(
-            ct, (grid.m_theta, grid.m_phi)
-        )
-        xi = np.stack([st2 * cp, st2 * sp, ct2], axis=-1)
-        e_t = np.stack([ct2 * cp, ct2 * sp, -st2], axis=-1)
-        e_p = np.stack(
-            [-np.broadcast_to(sp, st2.shape), np.broadcast_to(cp, st2.shape), np.zeros_like(st2)],
-            axis=-1,
-        )
-    return xi, e_t, e_p
+    @property
+    def nu(self) -> np.ndarray:
+        """Outward unit normal (ξ - γ_θ ê_θ - (γ_φ/sinθ) ê_φ)/ω; computed on demand."""
+        grid = self.grid
+        b_t = self.gamma_t[..., None]
+        b_p = (self.gamma_p / grid.sin_theta)[..., None]
+        return (grid.xi - b_t * grid.e_theta - b_p * grid.e_phi) / self.omega[..., None]
 
 
 def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometryState:
@@ -118,13 +109,11 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
     if check and not np.all(np.isfinite(gamma)):
         raise DegenerateGeometry("profile contains non-finite values")
 
-    g_t, g_p = grad(grid, gamma)
+    g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp = derivatives(grid, gamma)
     gsq = grad_norm_sq(grid, g_t, g_p)
     omega = np.sqrt(1.0 + gsq)
     rho = np.exp(gamma)
     u = rho / omega
-
-    h_cov_tt, h_cov_tp, h_cov_pp = covariant_hessian(grid, gamma)
 
     if grid.mode == "axisym":
         # principal directions are the meridian and the parallels
@@ -137,8 +126,9 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         h_tt = (rho / omega) * (-h_cov_tt + b_t * b_t + 1.0)
         h_tp = np.zeros_like(rho)
         h_pp = (rho / omega) * (1.0 - grid.cot_theta * b_t)
-        cols = [kappa_mer] + [kappa_par] * (grid.n - 1)
-        kappa = np.sort(np.stack(cols, axis=-1), axis=-1)[..., ::-1]
+        kappa = np.repeat(kappa_par[:, None], grid.n, axis=-1)
+        kappa[:, 0] = np.maximum(kappa_mer, kappa_par)
+        kappa[:, -1] = np.minimum(kappa_mer, kappa_par)
     else:
         # orthonormalized chart frame (ê_θ, ê_φ/sinθ)
         st = grid.sin_theta
@@ -162,13 +152,6 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         root = np.sqrt(disc)
         kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0], axis=-1)
 
-    xi, e_t, e_p = _cartesian_frames(grid)
-    X = rho[..., None] * xi
-    if grid.mode == "axisym":
-        nu = (xi - g_t[..., None] * e_t) / omega[..., None]
-    else:
-        nu = (xi - b_t[..., None] * e_t - b_p[..., None] * e_p) / omega[..., None]
-
     state = GeometryState(
         grid=grid,
         gamma=gamma,
@@ -185,8 +168,6 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         h_tp=h_tp,
         h_pp=h_pp,
         kappa=kappa,
-        X=X,
-        nu=nu,
     )
     if check:
         if not np.all(np.isfinite(gamma)) or not np.all(np.isfinite(kappa)):

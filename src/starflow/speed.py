@@ -38,6 +38,7 @@ __all__ = [
     "psi_eval",
     "psi_extrema",
     "G_eval",
+    "G_from_table",
     "BarrierRadii",
     "barrier_radii",
     "MonotonicityReport",
@@ -141,7 +142,12 @@ def G_eval(
             raise ValueError("support function must be positive and finite")
         if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
             raise ValueError("radius must be positive and finite")
-    out = spec.c * psi_eval(spec, xi)
+    return G_from_table(spec, spec.c * psi_eval(spec, xi), u, rho)
+
+
+def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndarray):
+    """G = table · u^a · ρ^b, with table = c ψ(ξ) already evaluated at the nodes."""
+    out = table
     if spec.a != 0.0:
         out = out * u**spec.a
     if spec.b != 0.0:

@@ -31,6 +31,7 @@ __all__ = [
     "full_s2_grid",
     "grids_compatible",
     "pad_theta",
+    "derivatives",
     "grad",
     "grad_norm_sq",
     "covariant_hessian",
@@ -44,7 +45,7 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 
 @dataclass
 class Grid:
-    """Node locations and spacings; treat instances as immutable."""
+    """Nodes, spacings, trig tables and Cartesian frames; treat as immutable."""
 
     mode: str
     n: int
@@ -82,6 +83,17 @@ class Grid:
         self.sin_theta = st
         self.cos_theta = ct
         self.cot_theta = ct / st
+        # Cartesian frames (..., 3): radial direction ξ and unit chart
+        # directions ê_θ, ê_φ; axisym profiles lie in the xz-plane (φ = 0)
+        phi = self.phi if self.mode == "full_s2" else np.zeros(1)
+        sp, cp = np.sin(phi), np.cos(phi)
+
+        def frame(*cols):
+            return np.stack([np.broadcast_to(c, self.shape) for c in cols], axis=-1)
+
+        self.xi = frame(st * cp, st * sp, ct)
+        self.e_theta = frame(ct * cp, ct * sp, -st)
+        self.e_phi = frame(-sp, cp, 0.0)
 
     @property
     def shape(self) -> tuple:
@@ -136,18 +148,35 @@ def pad_theta(grid: Grid, f: np.ndarray) -> np.ndarray:
     return np.concatenate((north, f, south), axis=0)
 
 
+def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Chart gradient and covariant Hessian of f from one ghost padding.
+
+    Returns (∂_θ f, ∂_φ f, f_{;θθ}, f_{;θφ}, f_{;φφ}); grad and
+    covariant_hessian document the two halves.
+    """
+    f = _check_shape(grid, f)
+    p = pad_theta(grid, f)
+    dt = grid.dtheta
+    f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
+    f_t = (p[2:] - p[:-2]) / (2.0 * dt)
+    if grid.mode == "axisym":
+        h_pp = grid.sin_theta * grid.cos_theta * f_t
+        return f_t, np.zeros_like(f), f_tt, np.zeros_like(f), h_pp
+    dp = grid.dphi
+    f_p = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * dp)
+    f_pp = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (dp * dp)
+    f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp)
+    h_tp = f_tp - grid.cot_theta * f_p
+    h_pp = f_pp + grid.sin_theta * grid.cos_theta * f_t
+    return f_t, f_p, f_tt, h_tp, h_pp
+
+
 def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chart partials (∂_θ f, ∂_φ f) by central differences.
 
     The φ component is identically zero on axisym grids.
     """
-    f = _check_shape(grid, f)
-    p = pad_theta(grid, f)
-    f_t = (p[2:] - p[:-2]) / (2.0 * grid.dtheta)
-    if grid.mode == "axisym":
-        return f_t, np.zeros_like(f)
-    f_p = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.dphi)
-    return f_t, f_p
+    return derivatives(grid, f)[:2]
 
 
 def grad_norm_sq(grid: Grid, f_t: np.ndarray, f_p: np.ndarray) -> np.ndarray:
@@ -169,22 +198,7 @@ def covariant_hessian(
     Axisym grids return the same triple with ∂_φ terms dropped; the φφ slot is
     then sinθ cosθ ∂_θ f, the S² chart value shared by every parallel direction.
     """
-    f = _check_shape(grid, f)
-    p = pad_theta(grid, f)
-    dt = grid.dtheta
-    f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
-    f_t = (p[2:] - p[:-2]) / (2.0 * dt)
-    if grid.mode == "axisym":
-        h_pp = grid.sin_theta * grid.cos_theta * f_t
-        return f_tt, np.zeros_like(f), h_pp
-    dp = grid.dphi
-    f_p = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * dp)
-    f_pp = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (dp * dp)
-    f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp)
-    h_tt = f_tt
-    h_tp = f_tp - grid.cot_theta * f_p
-    h_pp = f_pp + grid.sin_theta * grid.cos_theta * f_t
-    return h_tt, h_tp, h_pp
+    return derivatives(grid, f)[2:]
 
 
 def min_metric_spacing(grid: Grid, rho: np.ndarray) -> np.ndarray:

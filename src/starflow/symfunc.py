@@ -46,6 +46,7 @@ __all__ = [
     "cone_failure",
     "F_eval",
     "F_grad",
+    "F_fused",
     "natural_cone",
     "newton_maclaurin_margin",
 ]
@@ -68,17 +69,17 @@ def sigma_all(kappa, kmax: int) -> np.ndarray:
     Parameters
     ----------
     kappa : array_like, shape (..., n)
-    kmax : int, 0 <= kmax <= n
+    kmax : int, kmax >= 0
 
     Returns
     -------
     ndarray, shape (..., kmax + 1)
-        ``out[..., j]`` is σ_j(κ).
+        ``out[..., j]`` is σ_j(κ), which is zero for j > n.
     """
     arr = _as_batch(kappa)
     n = arr.shape[-1]
-    if not 0 <= kmax <= n:
-        raise ValueError(f"kmax must lie in [0, {n}], got {kmax}")
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
     e = np.zeros(arr.shape[:-1] + (kmax + 1,))
     e[..., 0] = 1.0
     for m in range(n):
@@ -257,6 +258,13 @@ def _check_cone(spec, arr: np.ndarray) -> None:
         )
 
 
+def _sigma_order(spec) -> int:
+    """Highest σ_j the speed reads: k for σ_k roots and quotients, 0 for power means."""
+    if isinstance(spec, WeightedProduct):
+        return max(_sigma_order(sub) for sub, _ in spec.terms)
+    return getattr(spec, "k", 0)
+
+
 def F_eval(spec, kappa, *, checked: bool = True):
     """Evaluate the degree-one speed F at κ (vectorized over leading axes).
 
@@ -268,22 +276,23 @@ def F_eval(spec, kappa, *, checked: bool = True):
     _validate_spec(spec, arr.shape[-1])
     if checked:
         _check_cone(spec, arr)
-    return _F_eval_raw(spec, arr)
+    return _F_eval_raw(spec, sigma_all(arr, _sigma_order(spec)), arr)
 
 
-def _F_eval_raw(spec, arr: np.ndarray):
+def _F_eval_raw(spec, e: np.ndarray, arr: np.ndarray):
+    """F at κ = arr, reading σ_j(κ) from e[..., j]."""
     if isinstance(spec, SigmaKRoot):
-        return sigma(arr, spec.k) ** (1.0 / spec.k)
+        return e[..., spec.k] ** (1.0 / spec.k)
     if isinstance(spec, QuotientRoot):
-        num = sigma(arr, spec.k)
-        den = sigma(arr, spec.l) if spec.l > 0 else 1.0
+        num = e[..., spec.k]
+        den = e[..., spec.l] if spec.l > 0 else 1.0
         return (num / den) ** (1.0 / (spec.k - spec.l))
     if isinstance(spec, PowerMean):
         return np.sum(arr ** spec.p, axis=-1) ** (1.0 / spec.p)
     if isinstance(spec, WeightedProduct):
         acc = 0.0
         for sub, w in spec.terms:
-            acc = acc + w * np.log(_F_eval_raw(sub, arr))
+            acc = acc + w * np.log(_F_eval_raw(sub, e, arr))
         return np.exp(acc)
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
@@ -294,35 +303,64 @@ def F_grad(spec, kappa, *, checked: bool = True) -> np.ndarray:
     _validate_spec(spec, arr.shape[-1])
     if checked:
         _check_cone(spec, arr)
-    return _F_grad_raw(spec, arr)
+    e = sigma_all(arr, _sigma_order(spec))
+    return _F_grad_raw(spec, e, arr, slice(None), lambda k: sigma_grad(arr, k))
 
 
-def _F_grad_raw(spec, arr: np.ndarray) -> np.ndarray:
+def _F_grad_raw(spec, e: np.ndarray, arr: np.ndarray, cols, dsigma) -> np.ndarray:
+    """∂F/∂κ_i for the entries i in the slice cols, shape (..., len(cols)).
+
+    e[..., j] is σ_j(κ) and dsigma(k) returns ∂σ_k/∂κ_i for those entries.
+    """
     if isinstance(spec, SigmaKRoot):
         k = spec.k
-        sk = sigma(arr, k)
-        return (1.0 / k) * sk[..., None] ** (1.0 / k - 1.0) * sigma_grad(arr, k)
+        return (1.0 / k) * e[..., k, None] ** (1.0 / k - 1.0) * dsigma(k)
     if isinstance(spec, QuotientRoot):
         k, l = spec.k, spec.l
-        f = _F_eval_raw(spec, arr)
-        sk = sigma(arr, k)
-        term = sigma_grad(arr, k) / sk[..., None]
+        f = _F_eval_raw(spec, e, arr)
+        term = dsigma(k) / e[..., k, None]
         if l > 0:
-            sl = sigma(arr, l)
-            term = term - sigma_grad(arr, l) / sl[..., None]
+            term = term - dsigma(l) / e[..., l, None]
         return f[..., None] * term / (k - l)
     if isinstance(spec, PowerMean):
         p = spec.p
         s = np.sum(arr ** p, axis=-1)
-        return s[..., None] ** (1.0 / p - 1.0) * arr ** (p - 1.0)
+        return s[..., None] ** (1.0 / p - 1.0) * arr[..., cols] ** (p - 1.0)
     if isinstance(spec, WeightedProduct):
-        f = _F_eval_raw(spec, arr)
-        acc = np.zeros_like(arr)
+        f = _F_eval_raw(spec, e, arr)
+        acc = 0.0
         for sub, w in spec.terms:
-            fi = _F_eval_raw(sub, arr)
-            acc += w * _F_grad_raw(sub, arr) / fi[..., None]
+            fi = _F_eval_raw(sub, e, arr)
+            acc = acc + w * _F_grad_raw(sub, e, arr, cols, dsigma) / fi[..., None]
         return f[..., None] * acc
     raise TypeError(f"unknown curvature-function spec {spec!r}")
+
+
+def F_fused(spec, kappa):
+    """Cone mask, F and λ_max = max_i ∂F/∂κ_i from one σ sweep.
+
+    κ must be finite and sorted descending.  Each speed is symmetric and concave
+    on its natural cone, so (∂_i F - ∂_j F)(κ_i - κ_j) <= 0 there: λ_max sits at
+    the last entry κ_n.  One sweep over κ without κ_n yields σ_j(κ|n) =
+    ∂σ_{j+1}/∂κ_n, one more recurrence step σ_j(κ).  Matches in_cone, F_eval
+    and max F_grad; F and λ_max mean nothing where the mask fails.
+    """
+    arr = _as_batch(kappa)
+    _validate_spec(spec, arr.shape[-1])
+    rest = sigma_all(arr[..., :-1], _sigma_order(spec))
+    e = rest.copy()
+    e[..., 1:] += arr[..., -1:] * rest[..., :-1]
+    cone = natural_cone(spec)
+    if cone.k is None:
+        ok = np.all(arr > 0.0, axis=-1)
+    else:
+        ok = np.all(e[..., 1 : cone.k + 1] > 0.0, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = _F_eval_raw(spec, e, arr)
+        lam = _F_grad_raw(
+            spec, e, arr, slice(-1, None), lambda k: rest[..., k - 1, None]
+        )[..., 0]
+    return ok, f, lam
 
 
 def newton_maclaurin_margin(kappa, m: int):

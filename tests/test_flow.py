@@ -5,9 +5,12 @@ collapses to the radius ODE and hand-computed RK2 arithmetic is a bitwise
 oracle for the stepper.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from starflow import cli, symfunc
 from starflow.flow import (
     PSI_IDENTITY,
     PSI_NEG_RECIPROCAL,
@@ -67,12 +70,12 @@ def test_config_validation():
 def test_speed_field_psi_contrast():
     # sphere R = 2: Q = R^{-2} * R = 1/2
     gamma = np.full(16, np.log(2.0))
-    speed, q, f_val, geom = speed_field(setup1(), gamma)
+    speed, q, f_val, _, geom = speed_field(setup1(), gamma)
     assert np.max(np.abs(q - 0.5)) <= 1e-13
     assert np.max(np.abs(speed + 0.5)) <= 1e-13
     assert np.max(np.abs(f_val - 0.5)) <= 1e-13
 
-    speed, q, _, _ = speed_field(setup1(psi_mode=PSI_NEG_RECIPROCAL), gamma)
+    speed, q, _, _, _ = speed_field(setup1(psi_mode=PSI_NEG_RECIPROCAL), gamma)
     # Psi(s) = -1/s: speed = 1 - 1/Q = -1
     assert np.max(np.abs(q - 0.5)) <= 1e-13
     assert np.max(np.abs(speed + 1.0)) <= 1e-13
@@ -81,7 +84,7 @@ def test_speed_field_psi_contrast():
 def test_speed_field_zero_at_stationary_radius():
     cfg = setup1()
     r_star = radius_root(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
-    speed, _, _, _ = speed_field(cfg, np.full(16, np.log(r_star)))
+    speed = speed_field(cfg, np.full(16, np.log(r_star)))[0]
     assert np.max(np.abs(speed)) <= 1e-10
 
 
@@ -131,13 +134,13 @@ def test_first_step_sign_at_barrier_radii():
     )
     radii = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
     assert radii.ok
-    speed_lo, _, _, _ = speed_field(cfg, np.full(grid.shape, np.log(radii.r1)))
-    speed_hi, _, _, _ = speed_field(cfg, np.full(grid.shape, np.log(radii.r2)))
+    speed_lo, *_ = speed_field(cfg, np.full(grid.shape, np.log(radii.r1)))
+    speed_hi, *_ = speed_field(cfg, np.full(grid.shape, np.log(radii.r2)))
     assert float(np.min(speed_lo)) >= 0.0
     assert float(np.max(speed_hi)) <= 0.0
     # strictly inside the gap both signs appear
     mid = np.sqrt(radii.r1 * radii.r2)
-    speed_mid, _, _, _ = speed_field(cfg, np.full(grid.shape, np.log(mid)))
+    speed_mid, *_ = speed_field(cfg, np.full(grid.shape, np.log(mid)))
     assert float(np.min(speed_mid)) < 0.0 < float(np.max(speed_mid))
 
 
@@ -145,7 +148,7 @@ def test_isotropic_barriers_pin_stationary_sphere():
     cfg = setup1()
     radii = barrier_radii(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
     assert radii.ok and radii.equality
-    speed, _, _, _ = speed_field(cfg, np.full(16, np.log(radii.r1)))
+    speed = speed_field(cfg, np.full(16, np.log(radii.r1)))[0]
     assert np.max(np.abs(speed)) <= 1e-12
 
 
@@ -220,8 +223,8 @@ def test_cfl_dt_scalings():
     def dt_for(m, safety=0.5):
         cfg = setup1(m_theta=m, dt_safety=safety)
         gamma = np.full(m, np.log(1.3))
-        _, q, f_val, geom = speed_field(cfg, gamma)
-        return cfl_dt(cfg, geom, q, f_val)
+        _, q, f_val, lam, geom = speed_field(cfg, gamma)
+        return cfl_dt(cfg, geom, q, f_val, lam)
 
     dt16 = dt_for(16)
     dt32 = dt_for(32)
@@ -252,6 +255,39 @@ def test_axisym_and_full_s2_integrate_identically():
     b = step(s2_cfg, FlowState(t=0.0, step=0, gamma=g_s2), dt)
     assert np.max(np.abs(b.gamma - a.gamma[:, None])) <= 1e-12
     assert np.max(np.abs(b.gamma - b.gamma[:, :1])) <= 1e-12  # stays phi-independent
+
+
+def test_sigma_sweeps_per_rk2_step(monkeypatch):
+    # one sigma sweep per stage: two per step plus one at the final state
+    setup = cli.parse_config(Path(__file__).parent.parent / "configs" / "sphere_contract.cfg")
+    calls = []
+    sweep = symfunc.sigma_all
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(symfunc, "sigma_all", counting)
+    cfg = setup.config
+    res = run(cfg, initial_gamma(setup.initial, cfg.grid))
+    assert res.status == STATUS_CONVERGED and res.steps > 1000
+    assert len(calls) <= 2 * res.steps + 1
+
+
+def test_configs_sharing_a_grid_keep_their_own_tables():
+    def config(grid, s):
+        G = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=s, v=EZ),))
+        return FlowConfig(grid=grid, F=SigmaKRoot(k=2), G=G, beta=1.0, t_max=0.02)
+
+    shared = full_s2_grid(m_theta=8, m_phi=16)
+    first, second = config(shared, 0.2), config(shared, -0.3)
+    for cfg, s in ((first, 0.2), (second, -0.3), (first, 0.2)):
+        fresh = config(full_s2_grid(m_theta=8, m_phi=16), s)
+        a = run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid))
+        b = run(fresh, initial_gamma(Spheroid(a=1.1, b=0.9), fresh.grid))
+        assert a.steps == b.steps > 10
+        assert np.array_equal(a.state.gamma, b.state.gamma)
+        assert a.history == b.history
 
 
 def test_initial_gamma_shapes():

@@ -14,6 +14,7 @@ from starflow.symfunc import (
     Cone,
     ConeViolation,
     F_eval,
+    F_fused,
     F_grad,
     PowerMean,
     QuotientRoot,
@@ -181,6 +182,31 @@ def test_F_checked_raises_outside_cone():
     with np.errstate(invalid="ignore"):
         val = F_eval(SigmaKRoot(k=2), np.array([1.0, -1.0]), checked=False)
     assert np.isnan(val) or isinstance(float(val), float)
+
+
+def test_F_fused_matches_reference():
+    # cone mask, F and lambda_max from one sigma sweep agree with in_cone,
+    # F_eval and the row maximum of F_grad for every variant
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        specs = [SigmaKRoot(k=k) for k in range(1, n + 1)]
+        specs += [QuotientRoot(k=k, l=l) for k in range(1, n + 1) for l in range(k)]
+        specs += [
+            PowerMean(p=-1.5),
+            WeightedProduct(terms=((SigmaKRoot(k=2), 0.5), (PowerMean(p=-1.0), 0.5))),
+            WeightedProduct(terms=((SigmaKRoot(k=n), 0.3), (QuotientRoot(k=2, l=1), 0.7))),
+        ]
+        kappa = -np.sort(-rng.uniform(-1.0, 3.0, size=(400, n)), axis=-1)
+        for spec in specs:
+            ok, f, lam = F_fused(spec, kappa)
+            want = in_cone(kappa, natural_cone(spec))
+            assert np.array_equal(ok, want), spec
+            inside = kappa[want]
+            assert len(inside) >= 20, spec
+            f_ref = F_eval(spec, inside)
+            lam_ref = np.max(F_grad(spec, inside), axis=-1)
+            assert np.max(np.abs(f[want] - f_ref) / f_ref) <= 1e-12, spec
+            assert np.max(np.abs(lam[want] - lam_ref) / lam_ref) <= 1e-12, spec
 
 
 def test_natural_cones():
