@@ -147,8 +147,12 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         h_pp = pref * (-B_pp + b_p * b_p + 1.0)
         det_g = rr * rr * omega * omega
         trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
-        det_a = (h_tt * h_pp - h_tp * h_tp) / det_g
-        disc = np.maximum(trace * trace - 4.0 * det_a, 0.0)
+        # discriminant of A = g⁻¹h as (a_tt - a_pp)² + 4 a_tp a_pt: unlike
+        # trace² - 4 det it does not cancel at umbilics, where it is zero
+        a_diff = (g_pp * h_tt - g_tt * h_pp) / det_g
+        a_tp = (g_pp * h_tp - g_tp * h_pp) / det_g
+        a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
+        disc = np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0)
         root = np.sqrt(disc)
         kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0], axis=-1)
 

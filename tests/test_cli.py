@@ -224,6 +224,14 @@ def test_selfcheck_all_suites(capsys):
     assert all(entry.get("ok") is True for entry in lines)
 
 
+def test_selfcheck_geometry_over_seeds(capsys):
+    # seeds 2, 7 and 42 drew sphere radii whose full_s2 curvatures were off
+    # 1/R by sqrt(eps) before the discriminant stopped cancelling
+    for seed in range(20):
+        assert cli.main(["selfcheck", "--suite", "geometry", "--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"suite": "geometry", "ok": True}
+
+
 def test_config_hash_ignores_formatting_not_values(tmp_path):
     plain = make_cfg(tmp_path / "p.cfg")
     shuffled = tmp_path / "s.cfg"

@@ -54,12 +54,15 @@ def test_sphere_is_exact_axisym():
 
 
 def test_sphere_is_exact_full_s2():
-    grid = full_s2_grid(m_theta=12, m_phi=16)
-    R = 0.45
-    st = assemble(grid, np.full(grid.shape, np.log(R)))
-    assert np.max(np.abs(st.kappa - 1.0 / R)) <= 1e-12
-    assert np.max(np.abs(st.u - R)) <= 1e-12
-    assert np.max(np.abs(np.einsum("...i,...i->...", st.X, st.nu) - st.u)) <= 1e-12
+    # every node of a sphere is umbilic: the curvature pair must not pick up
+    # the sqrt(eps) error of a cancelling discriminant (R = 0.892 did, 1.5e-8)
+    for grid, R in [(full_s2_grid(m_theta=12, m_phi=16), 0.45)] + [
+        (full_s2_grid(m_theta=24, m_phi=48), R) for R in (0.892, 0.5, 1.2345, 1.9)
+    ]:
+        st = assemble(grid, np.full(grid.shape, np.log(R)))
+        assert np.max(np.abs(st.kappa - 1.0 / R)) <= 1e-12, R
+        assert np.max(np.abs(st.u - R)) <= 1e-12
+        assert np.max(np.abs(np.einsum("...i,...i->...", st.X, st.nu) - st.u)) <= 1e-12
 
 
 def test_support_is_projection_of_position():
