@@ -229,8 +229,10 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     """Drive the flow from gamma0 until one of the five terminal states.
 
     The history receives one record at step 0, one every config.cadence
-    accepted steps, and one for the final state.  Aborts raised mid-step
-    (cone exit, star shape loss) report the last healthy state.  on_record,
+    accepted steps, and one for the final state.  Every abort (cone exit,
+    star shape loss, a degenerate step bound) reports the last state at which
+    speed_field passed its guards, or the initial data when none did; the
+    state that failed is never returned.  on_record,
     when given, is called as on_record(state, record, geometry) right after
     each history row is appended; it must not mutate anything it is handed.
     """
@@ -240,7 +242,8 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             f"initial field shape {gamma0.shape} does not match grid {config.grid.shape}"
         )
     t_start = time.perf_counter()
-    state = FlowState(t=0.0, step=0, gamma=gamma0)
+    # trial becomes state once speed_field's guards pass at it
+    state = trial = FlowState(t=0.0, step=0, gamma=gamma0)
     history: list = []
     window: deque = deque(maxlen=STALL_WINDOW + 1)
     last_recorded = -1
@@ -260,11 +263,12 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 
     while True:
         try:
-            speed, q, f_val, lam, geom = speed_field(config, state.gamma)
+            speed, q, f_val, lam, geom = speed_field(config, trial.gamma)
         except FlowAbort as abort:
             status = abort.status
             detail = abort.detail
             break
+        state = trial
         residual = float(np.max(np.abs(speed)))
 
         if state.step % config.cadence == 0:
@@ -305,7 +309,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         try:
             dt = cfl_dt(config, geom, q, f_val, lam)
             dt = min(dt, config.t_max - state.t)
-            state = step(config, state, dt, k1=speed)
+            trial = step(config, state, dt, k1=speed)
         except FlowAbort as abort:
             status = abort.status
             detail = abort.detail

@@ -390,6 +390,21 @@ def test_step0_abort_writes_strict_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_star_shaped_initial_data_exits_65(tmp_path, capsys):
+    # gamma = log(1e-300) + 100 cos(theta) underflows rho = e^gamma to 0 near
+    # one pole, so u = rho/omega is not positive there: rejected before any step
+    cfg = make_cfg(
+        tmp_path / "flat.cfg",
+        initial__kind="perturbed",
+        initial__radius="1e-300",
+        initial__amplitude="100.0",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 65
+    assert "not a star-shaped graph" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_product_variant_runs_from_the_cli(tmp_path, capsys):
     # F = sigma_2^{1/4} (sum of 1/kappa_i)^{-1/2}: F(1, 1) = 2^{-1/2}, so the
     # stationary sphere of G = rho^{-2} has radius sqrt(2)

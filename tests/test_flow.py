@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starflow import cli, symfunc
+from starflow import cli, flow, symfunc
 from starflow.flow import (
     PSI_IDENTITY,
     PSI_NEG_RECIPROCAL,
@@ -195,6 +195,29 @@ def test_perturbed_with_huge_amplitude_aborts_at_once():
     res = run(cfg, gamma)
     assert res.status == STATUS_CONE_EXIT
     assert res.steps == 0
+
+
+@pytest.mark.parametrize("fail_at", [3, 4, 7, 8])
+def test_abort_reports_last_state_that_passed_every_guard(monkeypatch, fail_at):
+    # odd calls of speed_field are the loop-top checks of accepted states,
+    # even ones the second stage of a step; either kind of abort must hand
+    # back the last state whose loop-top check passed
+    cfg = setup1(t_max=1.0)
+    seen = []
+    real = flow.speed_field
+
+    def flaky(config, gamma):
+        seen.append(np.array(gamma))
+        if len(seen) == fail_at:
+            raise FlowAbort(STATUS_CONE_EXIT, "injected")
+        return real(config, gamma)
+
+    monkeypatch.setattr(flow, "speed_field", flaky)
+    res = run(cfg, initial_gamma(Constant(R=1.3), cfg.grid))
+    assert res.status == STATUS_CONE_EXIT and res.detail == "injected"
+    passed = fail_at - 2 if fail_at % 2 else fail_at - 1  # 1-based call number
+    assert res.steps == res.state.step == (passed - 1) // 2
+    assert np.array_equal(res.state.gamma, seen[passed - 1])
 
 
 def test_rk2_order_against_exact_ode():
