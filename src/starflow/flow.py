@@ -108,8 +108,6 @@ class FlowConfig:
     tol_stall: float = 0.0
     cadence: int = 50
     guard: Cone = field(init=False)  # always natural_cone(F)
-    # c ψ(ξ) at the grid nodes: the part of G that no step changes
-    G_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -121,6 +119,7 @@ class FlowConfig:
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
         self.guard = natural_cone(self.F)
+        # c ψ(ξ) at the grid nodes: the part of G that no step changes
         self.G_table = self.G.c * psi_eval(self.G, self.grid.xi)
         if self.grid.mode == "axisym" and not self.G.axis_aligned():
             raise ValueError(
@@ -195,10 +194,7 @@ def cfl_dt(
     f_val: np.ndarray,
     lam: np.ndarray,
 ) -> float:
-    """Parabolic step bound dt = dt_safety · min(Δs_min² / (2 n D)).
-
-    lam is λ_max(∂F/∂κ) per node, as speed_field returns it.
-    """
+    """Parabolic step bound dt = dt_safety · min(Δs_min² / (2 n D))."""
     diff = config.beta * geom.u * psi_prime(config.psi_mode, q) * q * lam / f_val
     ds = min_metric_spacing(config.grid, geom.rho)
     dt = config.dt_safety * float(np.min(ds * ds / (2.0 * config.grid.n * diff)))

@@ -89,7 +89,7 @@ class GeometryState:
 
     @property
     def nu(self) -> np.ndarray:
-        """Outward unit normal (ξ - γ_θ ê_θ - (γ_φ/sinθ) ê_φ)/ω; computed on demand."""
+        """Outward unit normal (ξ - γ_θ ê_θ - (γ_φ/sinθ) ê_φ)/ω, on demand."""
         grid = self.grid
         b_t = self.gamma_t[..., None]
         b_p = (self.gamma_p / grid.sin_theta)[..., None]
@@ -123,12 +123,12 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         g_tt = rho * rho * omega * omega
         g_tp = np.zeros_like(rho)
         g_pp = rho * rho
-        h_tt = (rho / omega) * (-h_cov_tt + b_t * b_t + 1.0)
+        h_tt = u * (-h_cov_tt + b_t * b_t + 1.0)
         h_tp = np.zeros_like(rho)
-        h_pp = (rho / omega) * (1.0 - grid.cot_theta * b_t)
-        kappa = np.repeat(kappa_par[:, None], grid.n, axis=-1)
-        kappa[:, 0] = np.maximum(kappa_mer, kappa_par)
-        kappa[:, -1] = np.minimum(kappa_mer, kappa_par)
+        h_pp = u * (1.0 - grid.cot_theta * b_t)
+        kappa = np.repeat(kappa_par[None], grid.n, axis=0)
+        kappa[0] = np.maximum(kappa_mer, kappa_par)
+        kappa[-1] = np.minimum(kappa_mer, kappa_par)
     else:
         # orthonormalized chart frame (ê_θ, ê_φ/sinθ)
         st = grid.sin_theta
@@ -141,10 +141,9 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         g_tt = rr * (1.0 + b_t * b_t)
         g_tp = rr * (b_t * b_p)
         g_pp = rr * (1.0 + b_p * b_p)
-        pref = rho / omega
-        h_tt = pref * (-B_tt + b_t * b_t + 1.0)
-        h_tp = pref * (-B_tp + b_t * b_p)
-        h_pp = pref * (-B_pp + b_p * b_p + 1.0)
+        h_tt = u * (-B_tt + b_t * b_t + 1.0)
+        h_tp = u * (-B_tp + b_t * b_p)
+        h_pp = u * (-B_pp + b_p * b_p + 1.0)
         det_g = rr * rr * omega * omega
         trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
         # discriminant of A = g⁻¹h as (a_tt - a_pp)² + 4 a_tp a_pt: unlike
@@ -154,7 +153,9 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
         disc = np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0)
         root = np.sqrt(disc)
-        kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0], axis=-1)
+        kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0])
+    # κ_i is stored as one contiguous plane each, which the σ sweeps read
+    kappa = np.moveaxis(kappa, 0, -1)
 
     state = GeometryState(
         grid=grid,

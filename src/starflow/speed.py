@@ -146,7 +146,7 @@ def G_eval(
 
 
 def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndarray):
-    """G = table · u^a · ρ^b, with table = c ψ(ξ) already evaluated at the nodes."""
+    """G = table · u^a · ρ^b, where table holds c ψ(ξ) at the nodes."""
     out = table
     if spec.a != 0.0:
         out = out * u**spec.a

@@ -163,8 +163,9 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
         h_pp = grid.sin_theta * grid.cos_theta * f_t
         return f_t, np.zeros_like(f), f_tt, np.zeros_like(f), h_pp
     dp = grid.dphi
-    f_p = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * dp)
-    f_pp = (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / (dp * dp)
+    f_e, f_w = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
+    f_p = (f_e - f_w) / (2.0 * dp)
+    f_pp = (f_e - 2.0 * f + f_w) / (dp * dp)
     f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp)
     h_tp = f_tp - grid.cot_theta * f_p
     h_pp = f_pp + grid.sin_theta * grid.cos_theta * f_t

@@ -80,14 +80,15 @@ def sigma_all(kappa, kmax: int) -> np.ndarray:
     n = arr.shape[-1]
     if kmax < 0:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
-    e = np.zeros(arr.shape[:-1] + (kmax + 1,))
-    e[..., 0] = 1.0
+    # one contiguous plane per σ_j; the caller sees the (..., kmax + 1) view
+    e = np.zeros((kmax + 1,) + arr.shape[:-1])
+    e[0] = 1.0
     for m in range(n):
         x = arr[..., m]
         top = min(m + 1, kmax)
         for j in range(top, 0, -1):
-            e[..., j] += x * e[..., j - 1]
-    return e
+            e[j] += x * e[j - 1]
+    return np.moveaxis(e, 0, -1)
 
 
 def sigma(kappa, k: int):
@@ -259,7 +260,7 @@ def _check_cone(spec, arr: np.ndarray) -> None:
 
 
 def _sigma_order(spec) -> int:
-    """Highest σ_j the speed reads: k for σ_k roots and quotients, 0 for power means."""
+    """Highest σ_j that F reads: k of a σ_k root or quotient, 0 for a power mean."""
     if isinstance(spec, WeightedProduct):
         return max(_sigma_order(sub) for sub, _ in spec.terms)
     return getattr(spec, "k", 0)
@@ -348,7 +349,7 @@ def F_fused(spec, kappa):
     arr = _as_batch(kappa)
     _validate_spec(spec, arr.shape[-1])
     rest = sigma_all(arr[..., :-1], _sigma_order(spec))
-    e = rest.copy()
+    e = rest.copy(order="K")
     e[..., 1:] += arr[..., -1:] * rest[..., :-1]
     cone = natural_cone(spec)
     if cone.k is None:
