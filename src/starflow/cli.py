@@ -15,11 +15,11 @@ Exit codes are part of the interface and nothing else is ever returned:
 
     0   success (run: converged)
     1   validate: no admissible barrier radii; selfcheck: a suite failed
-    2   run aborted: diverged, cone exit, or star shape lost
+    2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap (including detected stalls)
     64  usage or configuration parse error
-    65  gate failure: --strict validation failed, initial data rejected,
-        or a stored field does not match the configured grid
+    65  gate failure: --strict validation failed, initial data not
+        star-shaped, or a stored field does not match the configured grid
     70  internal error (a bug; please report the traceback)
 """
 
