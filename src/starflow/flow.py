@@ -9,15 +9,26 @@ contracting form; the two agree about where the flow is stationary because
 both vanish at Q = 1).  Stationary states solve the prescribed-curvature
 equation F^β = G.
 
-Stepping is explicit midpoint (RK2) under a parabolic step-size bound
+Stepping is the midpoint rule (RK2), made linearly implicit in the φφ term
+on full_s2 grids (an IMEX scheme in the sense of Ascher, Ruuth & Spiteri,
+Appl. Numer. Math. 25, 1997).  Each stage increment c·dt·k, with c = ½ for
+the midpoint and c = 1 for the full step, is replaced along every latitude by
 
-    dt = dt_safety · min over nodes of Δs_min² / (2 n D),
-    D  = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F,
+    (I - c·dt·D̄·δ_φφ)⁻¹ (c·dt·k),
 
-where Δs_min is the smallest physical grid spacing at the node.  There is no
-implicit smoothing, no filtering, and no clamping: when curvatures leave the
-admissibility cone, or a node stops being star-shaped, the run aborts with a
-status saying which guard fired and where.  A run therefore ends in exactly
+where δ_φφ is the unscaled periodic second difference in φ and D̄ is the
+row's largest D / (ρ sinθ Δφ)², frozen at the start of the step.  The
+correction vanishes when γ stops moving, so the stationary states are those
+of the explicit scheme.  The φ spacing ρ sinθ Δφ, which collapses at the
+poles, then no longer limits the step:
+
+    dt = dt_safety · min over nodes of (ρΔθ)² / (2 n D),
+    D  = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F.
+
+Axisym grids have no φ direction and step fully explicitly.  There is no
+filtering and no clamping: when curvatures leave the admissibility cone, or
+a node stops being star-shaped, the run aborts with a status saying which
+guard fired and where.  A run therefore ends in exactly
 one of five states: converged, diverged, cone_exit, star_shape_lost, or
 time_cap (which also covers detected stalls).
 
@@ -36,7 +47,7 @@ import numpy as np
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_check
 from .speed import G_from_table, SpeedSpec, psi_eval
-from .spheregrid import Grid, min_metric_spacing
+from .spheregrid import Grid, solve_phi_rows
 from .symfunc import Cone, F_fused, cone_failure, natural_cone
 
 __all__ = [
@@ -49,6 +60,7 @@ __all__ = [
     "FlowAbort",
     "RunResult",
     "speed_field",
+    "diffusivity",
     "cfl_dt",
     "step",
     "run",
@@ -187,16 +199,24 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
     return speed, q, f_val, lam, geom
 
 
-def cfl_dt(
+def diffusivity(
     config: FlowConfig,
     geom: GeometryState,
     q: np.ndarray,
     f_val: np.ndarray,
     lam: np.ndarray,
-) -> float:
-    """Parabolic step bound dt = dt_safety · min(Δs_min² / (2 n D))."""
-    diff = config.beta * geom.u * psi_prime(config.psi_mode, q) * q * lam / f_val
-    ds = min_metric_spacing(config.grid, geom.rho)
+) -> np.ndarray:
+    """Per-node D = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F, the factor of the
+    speed's second derivatives in arc length."""
+    return config.beta * geom.u * psi_prime(config.psi_mode, q) * q * lam / f_val
+
+
+def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
+    """Parabolic step bound dt = dt_safety · min((ρΔθ)² / (2 n D)) for D = diff.
+
+    The φ spacing does not enter: step() treats the φφ term implicitly.
+    """
+    ds = geom.rho * config.grid.dtheta
     dt = config.dt_safety * float(np.min(ds * ds / (2.0 * config.grid.n * diff)))
     if not (np.isfinite(dt) and dt > 0.0):
         raise FlowAbort(STATUS_DIVERGED, f"step-size bound degenerated to dt = {dt}")
@@ -208,17 +228,32 @@ def step(
     state: FlowState,
     dt: float,
     k1: np.ndarray | None = None,
+    diff: np.ndarray | None = None,
 ) -> FlowState:
-    """One explicit midpoint (RK2) update of γ.
+    """One midpoint (RK2) update of γ, linearly implicit in φφ on full_s2 grids.
 
-    k1, when given, must be the speed field already evaluated at state.gamma;
-    passing it avoids recomputing the first stage.
+    k1 and diff, when both given, must be the speed field and diffusivity()
+    already evaluated at state.gamma; passing them avoids recomputing the
+    first stage.
     """
-    if k1 is None:
-        k1 = speed_field(config, state.gamma)[0]
-    half = state.gamma + 0.5 * dt * k1
+    grid = config.grid
+    if k1 is None or diff is None:
+        speed, q, f_val, lam, geom = speed_field(config, state.gamma)
+        k1, diff = speed, diffusivity(config, geom, q, f_val, lam)
+    d_bar = None
+    if grid.mode == "full_s2":
+        ds_phi = np.exp(state.gamma) * grid.sin_theta * grid.dphi
+        d_bar = np.max(diff / (ds_phi * ds_phi), axis=1)
+
+    def increment(c, k):
+        inc = c * dt * k
+        return inc if d_bar is None else solve_phi_rows(grid, inc, c * dt * d_bar)
+
+    half = state.gamma + increment(0.5, k1)
     k2 = speed_field(config, half)[0]
-    return FlowState(t=state.t + dt, step=state.step + 1, gamma=state.gamma + dt * k2)
+    return FlowState(
+        t=state.t + dt, step=state.step + 1, gamma=state.gamma + increment(1.0, k2)
+    )
 
 
 def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
@@ -303,9 +338,9 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             break
 
         try:
-            dt = cfl_dt(config, geom, q, f_val, lam)
-            dt = min(dt, config.t_max - state.t)
-            trial = step(config, state, dt, k1=speed)
+            diff = diffusivity(config, geom, q, f_val, lam)
+            dt = min(cfl_dt(config, geom, diff), config.t_max - state.t)
+            trial = step(config, state, dt, k1=speed, diff=diff)
         except FlowAbort as abort:
             status = abort.status
             detail = abort.detail

@@ -189,10 +189,12 @@ def star_shape_check(grid: Grid, gamma: np.ndarray) -> tuple[bool, float]:
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(gamma)):
         return False, float("nan")
-    g_t, g_p = grad(grid, gamma)
-    omega = np.sqrt(1.0 + grad_norm_sq(grid, g_t, g_p))
-    u = np.exp(gamma) / omega
-    u_min = float(np.min(u))
+    # a huge γ overflows e^γ or |Dγ|² to inf; the finite test below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_t, g_p = grad(grid, gamma)
+        omega = np.sqrt(1.0 + grad_norm_sq(grid, g_t, g_p))
+        u = np.exp(gamma) / omega
+        u_min = float(np.min(u))
     return bool(np.isfinite(u_min) and u_min > 0.0), u_min
 
 

@@ -35,7 +35,7 @@ __all__ = [
     "grad",
     "grad_norm_sq",
     "covariant_hessian",
-    "min_metric_spacing",
+    "solve_phi_rows",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -45,7 +45,8 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 
 @dataclass
 class Grid:
-    """Nodes, spacings, trig tables and Cartesian frames; treat as immutable."""
+    """Nodes, spacings, trig tables, Cartesian frames and, on full_s2, the
+    φ-Fourier symbol of the second difference; treat as immutable."""
 
     mode: str
     n: int
@@ -72,10 +73,14 @@ class Grid:
                 raise ValueError("m_phi must be even and at least 8")
             self.dphi = 2.0 * np.pi / self.m_phi
             self.phi = np.arange(self.m_phi) * self.dphi
+            # -δ_φφ on φ-Fourier mode k: 4 sin²(πk/m_phi), k = 0..m_phi/2
+            k = np.arange(self.m_phi // 2 + 1)
+            self.phi_symbol = 4.0 * np.sin(np.pi * k / self.m_phi) ** 2
         else:
             if self.m_phi:
                 raise ValueError("axisym grids carry no phi direction")
             self.phi = None
+            self.phi_symbol = None
         # trig tables, broadcast-ready against field arrays
         st, ct = np.sin(self.theta), np.cos(self.theta)
         if self.mode == "full_s2":
@@ -202,14 +207,16 @@ def covariant_hessian(
     return derivatives(grid, f)[2:]
 
 
-def min_metric_spacing(grid: Grid, rho: np.ndarray) -> np.ndarray:
-    """Per-node smallest physical spacing: ρΔθ, and ρ sinθ Δφ on full_s2."""
-    rho = _check_shape(grid, rho)
-    s_theta = rho * grid.dtheta
-    if grid.mode == "axisym":
-        return s_theta
-    s_phi = rho * grid.sin_theta * grid.dphi
-    return np.minimum(s_theta, s_phi)
+def solve_phi_rows(grid: Grid, rhs: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Solve (I - coef_i · δ_φφ) x = rhs along each latitude i of a full_s2 grid.
+
+    δ_φφ is the periodic second difference f_e - 2f + f_w, unscaled, the
+    stencil of ∂²_φ f.  With one coefficient per row the system is diagonal
+    in φ-Fourier space; coef must be non-negative.
+    """
+    rhs = _check_shape(grid, rhs)
+    modes = np.fft.rfft(rhs, axis=1) / (1.0 + coef[:, None] * grid.phi_symbol)
+    return np.fft.irfft(modes, n=grid.m_phi, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def aniso_runs():
 
 @pytest.fixture(scope="module")
 def round_run():
-    cfg = setup3(8, 16, psi=(), cadence=50)
+    cfg = setup3(8, 16, psi=(), cadence=1)
     return cfg, run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid))
 
 
@@ -169,13 +169,13 @@ def test_criterion_02_contracting_sphere_oracle():
 
 
 def test_criterion_03_barrier_preservation_anisotropic():
-    # the stated 64x128 grid forces dt ~ 1e-7, so full convergence is out of
-    # reach inside the runtime budget; the barrier property is asserted over
-    # the longest affordable early window at exactly that resolution
+    # the full run to convergence at the stated 64x128 resolution, with the
+    # barrier property asserted on every record of it
     t0 = time.perf_counter()
-    cfg = setup3(64, 128, t_max=1e-3, cadence=50)
+    cfg = setup3(64, 128, cadence=50)
     res = run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid))
-    assert res.status == STATUS_TIME_CAP
+    assert res.status == STATUS_CONVERGED
+    assert res.residual <= 1e-6
 
     r1, r2 = float(np.exp(-0.2)), float(np.exp(0.2))
     tol = 10.0 * (np.pi / 64) ** 2
@@ -188,7 +188,7 @@ def test_criterion_03_barrier_preservation_anisotropic():
     report(
         3,
         f"{len(res.history)} records in [{r1:.4f}, {r2:.4f}], tol {tol:.2e}, "
-        f"{res.steps} steps, {wall:.0f}s",
+        f"converged to {res.residual:.2e} in {res.steps} steps, {wall:.0f}s",
     )
 
 

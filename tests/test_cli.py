@@ -405,6 +405,28 @@ def test_non_star_shaped_initial_data_exits_65(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_initial_data_exits_65_without_warnings(tmp_path):
+    # e^gamma overflows near one pole and underflows near the other; the gate
+    # rejects the data on its own, with no numpy RuntimeWarning on stderr
+    cfg = make_cfg(
+        tmp_path / "huge.cfg",
+        initial__kind="perturbed",
+        initial__radius="1.0",
+        initial__amplitude="1000.0",
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "starflow.cli", "run", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert "not a star-shaped graph" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_product_variant_runs_from_the_cli(tmp_path, capsys):
     # F = sigma_2^{1/4} (sum of 1/kappa_i)^{-1/2}: F(1, 1) = 2^{-1/2}, so the
     # stationary sphere of G = rho^{-2} has radius sqrt(2)

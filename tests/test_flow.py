@@ -25,13 +25,15 @@ from starflow.flow import (
     Perturbed,
     Spheroid,
     cfl_dt,
+    diffusivity,
     initial_gamma,
     run,
     speed_field,
     step,
 )
+from starflow.diagnostics import check_barriers
 from starflow.speed import PsiTerm, SpeedSpec, barrier_radii, radius_root
-from starflow.spheregrid import axisym_grid, full_s2_grid
+from starflow.spheregrid import axisym_grid, full_s2_grid, solve_phi_rows
 from starflow.symfunc import SigmaKRoot
 
 EZ = (0.0, 0.0, 1.0)
@@ -247,7 +249,7 @@ def test_cfl_dt_scalings():
         cfg = setup1(m_theta=m, dt_safety=safety)
         gamma = np.full(m, np.log(1.3))
         _, q, f_val, lam, geom = speed_field(cfg, gamma)
-        return cfl_dt(cfg, geom, q, f_val, lam)
+        return cfl_dt(cfg, geom, diffusivity(cfg, geom, q, f_val, lam))
 
     dt16 = dt_for(16)
     dt32 = dt_for(32)
@@ -259,25 +261,71 @@ def test_cfl_dt_scalings():
 def test_axisym_and_full_s2_integrate_identically():
     """An axis-aligned problem run in both modes must produce the same profile."""
     psi = (PsiTerm(s=0.2, v=EZ),)
-    ax_cfg = FlowConfig(
-        grid=axisym_grid(n=2, m_theta=16),
+    configs = [
+        FlowConfig(
+            grid=grid,
+            F=SigmaKRoot(k=2),
+            G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
+            beta=1.0,
+            dt_safety=0.5,
+        )
+        for grid in (axisym_grid(n=2, m_theta=16), full_s2_grid(m_theta=16, m_phi=16))
+    ]
+    ax, s2 = (run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid)) for cfg in configs)
+    assert ax.status == s2.status == STATUS_CONVERGED
+    # the phi solve leaves phi-constant increments alone, so the step bound,
+    # every step and the stopping step agree
+    assert s2.steps == ax.steps > 100
+    assert s2.state.t == pytest.approx(ax.state.t, rel=1e-12)
+    assert np.max(np.abs(s2.state.gamma - ax.state.gamma[:, None])) <= 1e-12
+    assert np.max(np.abs(s2.state.gamma - s2.state.gamma[:, :1])) <= 1e-12
+
+
+def test_phi_row_solve_inverts_the_second_difference():
+    grid = full_s2_grid(m_theta=8, m_phi=16)
+    rng = np.random.default_rng(5)
+    rhs = rng.normal(size=grid.shape)
+    # up to ~200 is what pole rows see at 64x128; evaluating coef * second
+    # in the check itself rounds at eps * coef, hence the scaled bound
+    coef = np.array([0.0, 0.3, 1.0, 7.5, 40.0, 250.0, 1e5, 2.0])
+    x = solve_phi_rows(grid, rhs, coef)
+    second = np.roll(x, -1, axis=1) - 2.0 * x + np.roll(x, 1, axis=1)
+    resid = np.max(np.abs(x - coef[:, None] * second - rhs), axis=1)
+    assert np.all(resid <= 1e-13 * np.maximum(1.0, coef))
+    assert np.max(resid[coef <= 250.0]) <= 1e-13
+
+    flat = np.repeat(rng.normal(size=(grid.m_theta, 1)), grid.m_phi, axis=1)
+    kept = solve_phi_rows(grid, flat, coef)
+    assert np.max(np.abs(kept - flat)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(flat))
+
+
+def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
+    grid = full_s2_grid(m_theta=64, m_phi=128)
+    cfg = FlowConfig(
+        grid=grid,
         F=SigmaKRoot(k=2),
-        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
+        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),)),
         beta=1.0,
+        dt_safety=0.5,
+        t_max=0.02,
+        cadence=1,
     )
-    s2_cfg = FlowConfig(
-        grid=full_s2_grid(m_theta=16, m_phi=16),
-        F=SigmaKRoot(k=2),
-        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
-        beta=1.0,
-    )
-    g_ax = initial_gamma(Spheroid(a=1.1, b=0.9), ax_cfg.grid)
-    g_s2 = initial_gamma(Spheroid(a=1.1, b=0.9), s2_cfg.grid)
-    dt = 1e-4
-    a = step(ax_cfg, FlowState(t=0.0, step=0, gamma=g_ax), dt)
-    b = step(s2_cfg, FlowState(t=0.0, step=0, gamma=g_s2), dt)
-    assert np.max(np.abs(b.gamma - a.gamma[:, None])) <= 1e-12
-    assert np.max(np.abs(b.gamma - b.gamma[:, :1])) <= 1e-12  # stays phi-independent
+    gamma = initial_gamma(Perturbed(R=1.0, amplitude=0.1), grid)
+    assert np.ptp(gamma[grid.m_theta // 2]) > 0.1  # genuinely phi-dependent
+    _, q, f_val, lam, geom = speed_field(cfg, gamma)
+    # the explicit bound set by the pole rows' phi spacing rho sin(theta) dphi
+    ds = np.minimum(geom.rho * grid.dtheta, geom.rho * grid.sin_theta * grid.dphi)
+    diff = diffusivity(cfg, geom, q, f_val, lam)
+    pole_dt = cfg.dt_safety * float(np.min(ds * ds / (2.0 * grid.n * diff)))
+
+    res = run(cfg, gamma)
+    assert res.status == STATUS_TIME_CAP
+    times = [rec.t for rec in res.history]
+    assert len(times) == res.steps + 1
+    assert min(np.diff(times)[:-1]) >= 100.0 * pole_dt
+    radii = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
+    assert check_barriers(res.history, radii.r1, radii.r2, 0.0).passed is True
+    assert np.ptp(res.state.gamma[grid.m_theta // 2]) > 0.05  # still phi-dependent
 
 
 def test_sigma_sweeps_per_rk2_step(monkeypatch):
@@ -300,7 +348,7 @@ def test_sigma_sweeps_per_rk2_step(monkeypatch):
 def test_configs_sharing_a_grid_keep_their_own_tables():
     def config(grid, s):
         G = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=s, v=EZ),))
-        return FlowConfig(grid=grid, F=SigmaKRoot(k=2), G=G, beta=1.0, t_max=0.02)
+        return FlowConfig(grid=grid, F=SigmaKRoot(k=2), G=G, beta=1.0, t_max=0.1)
 
     shared = full_s2_grid(m_theta=8, m_phi=16)
     first, second = config(shared, 0.2), config(shared, -0.3)

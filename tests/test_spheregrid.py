@@ -11,7 +11,6 @@ from starflow.spheregrid import (
     grad,
     grad_norm_sq,
     grids_compatible,
-    min_metric_spacing,
     pad_theta,
     read_field_csv,
     write_field_csv,
@@ -159,22 +158,6 @@ def test_axisym_and_full_s2_agree_on_symmetric_fields():
     assert np.max(np.abs(b_tt - a_tt[:, None])) < 1e-12
     assert np.max(np.abs(b_pp - a_pp[:, None])) < 1e-12
     assert np.max(np.abs(b_tp)) < 1e-12
-
-
-def test_min_metric_spacing():
-    ax = axisym_grid(n=2, m_theta=16)
-    rho = np.full(16, 2.0)
-    s = min_metric_spacing(ax, rho)
-    assert np.allclose(s, 2.0 * np.pi / 16, rtol=1e-14)
-
-    # coarse phi so the equator is theta-limited while poles stay phi-limited
-    s2 = full_s2_grid(m_theta=8, m_phi=8)
-    rho = np.ones(s2.shape)
-    s = min_metric_spacing(s2, rho)
-    want_pole = np.sin(s2.theta[0]) * s2.dphi
-    assert s[0, 0] == pytest.approx(want_pole, rel=1e-14)
-    mid = s2.m_theta // 2
-    assert s[mid, 0] == pytest.approx(s2.dtheta, rel=1e-14)
 
 
 def test_field_csv_round_trip_is_exact(tmp_path):
