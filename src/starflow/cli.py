@@ -16,7 +16,7 @@ Exit codes are part of the interface and nothing else is ever returned:
     0   success (run: converged)
     1   validate: no admissible barrier radii; selfcheck: a suite failed
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
-    3   run hit the time cap (including detected stalls)
+    3   run hit the time cap
     64  usage or configuration parse error
     65  gate failure: --strict validation failed, initial data not
         star-shaped, or a stored field does not match the configured grid
@@ -221,7 +221,6 @@ def parse_config(path) -> RunSetup:
             dt_safety=_get(cp, "flow", "dt_safety", float, default=0.2),
             t_max=_get(cp, "flow", "t_max", float, default=50.0),
             tol_residual=_get(cp, "flow", "tol_residual", float, default=1e-6),
-            tol_stall=_get(cp, "flow", "tol_stall", float, default=0.0),
             cadence=_get(cp, "flow", "cadence", int, default=50),
         )
     )
@@ -304,8 +303,8 @@ def cmd_run(args) -> int:
     summary = {
         "status": result.status,
         "detail": result.detail,
-        "stalled": result.stalled,
         "steps": result.steps,
+        "rejected_steps": result.rejected_steps,
         "t_final": result.state.t,
         # null when the run aborted before any finite residual existed
         "final_residual": result.residual if np.isfinite(result.residual) else None,

@@ -9,28 +9,37 @@ contracting form; the two agree about where the flow is stationary because
 both vanish at Q = 1).  Stationary states solve the prescribed-curvature
 equation F^β = G.
 
-Stepping is the midpoint rule (RK2), made linearly implicit in the φφ term
-on full_s2 grids (an IMEX scheme in the sense of Ascher, Ruuth & Spiteri,
-Appl. Numer. Math. 25, 1997).  Each stage increment c·dt·k, with c = ½ for
-the midpoint and c = 1 for the full step, is replaced along every latitude by
+Time stepping is ROS2 (Verwer, Spee, Blom & Hundsdorfer, SIAM J. Sci.
+Comput. 20, 1999), a linearly implicit second-order W-method in the sense of
+Steihaug & Wolfbrandt (Math. Comp. 33, 1979): with g = 1 + 1/√2 and
+M = I - g·h·W,
 
-    (I - c·dt·D̄·δ_φφ)⁻¹ (c·dt·k),
+    M k1 = 𝓕(γ),   M k2 = 𝓕(γ + h k1) - 2 k1,   γ⁺ = γ + h (3/2 k1 + 1/2 k2).
 
-where δ_φφ is the unscaled periodic second difference in φ and D̄ is the
-row's largest D / (ρ sinθ Δφ)², frozen at the start of the step.  The
-correction vanishes when γ stops moving, so the stationary states are those
-of the explicit scheme.  The φ spacing ρ sinθ Δφ, which collapses at the
-poles, then no longer limits the step:
+It is second order for any matrix W; W = A_i L + Z_i only has to be close
+enough to the Jacobian of 𝓕 to keep the step stable.  L is the discrete
+Laplace–Beltrami operator, A_i the row maximum of D/ρ² with
 
-    dt = dt_safety · min over nodes of (ρΔθ)² / (2 n D),
-    D  = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F.
+    D = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F,
 
-Axisym grids have no φ direction and step fully explicitly.  There is no
-filtering and no clamping: when curvatures leave the admissibility cone, or
-a node stops being star-shaped, the run aborts with a status saying which
-guard fired and where.  A run therefore ends in exactly
-one of five states: converged, diverged, cone_exit, star_shape_lost, or
-time_cap (which also covers detected stalls).
+and Z_i the row mean of the dilation derivative Ψ'(Q)·Q·(a + b + β).  Z_i is
+negative exactly when a + b + β < 0 (p > q in the paper's terms) and is
+clipped to <= 0, which keeps M non-singular outside that regime.  M is
+factored once per attempted step (spheregrid.factor_shifted_laplacian).
+Stationary states are exact: 𝓕 = 0 gives k1 = k2 = 0.
+
+The step size h follows the local error estimate (h/2)(k1 + k2), measured as
+max |est| / (ERR_TOL · (1 + |γ|)) and controlled as in Hairer & Wanner,
+Solving ODEs II.  dt_safety only sets the first step, a fraction of the
+explicit parabolic bound min over nodes of (ρΔθ)² / (2 n D).  A guard
+failure at a trial stage or at γ⁺ (curvatures leaving the admissibility cone,
+a non-finite or non-star-shaped profile) is not a state of the flow: the step
+is rejected like one whose error is too large, and h shrinks.  Only when h
+falls below H_FLOOR does the run abort, with the status of the guard that
+fired last (or diverged, when the error estimate alone forced h down).  γ is
+never filtered or clamped; clipping Z changes only W, which a W-method leaves
+free.  A run therefore ends in exactly one of five states: converged,
+diverged, cone_exit, star_shape_lost, or time_cap.
 
 run() is deterministic: identical configs and initial data reproduce
 identical histories bit for bit.
@@ -39,15 +48,14 @@ identical histories bit for bit.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_check
 from .speed import G_from_table, SpeedSpec, psi_eval
-from .spheregrid import Grid, solve_phi_rows
+from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import Cone, F_fused, cone_failure, natural_cone
 
 __all__ = [
@@ -81,8 +89,12 @@ STATUS_TIME_CAP = "time_cap"
 
 # a run diverges once some radius leaves [RHO_FLOOR, RHO_CEIL]
 RHO_FLOOR, RHO_CEIL = 1e-6, 1e6
-# accepted steps over which tol_stall demands a residual decrease
-STALL_WINDOW = 200
+# local error tolerance of a step, relative to 1 + |γ|
+ERR_TOL = 2e-5
+# a run whose step size falls below this aborts
+H_FLOOR = 1e-12
+# ROS2's γ; L-stable for W equal to the Jacobian
+ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
 
 
 def psi_apply(mode: str, s):
@@ -112,12 +124,9 @@ class FlowConfig:
     G: SpeedSpec
     beta: float
     psi_mode: str = PSI_IDENTITY
-    dt_safety: float = 0.2
+    dt_safety: float = 0.2  # first step, as a fraction of the explicit bound
     t_max: float = 50.0
     tol_residual: float = 1e-6
-    # minimum residual decrease demanded over each STALL_WINDOW of accepted
-    # steps; 0 disables stall detection entirely
-    tol_stall: float = 0.0
     cadence: int = 50
     guard: Cone = field(init=False)  # always natural_cone(F)
 
@@ -144,6 +153,8 @@ class FlowState:
     t: float
     step: int
     gamma: np.ndarray
+    # scaled error estimate of the step that produced this state; <= 1 passes
+    error: float = 0.0
 
 
 class FlowAbort(RuntimeError):
@@ -163,7 +174,7 @@ class RunResult:
     residual: float
     steps: int
     wall_seconds: float
-    stalled: bool = False
+    rejected_steps: int = 0
     detail: str = ""
 
 
@@ -212,10 +223,8 @@ def diffusivity(
 
 
 def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
-    """Parabolic step bound dt = dt_safety · min((ρΔθ)² / (2 n D)) for D = diff.
-
-    The φ spacing does not enter: step() treats the φφ term implicitly.
-    """
+    """First step dt_safety · min((ρΔθ)² / (2 n D)) for D = diff: the bound
+    an explicit scheme would obey in θ."""
     ds = geom.rho * config.grid.dtheta
     dt = config.dt_safety * float(np.min(ds * ds / (2.0 * config.grid.n * diff)))
     if not (np.isfinite(dt) and dt > 0.0):
@@ -223,37 +232,38 @@ def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
     return dt
 
 
-def step(
-    config: FlowConfig,
-    state: FlowState,
-    dt: float,
-    k1: np.ndarray | None = None,
-    diff: np.ndarray | None = None,
-) -> FlowState:
-    """One midpoint (RK2) update of γ, linearly implicit in φφ on full_s2 grids.
+def _step_factor(error: float) -> float:
+    """Next h over this h: 0.9/√error, the controller of Hairer & Wanner for an
+    error estimate of order h², kept within [0.2, 5]."""
+    if not error > 0.0:
+        return 5.0
+    return min(5.0, max(0.2, 0.9 / float(np.sqrt(error))))
 
-    k1 and diff, when both given, must be the speed field and diffusivity()
-    already evaluated at state.gamma; passing them avoids recomputing the
-    first stage.
+
+def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowState:
+    """One ROS2 W-step of size h; the result carries its scaled error estimate.
+
+    first, when given, must be speed_field(config, state.gamma); passing it
+    avoids recomputing the first stage.  Raises FlowAbort when the second
+    stage fails a guard.
     """
     grid = config.grid
-    if k1 is None or diff is None:
-        speed, q, f_val, lam, geom = speed_field(config, state.gamma)
-        k1, diff = speed, diffusivity(config, geom, q, f_val, lam)
-    d_bar = None
-    if grid.mode == "full_s2":
-        ds_phi = np.exp(state.gamma) * grid.sin_theta * grid.dphi
-        d_bar = np.max(diff / (ds_phi * ds_phi), axis=1)
-
-    def increment(c, k):
-        inc = c * dt * k
-        return inc if d_bar is None else solve_phi_rows(grid, inc, c * dt * d_bar)
-
-    half = state.gamma + increment(0.5, k1)
-    k2 = speed_field(config, half)[0]
-    return FlowState(
-        t=state.t + dt, step=state.step + 1, gamma=state.gamma + increment(1.0, k2)
-    )
+    speed, q, f_val, lam, geom = first if first is not None else speed_field(config, state.gamma)
+    rows = grid.m_theta, -1
+    a = np.max((diffusivity(config, geom, q, f_val, lam) / geom.rho**2).reshape(rows), axis=1)
+    G = config.G
+    dilation = psi_prime(config.psi_mode, q) * q * (G.a + G.b + config.beta)
+    z = np.minimum(np.mean(dilation.reshape(rows), axis=1), 0.0)
+    gh = ROS2_GAMMA * h
+    solve = factor_shifted_laplacian(grid, gh * a, gh * z)
+    k1 = solve(speed)
+    k2 = solve(speed_field(config, state.gamma + h * k1)[0] - 2.0 * k1)
+    gamma = state.gamma + h * (1.5 * k1 + 0.5 * k2)
+    est = (0.5 * h) * np.abs(k1 + k2) / (ERR_TOL * (1.0 + np.abs(state.gamma)))
+    error = float(np.max(est))
+    if np.isnan(error):  # fails the error test like an infinite estimate
+        error = float("inf")
+    return FlowState(t=state.t + h, step=state.step + 1, gamma=gamma, error=error)
 
 
 def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
@@ -261,11 +271,11 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 
     The history receives one record at step 0, one every config.cadence
     accepted steps, and one for the final state.  Every abort (cone exit,
-    star shape loss, a degenerate step bound) reports the last state at which
-    speed_field passed its guards, or the initial data when none did; the
-    state that failed is never returned.  on_record,
-    when given, is called as on_record(state, record, geometry) right after
-    each history row is appended; it must not mutate anything it is handed.
+    star shape loss, a step size below H_FLOOR) reports the last accepted
+    state, or the initial data when none was accepted; a state that failed a
+    guard is never returned.  on_record, when given, is called as
+    on_record(state, record, geometry) right after each history row is
+    appended; it must not mutate anything it is handed.
     """
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != config.grid.shape:
@@ -273,13 +283,11 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             f"initial field shape {gamma0.shape} does not match grid {config.grid.shape}"
         )
     t_start = time.perf_counter()
-    # trial becomes state once speed_field's guards pass at it
-    state = trial = FlowState(t=0.0, step=0, gamma=gamma0)
+    state = FlowState(t=0.0, step=0, gamma=gamma0)
     history: list = []
-    window: deque = deque(maxlen=STALL_WINDOW + 1)
     last_recorded = -1
     residual = float("inf")
-    stalled = False
+    rejected = 0
     detail = ""
 
     def record(geom, q, f_val, res):
@@ -292,14 +300,17 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             if on_record is not None:
                 on_record(state, history[-1], geom)
 
-    while True:
-        try:
-            speed, q, f_val, lam, geom = speed_field(config, trial.gamma)
-        except FlowAbort as abort:
-            status = abort.status
-            detail = abort.detail
-            break
-        state = trial
+    try:
+        # the speed at the current state: its guard check and the next
+        # step's first stage
+        current = speed_field(config, gamma0)
+        speed, q, f_val, lam, geom = current
+        h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam))
+    except FlowAbort as abort:
+        current, status, detail = None, abort.status, abort.detail
+
+    while current is not None:
+        speed, q, f_val, lam, geom = current
         residual = float(np.max(np.abs(speed)))
 
         if state.step % config.cadence == 0:
@@ -322,29 +333,31 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             record(geom, q, f_val, residual)
             break
 
-        window.append(residual)
-        if (
-            config.tol_stall > 0.0
-            and len(window) == STALL_WINDOW + 1
-            and window[0] - residual < config.tol_stall
-        ):
-            status = STATUS_TIME_CAP
-            stalled = True
-            detail = (
-                f"residual stalled: decrease over {STALL_WINDOW} steps was "
-                f"{window[0] - residual:.3g} < {config.tol_stall:g}"
-            )
-            record(geom, q, f_val, residual)
+        # attempt steps from state until one passes the error test and the
+        # guards at γ⁺, whose speed is then the next step's first stage
+        while True:
+            last = h >= config.t_max - state.t
+            h_try = config.t_max - state.t if last else h
+            try:
+                trial = step(config, state, h_try, current)
+                error = trial.error
+                if error <= 1.0:
+                    current = speed_field(config, trial.gamma)
+                else:
+                    failure = STATUS_DIVERGED, f"error estimate {error:.3g} times the tolerance"
+            except FlowAbort as abort:
+                error, failure = float("inf"), (abort.status, abort.detail)
+            h = h_try * _step_factor(error)
+            if error <= 1.0:
+                break
+            rejected += 1
+            if h < H_FLOOR:
+                break
+        if error > 1.0:
+            status = failure[0]
+            detail = f"step size fell below {H_FLOOR:g} at t = {state.t:.6g}: {failure[1]}"
             break
-
-        try:
-            diff = diffusivity(config, geom, q, f_val, lam)
-            dt = min(cfl_dt(config, geom, diff), config.t_max - state.t)
-            trial = step(config, state, dt, k1=speed, diff=diff)
-        except FlowAbort as abort:
-            status = abort.status
-            detail = abort.detail
-            break
+        state = replace(trial, t=config.t_max) if last else trial
 
     wall = time.perf_counter() - t_start
     return RunResult(
@@ -354,7 +367,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         residual=residual,
         steps=state.step,
         wall_seconds=wall,
-        stalled=stalled,
+        rejected_steps=rejected,
         detail=detail,
     )
 

@@ -10,7 +10,7 @@ and ρ.  Admissibility of a (G, F, β) triple is decided here:
 
 - barrier_radii: the largest sphere pinched from inside and the smallest
   pinching from outside, where the power law r ↦ (c ψ_ext)^{1/β} r^{(a+b+β)/β}
-  meets F(1, ..., 1), with ψ extremized over a Fibonacci direction lattice.
+  meets F(1, ..., 1), with the extrema of ψ in closed form.
 - monotonicity_report: the closed-form exponent conditions that the various
   convergence and uniqueness arguments need, each with its margin.
 - radius_root: for isotropic G, the radius of the stationary sphere solving
@@ -34,7 +34,6 @@ from .symfunc import F_eval
 __all__ = [
     "PsiTerm",
     "SpeedSpec",
-    "fibonacci_directions",
     "psi_eval",
     "psi_extrema",
     "G_eval",
@@ -95,18 +94,6 @@ class SpeedSpec:
         return True
 
 
-def fibonacci_directions(count: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit vectors on S², shape (count, 3)."""
-    if count < 1:
-        raise ValueError("need at least one direction")
-    i = np.arange(count)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    ang = golden * i
-    return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=-1)
-
-
 def psi_eval(spec: SpeedSpec, xi: np.ndarray) -> np.ndarray:
     """ψ(ξ) = exp(Σ s_j ⟨ξ, v_j⟩) for directions ξ of shape (..., 3)."""
     xi = np.asarray(xi, dtype=float)
@@ -118,12 +105,14 @@ def psi_eval(spec: SpeedSpec, xi: np.ndarray) -> np.ndarray:
     return np.exp(acc)
 
 
-def psi_extrema(spec: SpeedSpec, samples: int = 10_000) -> tuple[float, float]:
-    """(min, max) of ψ over a Fibonacci lattice of directions."""
-    if not spec.psi:
-        return 1.0, 1.0
-    vals = psi_eval(spec, fibonacci_directions(samples))
-    return float(np.min(vals)), float(np.max(vals))
+def psi_extrema(spec: SpeedSpec) -> tuple[float, float]:
+    """(min, max) of ψ over unit directions: ψ(ξ) = exp⟨ξ, w⟩ with
+    w = Σ s_j v_j, so the extrema are e^{∓|w|}, taken at ξ = ∓w/|w|."""
+    w = np.zeros(3)
+    for term in spec.psi:
+        w = w + term.s * np.asarray(term.v)
+    size = float(np.linalg.norm(w))
+    return float(np.exp(-size)), float(np.exp(size))
 
 
 def G_eval(
@@ -175,7 +164,6 @@ def barrier_radii(
     F_spec,
     n: int,
     beta: float,
-    samples: int = 10_000,
 ) -> BarrierRadii:
     """Inner and outer sphere barriers for the triple (G, F, β).
 
@@ -183,14 +171,14 @@ def barrier_radii(
     G^{1/β}(rξ, ξ) · r >= F(1, ..., 1) for every direction ξ, and from outside
     under the reversed inequality.  On spheres u = ρ = r, so each side is a
     power law in r and the critical radii follow in closed form from the
-    sampled extrema of ψ.  They exist exactly when a + b + β < 0; the scale
+    extrema of ψ.  They exist exactly when a + b + β < 0; the scale
     of r₁ uses ψ_min, that of r₂ uses ψ_max, hence r₁ <= r₂.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     f_unit = float(F_eval(F_spec, np.ones(n)))
     slope = (spec.a + spec.b + beta) / beta
-    psi_min, psi_max = psi_extrema(spec, samples)
+    psi_min, psi_max = psi_extrema(spec)
 
     if slope > 0.0:
         return BarrierRadii(

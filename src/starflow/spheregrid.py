@@ -16,6 +16,13 @@ central differencing; there are no one-sided formulas anywhere.
 
 Covariant θφ-chart Hessians use the sphere Christoffels
 Γ^θ_{φφ} = -sinθ cosθ and Γ^φ_{θφ} = cotθ.
+
+The same ghosts define the discrete Laplace–Beltrami operator
+
+    L f = δ_θθ f + (n-1) cotθ δ_θ f + δ_φφ f / sin²θ,
+
+whose φ-Fourier modes are tridiagonal in θ; factor_shifted_laplacian inverts
+I - a L - z with one coefficient pair per latitude row.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ __all__ = [
     "grad",
     "grad_norm_sq",
     "covariant_hessian",
-    "solve_phi_rows",
+    "factor_shifted_laplacian",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -45,8 +52,8 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 
 @dataclass
 class Grid:
-    """Nodes, spacings, trig tables, Cartesian frames and, on full_s2, the
-    φ-Fourier symbol of the second difference; treat as immutable."""
+    """Nodes, spacings, trig tables, Cartesian frames and the φ-mode stencil
+    of the Laplace–Beltrami operator; treat as immutable."""
 
     mode: str
     n: int
@@ -73,14 +80,10 @@ class Grid:
                 raise ValueError("m_phi must be even and at least 8")
             self.dphi = 2.0 * np.pi / self.m_phi
             self.phi = np.arange(self.m_phi) * self.dphi
-            # -δ_φφ on φ-Fourier mode k: 4 sin²(πk/m_phi), k = 0..m_phi/2
-            k = np.arange(self.m_phi // 2 + 1)
-            self.phi_symbol = 4.0 * np.sin(np.pi * k / self.m_phi) ** 2
         else:
             if self.m_phi:
                 raise ValueError("axisym grids carry no phi direction")
             self.phi = None
-            self.phi_symbol = None
         # trig tables, broadcast-ready against field arrays
         st, ct = np.sin(self.theta), np.cos(self.theta)
         if self.mode == "full_s2":
@@ -99,6 +102,35 @@ class Grid:
         self.xi = frame(st * cp, st * sp, ct)
         self.e_theta = frame(ct * cp, ct * sp, -st)
         self.e_phi = frame(-sp, cp, 0.0)
+        self._laplacian_modes()
+
+    def _laplacian_modes(self):
+        """L on φ-Fourier mode k = 0..m_phi/2 (only k = 0 on axisym) as a
+        tridiagonal matrix in θ: row i reads lap_lower_i f_{i-1} +
+        lap_diag_{ik} f_i + lap_upper_i f_{i+1}.
+
+        Mode k of a θ-ghost row is (-1)^k times its mirrored row, because the
+        half-period roll multiplies mode k by e^{-iπk}; that ghost is folded
+        into the diagonal of the two pole rows.
+        """
+        theta = self.theta
+        inv2 = 1.0 / (self.dtheta * self.dtheta)
+        drift = (self.n - 1) / np.tan(theta) / (2.0 * self.dtheta)
+        lower, upper = inv2 - drift, inv2 + drift
+        if self.mode == "full_s2":
+            k = np.arange(self.m_phi // 2 + 1)
+            # -δ_φφ / sin²θ on mode k: 4 sin²(πk/m_phi) / (Δφ sinθ)²
+            symbol = 4.0 * np.sin(np.pi * k / self.m_phi) ** 2
+            phi_term = symbol[None, :] / (self.dphi * np.sin(theta)[:, None]) ** 2
+        else:
+            k = np.zeros(1)
+            phi_term = np.zeros((self.m_theta, 1))
+        ghost = np.where(k % 2 == 1, -1.0, 1.0)
+        diag = -2.0 * inv2 - phi_term
+        diag[0] += ghost * lower[0]
+        diag[-1] += ghost * upper[-1]
+        lower[0] = upper[-1] = 0.0
+        self.lap_lower, self.lap_diag, self.lap_upper = lower, diag, upper
 
     @property
     def shape(self) -> tuple:
@@ -207,16 +239,48 @@ def covariant_hessian(
     return derivatives(grid, f)[2:]
 
 
-def solve_phi_rows(grid: Grid, rhs: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Solve (I - coef_i · δ_φφ) x = rhs along each latitude i of a full_s2 grid.
+def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
+    """Factor M = I - a_i L - z_i once and return the solver rhs ↦ M⁻¹ rhs.
 
-    δ_φφ is the periodic second difference f_e - 2f + f_w, unscaled, the
-    stencil of ∂²_φ f.  With one coefficient per row the system is diagonal
-    in φ-Fourier space; coef must be non-negative.
+    a and z hold one value per latitude row i, a >= 0 and z <= 0, so M is
+    strictly diagonally dominant for n <= 4.  An rfft in φ splits M into one
+    tridiagonal system in θ per φ-mode (axisym grids have only mode 0).  Each
+    is reduced by parallel cyclic reduction: log2(m_theta) levels, each
+    vectorised over rows and modes, whose multipliers are kept so that every
+    further right-hand side costs two shifted multiply-adds per level.
     """
-    rhs = _check_shape(grid, rhs)
-    modes = np.fft.rfft(rhs, axis=1) / (1.0 + coef[:, None] * grid.phi_symbol)
-    return np.fft.irfft(modes, n=grid.m_phi, axis=1)
+    a = np.asarray(a, dtype=float)[:, None]
+    diag = 1.0 - np.asarray(z, dtype=float)[:, None] - a * grid.lap_diag
+    # minus the couplings of row i to rows i - s and i + s, kept only for the
+    # rows that have such a neighbour: lo[k] is row s + k, up[k] is row k
+    lo = (a * grid.lap_lower[:, None])[1:]
+    up = (a * grid.lap_upper[:, None])[:-1]
+    levels = []
+    s = 1
+    while s < grid.m_theta:
+        # add alpha times row i - s and beta times row i + s to row i
+        alpha = lo / diag[:-s]
+        beta = up / diag[s:]
+        diag[s:] -= alpha * up
+        diag[:-s] -= beta * lo
+        levels.append((s, alpha, beta))
+        lo, up = alpha[s:] * lo[:-s], beta[:-s] * up[s:]
+        s *= 2
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs = _check_shape(grid, rhs)
+        d = rhs[:, None] if grid.mode == "axisym" else np.fft.rfft(rhs, axis=1)
+        for s, alpha, beta in levels:
+            nxt = d.copy()
+            nxt[s:] += alpha * d[:-s]
+            nxt[:-s] += beta * d[s:]
+            d = nxt
+        d = d / diag
+        if grid.mode == "axisym":
+            return d[:, 0]
+        return np.fft.irfft(d, n=grid.m_phi, axis=1)
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Time integration: scalar reductions on round spheres, stability, stopping.
 
 On a constant-in-angle profile every discrete operator is exact, so the PDE
-collapses to the radius ODE and hand-computed RK2 arithmetic is a bitwise
+collapses to the radius ODE.  L annihilates constants there and the dilation
+derivative Z is the exact Jacobian, so hand-computed ROS2 arithmetic is an
 oracle for the stepper.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from starflow.flow import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_TIME_CAP,
+    ROS2_GAMMA,
     Constant,
     FlowAbort,
     FlowConfig,
@@ -33,7 +36,12 @@ from starflow.flow import (
 )
 from starflow.diagnostics import check_barriers
 from starflow.speed import PsiTerm, SpeedSpec, barrier_radii, radius_root
-from starflow.spheregrid import axisym_grid, full_s2_grid, solve_phi_rows
+from starflow.spheregrid import (
+    axisym_grid,
+    derivatives,
+    factor_shifted_laplacian,
+    full_s2_grid,
+)
 from starflow.symfunc import SigmaKRoot
 
 EZ = (0.0, 0.0, 1.0)
@@ -99,24 +107,26 @@ def test_speed_field_cone_exit():
     assert "node" in info.value.detail
 
 
-def test_step_matches_scalar_rk2():
-    """One RK2 step of dγ/dt = e^{-γ} - 1 from R = 1.3, dt = 0.1."""
-    g0 = np.log(1.3)
-    k1 = np.exp(-g0) - 1.0
-    gm = g0 + 0.05 * k1
-    k2 = np.exp(-gm) - 1.0
-    r_oracle = np.exp(g0 + 0.1 * k2)
+def test_step_matches_scalar_ros2():
+    """One ROS2 step of dγ/dt = e^{-γ} - 1 from R = 1.3, h = 0.1."""
+    g0, h = np.log(1.3), 0.1
+    m = 1.0 + ROS2_GAMMA * h * np.exp(-g0)  # 1 - g h J with J = -e^{-γ}
+    k1 = (np.exp(-g0) - 1.0) / m
+    k2 = (np.exp(-(g0 + h * k1)) - 1.0 - 2.0 * k1) / m
+    r_oracle = np.exp(g0 + h * (1.5 * k1 + 0.5 * k2))
+    err_oracle = 0.5 * h * abs(k1 + k2) / (flow.ERR_TOL * (1.0 + abs(g0)))
 
     cfg = setup1()
     s0 = FlowState(t=0.0, step=0, gamma=np.full(16, g0))
-    s1 = step(cfg, s0, 0.1)
+    s1 = step(cfg, s0, h)
     r1 = np.exp(s1.gamma)
-    assert np.max(np.abs(r1 - r_oracle)) <= 1e-12
-    assert np.ptp(r1) <= 1e-13  # constant fields stay constant
+    assert np.max(np.abs(r1 - r_oracle)) <= 1e-15
+    assert np.ptp(r1) <= 1e-15  # constant fields stay constant
+    assert s1.error == pytest.approx(err_oracle, rel=1e-12)
     assert s1.t == pytest.approx(0.1) and s1.step == 1
-    # the same step in the radius variable gives 1.2715; the log-variable
-    # integrator lands a few 1e-5 away, converging to the same ODE
-    assert abs(float(r1[0]) - 1.2715) < 5e-5
+    # the exact ODE gives R(0.1) = 1 + 0.3 e^{-0.1} = 1.27145...; one step
+    # of size 0.1 lands within its O(h³) local error
+    assert abs(float(r1[0]) - (1.0 + 0.3 * np.exp(-0.1))) < 2e-4
 
 
 def test_step_zero_speed_is_identity():
@@ -201,37 +211,62 @@ def test_perturbed_with_huge_amplitude_aborts_at_once():
 
 @pytest.mark.parametrize("fail_at", [3, 4, 7, 8])
 def test_abort_reports_last_state_that_passed_every_guard(monkeypatch, fail_at):
-    # odd calls of speed_field are the loop-top checks of accepted states,
-    # even ones the second stage of a step; either kind of abort must hand
-    # back the last state whose loop-top check passed
-    cfg = setup1(t_max=1.0)
-    seen = []
+    # speed_field checks the initial data, then each attempted step calls it
+    # at its second stage and, if the error test passes, at its result, which
+    # becomes the next step's first stage.  A guard failure at either call
+    # rejects the step and shrinks h; the run aborts only below the h floor.
+    cfg = setup1(t_max=1.0, cadence=1)
     real = flow.speed_field
 
-    def flaky(config, gamma):
-        seen.append(np.array(gamma))
-        if len(seen) == fail_at:
-            raise FlowAbort(STATUS_CONE_EXIT, "injected")
-        return real(config, gamma)
+    def counted_run(fails):
+        seen, accepted = [], []
 
-    monkeypatch.setattr(flow, "speed_field", flaky)
-    res = run(cfg, initial_gamma(Constant(R=1.3), cfg.grid))
-    assert res.status == STATUS_CONE_EXIT and res.detail == "injected"
-    passed = fail_at - 2 if fail_at % 2 else fail_at - 1  # 1-based call number
-    assert res.steps == res.state.step == (passed - 1) // 2
-    assert np.array_equal(res.state.gamma, seen[passed - 1])
+        def flaky(config, gamma):
+            seen.append(np.array(gamma))
+            if fails(len(seen)):
+                raise FlowAbort(STATUS_CONE_EXIT, "injected")
+            return real(config, gamma)
+
+        def on_record(state, rec, geom):
+            # the call that just passed is the one that evaluated this state
+            accepted.append((len(seen), state))
+
+        monkeypatch.setattr(flow, "speed_field", flaky)
+        res = run(cfg, initial_gamma(Constant(R=1.3), cfg.grid), on_record=on_record)
+        return res, seen, accepted
+
+    clean, _, clean_accepted = counted_run(lambda call: False)
+    assert clean.status == STATUS_TIME_CAP
+
+    # one failure is a rejected step, not an abort
+    res, _, _ = counted_run(lambda call: call == fail_at)
+    assert res.status == STATUS_TIME_CAP and res.detail == ""
+    assert res.rejected_steps == clean.rejected_steps + 1
+    assert res.state.t == 1.0
+
+    # failing from then on shrinks h below the floor, and only then aborts
+    res, seen, _ = counted_run(lambda call: call >= fail_at)
+    assert res.status == STATUS_CONE_EXIT and res.detail.endswith("injected")
+    assert f"below {flow.H_FLOOR:g}" in res.detail
+    call, last = [(c, st) for c, st in clean_accepted if c < fail_at][-1]
+    assert res.steps == res.state.step == last.step
+    assert np.array_equal(res.state.gamma, last.gamma)
+    assert np.array_equal(res.state.gamma, seen[call - 1])
+    # each shrink is by 5, from a step of order 0.01 down to 1e-12
+    assert res.rejected_steps >= 10
 
 
-def test_rk2_order_against_exact_ode():
-    # R(t) = 1 + 0.3 e^{-t}; halving dt_safety should cut the error ~4x
+def test_step_order_against_exact_ode():
+    # R(t) = 1 + 0.3 e^{-t}; halving a fixed h should cut the error ~4x
+    cfg = setup1()
     errs = []
-    for safety in (0.4, 0.2):
-        cfg = setup1(dt_safety=safety, t_max=1.0, tol_residual=1e-14)
-        res = run(cfg, initial_gamma(Constant(R=1.3), cfg.grid))
-        assert res.status == STATUS_TIME_CAP
+    for h in (0.05, 0.025):
+        state = FlowState(t=0.0, step=0, gamma=initial_gamma(Constant(R=1.3), cfg.grid))
+        for _ in range(round(1.0 / h)):
+            state = step(cfg, state, h)
         want = 1.0 + 0.3 * np.exp(-1.0)
-        errs.append(float(np.max(np.abs(np.exp(res.state.gamma) - want))))
-    assert errs[1] < errs[0] / 2.6, f"errors {errs}"
+        errs.append(float(np.max(np.abs(np.exp(state.gamma) - want))))
+    assert 3.5 <= errs[0] / errs[1] <= 4.5, f"errors {errs}"
     assert errs[0] < 1e-3
 
 
@@ -273,30 +308,50 @@ def test_axisym_and_full_s2_integrate_identically():
     ]
     ax, s2 = (run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid)) for cfg in configs)
     assert ax.status == s2.status == STATUS_CONVERGED
-    # the phi solve leaves phi-constant increments alone, so the step bound,
-    # every step and the stopping step agree
+    # phi-constant data live in phi-mode 0, which the mode solve treats as the
+    # axisym system, so every step size, accept decision and the stopping
+    # step agree
     assert s2.steps == ax.steps > 100
     assert s2.state.t == pytest.approx(ax.state.t, rel=1e-12)
     assert np.max(np.abs(s2.state.gamma - ax.state.gamma[:, None])) <= 1e-12
     assert np.max(np.abs(s2.state.gamma - s2.state.gamma[:, :1])) <= 1e-12
 
 
-def test_phi_row_solve_inverts_the_second_difference():
-    grid = full_s2_grid(m_theta=8, m_phi=16)
+def test_mode_solve_inverts_the_w_matrix():
+    # M = I - a_i L - z_i applied in physical space through derivatives(),
+    # whose pole ghosts are the mirrored rows rolled by half a period: the
+    # (-1)^m ghosts of the mode solve
     rng = np.random.default_rng(5)
-    rhs = rng.normal(size=grid.shape)
-    # up to ~200 is what pole rows see at 64x128; evaluating coef * second
-    # in the check itself rounds at eps * coef, hence the scaled bound
-    coef = np.array([0.0, 0.3, 1.0, 7.5, 40.0, 250.0, 1e5, 2.0])
-    x = solve_phi_rows(grid, rhs, coef)
-    second = np.roll(x, -1, axis=1) - 2.0 * x + np.roll(x, 1, axis=1)
-    resid = np.max(np.abs(x - coef[:, None] * second - rhs), axis=1)
-    assert np.all(resid <= 1e-13 * np.maximum(1.0, coef))
-    assert np.max(resid[coef <= 250.0]) <= 1e-13
+    for grid in (
+        full_s2_grid(m_theta=8, m_phi=16),
+        full_s2_grid(m_theta=12, m_phi=24),
+        axisym_grid(n=2, m_theta=16),
+        axisym_grid(n=3, m_theta=24),
+    ):
+        rows = (grid.m_theta,) + (1,) * (grid.mode == "full_s2")
+        a = rng.uniform(0.0, 1.0, grid.m_theta) * 10.0 ** rng.integers(-3, 1, grid.m_theta)
+        z = -rng.uniform(0.0, 3.0, grid.m_theta)
+        rhs = rng.normal(size=grid.shape)
+        x = factor_shifted_laplacian(grid, a, z)(rhs)
+        _, _, f_tt, _, h_pp = derivatives(grid, x)
+        lap = f_tt + (grid.n - 1) * h_pp / grid.sin_theta**2
+        a, z = a.reshape(rows), z.reshape(rows)
+        resid = np.abs(x - a * lap - z * x - rhs)
+        # forming a * lap rounds at eps times its largest term, which the
+        # pole rows' phi spacing makes large
+        scale = 1.0 + a * np.max(np.abs(grid.lap_diag), axis=-1).reshape(rows) * np.max(
+            np.abs(x)
+        )
+        assert np.max(resid / scale) <= 1e-13, grid.shape
 
-    flat = np.repeat(rng.normal(size=(grid.m_theta, 1)), grid.m_phi, axis=1)
-    kept = solve_phi_rows(grid, flat, coef)
-    assert np.max(np.abs(kept - flat)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(flat))
+        # phi-constant data stay phi-constant and match the axisym solve
+        if grid.mode == "full_s2":
+            flat = np.repeat(rhs[:, :1], grid.m_phi, axis=1)
+            kept = factor_shifted_laplacian(grid, a[:, 0], z[:, 0])(flat)
+            assert np.max(np.abs(kept - kept[:, :1])) <= 1e-15 * np.max(np.abs(kept))
+            axisym = axisym_grid(n=2, m_theta=grid.m_theta)
+            col = factor_shifted_laplacian(axisym, a[:, 0], z[:, 0])(rhs[:, 0])
+            assert np.max(np.abs(kept[:, 0] - col)) <= 1e-14 * np.max(np.abs(col))
 
 
 def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
@@ -328,8 +383,9 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
     assert np.ptp(res.state.gamma[grid.m_theta // 2]) > 0.05  # still phi-dependent
 
 
-def test_sigma_sweeps_per_rk2_step(monkeypatch):
-    # one sigma sweep per stage: two per step plus one at the final state
+def test_sigma_sweeps_per_attempted_step(monkeypatch):
+    # one sigma sweep per speed evaluation: the second stage and the result
+    # of each attempted step, plus one at the initial data
     setup = cli.parse_config(Path(__file__).parent.parent / "configs" / "sphere_contract.cfg")
     calls = []
     sweep = symfunc.sigma_all
@@ -341,8 +397,25 @@ def test_sigma_sweeps_per_rk2_step(monkeypatch):
     monkeypatch.setattr(symfunc, "sigma_all", counting)
     cfg = setup.config
     res = run(cfg, initial_gamma(setup.initial, cfg.grid))
-    assert res.status == STATUS_CONVERGED and res.steps > 1000
-    assert len(calls) <= 2 * res.steps + 1
+    assert res.status == STATUS_CONVERGED and res.steps > 100
+    assert len(calls) <= 2 * (res.steps + res.rejected_steps) + 1
+
+
+def test_anisotropic_limit_converges_at_second_order():
+    # the configs/aniso_s2.cfg problem run to its limit on three grids; the
+    # Richardson ratio (q_8 - q_16) / (q_16 - q_32) of a second-order
+    # quantity q is 4
+    setup = cli.parse_config(Path(__file__).parent.parent / "configs" / "aniso_s2.cfg")
+    extremes = []
+    for m in (8, 16, 32):
+        cfg = replace(setup.config, grid=full_s2_grid(m_theta=m, m_phi=2 * m))
+        res = run(cfg, initial_gamma(setup.initial, cfg.grid))
+        assert res.status == STATUS_CONVERGED
+        rho = np.exp(res.state.gamma)
+        extremes.append((np.min(rho), np.max(rho)))
+    q = np.array(extremes)
+    ratios = (q[0] - q[1]) / (q[1] - q[2])  # for rho_min and rho_max
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
 def test_configs_sharing_a_grid_keep_their_own_tables():

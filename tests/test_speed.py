@@ -9,7 +9,6 @@ from starflow.speed import (
     PsiTerm,
     SpeedSpec,
     barrier_radii,
-    fibonacci_directions,
     monotonicity_report,
     psi_eval,
     psi_extrema,
@@ -65,34 +64,28 @@ def test_psi_eval_pointwise():
     assert psi_eval(two, xi) == pytest.approx(want, rel=1e-14)
 
 
-def test_fibonacci_directions():
-    dirs = fibonacci_directions(5000)
-    assert dirs.shape == (5000, 3)
-    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-    # the lattice covers the sphere: any direction has a near neighbor
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        assert np.max(dirs @ v) > 0.999
-
-
 def test_psi_extrema_single_axis():
     spec = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.2, v=EZ),))
     lo, hi = psi_extrema(spec)
-    assert lo == pytest.approx(np.exp(-0.2), rel=1e-3)
-    assert hi == pytest.approx(np.exp(0.2), rel=1e-3)
+    assert lo == pytest.approx(np.exp(-0.2), rel=1e-15)
+    assert hi == pytest.approx(np.exp(0.2), rel=1e-15)
     assert psi_extrema(SpeedSpec(c=1.0, a=0.0, b=0.0)) == (1.0, 1.0)
 
 
-def test_psi_extrema_stable_under_refinement():
+def test_psi_extrema_are_attained_and_never_exceeded():
+    # two factors combine into exp<xi, w> with w = 0.3 e_z + 0.1 e_y
     spec = SpeedSpec(
         c=1.0, a=0.0, b=0.0,
         psi=(PsiTerm(s=0.3, v=EZ), PsiTerm(s=0.1, v=(0.0, 1.0, 0.0))),
     )
-    lo1, hi1 = psi_extrema(spec)
-    lo2, hi2 = psi_extrema(spec, samples=80_000)
-    assert abs(lo1 - lo2) < 1e-3 and abs(hi1 - hi2) < 1e-3
+    lo, hi = psi_extrema(spec)
+    w = np.array([0.0, 0.1, 0.3])
+    w_hat = w / np.linalg.norm(w)
+    assert hi == pytest.approx(float(psi_eval(spec, w_hat)), rel=1e-15)
+    assert lo == pytest.approx(float(psi_eval(spec, -w_hat)), rel=1e-15)
+    dirs = np.random.default_rng(4).normal(size=(2000, 3))
+    vals = psi_eval(spec, dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+    assert lo <= np.min(vals) and np.max(vals) <= hi
 
 
 def test_G_eval_values():
