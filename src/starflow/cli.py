@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import os
@@ -544,38 +543,10 @@ def cmd_curvature(args) -> int:
         q = np.where(mask, q_all, np.nan)
 
     out = Path(args.out) if args.out else Path("curvature.csv")
-    n = grid.n
-    with open(out, "w", newline="") as fh:
-        fh.write(
-            f"# starflow-curvature-v1 mode={grid.mode} n={n} "
-            f"m_theta={grid.m_theta} m_phi={grid.m_phi}\n"
-        )
-        writer = csv.writer(fh)
-        angle_cols = ["theta"] if grid.mode == "axisym" else ["theta", "phi"]
-        writer.writerow(
-            angle_cols
-            + ["rho", "u"]
-            + [f"kappa_{i + 1}" for i in range(n)]
-            + ["f", "q_minus_1", "cone_ok"]
-        )
-        flat_kappa = geom.kappa.reshape(-1, n)
-        rho = geom.rho.reshape(-1)
-        u = geom.u.reshape(-1)
-        fv = np.asarray(f_val).reshape(-1)
-        qv = np.asarray(q).reshape(-1)
-        ok = np.asarray(mask).reshape(-1)
-        for idx in range(grid.node_count):
-            if grid.mode == "axisym":
-                angles = [repr(float(grid.theta[idx]))]
-            else:
-                i, j = divmod(idx, grid.m_phi)
-                angles = [repr(float(grid.theta[i])), repr(float(grid.phi[j]))]
-            writer.writerow(
-                angles
-                + [repr(float(rho[idx])), repr(float(u[idx]))]
-                + [repr(float(x)) for x in flat_kappa[idx]]
-                + [repr(float(fv[idx])), repr(float(qv[idx] - 1.0)), int(ok[idx])]
-            )
+    columns = {"rho": geom.rho, "u": geom.u}
+    columns.update((f"kappa_{i + 1}", geom.kappa[..., i]) for i in range(grid.n))
+    columns.update(f=f_val, q_minus_1=q - 1.0, cone_ok=mask.astype(np.int8))
+    spheregrid.write_node_table(out, grid, "starflow-curvature-v1", columns)
     print(f"wrote {out} ({grid.node_count} nodes)")
     return EXIT_OK
 

@@ -244,16 +244,13 @@ def export_obj(path, state: GeometryState) -> None:
     if grid.mode != "full_s2":
         raise ValueError("OBJ export needs a full_s2 state")
     m, mp = grid.m_theta, grid.m_phi
-    verts = state.X.reshape(m * mp, 3)
+    j = np.arange(mp)
+    # 1-based corners of the quads between latitude rows 0 and 1
+    quad = np.stack([j, (j + 1) % mp, (j + 1) % mp + mp, j + mp], axis=1) + 1
+    vertex_row, face_row = "v %.9g %.9g %.9g\n" * mp, "f %d %d %d %d\n" * mp
     with open(path, "w") as fh:
         fh.write("# starflow surface export\n")
-        for v in verts:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for row in state.X:
+            fh.write(vertex_row % tuple(row.ravel().tolist()))
         for i in range(m - 1):
-            for j in range(mp):
-                jn = (j + 1) % mp
-                a = i * mp + j + 1
-                b = i * mp + jn + 1
-                c = (i + 1) * mp + jn + 1
-                d = (i + 1) * mp + j + 1
-                fh.write(f"f {a} {b} {c} {d}\n")
+            fh.write(face_row % tuple((quad + i * mp).ravel().tolist()))

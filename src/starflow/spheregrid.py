@@ -23,11 +23,14 @@ The same ghosts define the discrete Laplace–Beltrami operator
 
 whose φ-Fourier modes are tridiagonal in θ; factor_shifted_laplacian inverts
 I - a L - z with one coefficient pair per latitude row.
+
+Per-node text tables live here too: write_node_table formats a table one
+latitude row at a time (the field CSV and `starflow curvature`'s table use
+it), and write_field_csv / read_field_csv round-trip a field exactly.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +46,7 @@ __all__ = [
     "grad_norm_sq",
     "covariant_hessian",
     "factor_shifted_laplacian",
+    "write_node_table",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -284,67 +288,72 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# field CSV round trip
+# per-node CSV tables and the field CSV round trip
+
+
+def write_node_table(path, grid: Grid, magic: str, columns: dict) -> None:
+    """Write one CSV row per node: θ (and φ on full_s2), then each column
+    (name → array of the grid's shape) in order.
+
+    A version line "# MAGIC mode=.. n=.. m_theta=.. m_phi=.." ends in LF; the
+    column header and node rows end in CRLF, as csv.writer ends them.  Float
+    columns are written with repr of the Python float, the shortest text that
+    round-trips the value, and integer columns as integers.  The table is
+    built and written one latitude row at a time (an axisym table, one node
+    per latitude, in one piece).
+    """
+    theta = list(map(repr, grid.theta.tolist()))
+    if grid.mode == "axisym":
+        names, blocks = ["theta"], [[theta]]
+        planes = [np.reshape(c, (1, -1)) for c in columns.values()]
+    else:
+        phi = list(map(repr, grid.phi.tolist()))
+        names, blocks = ["theta", "phi"], ([[t] * grid.m_phi, phi] for t in theta)
+        planes = [np.reshape(c, grid.shape) for c in columns.values()]
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            f"# {magic} mode={grid.mode} n={grid.n}"
+            f" m_theta={grid.m_theta} m_phi={grid.m_phi}\n"
+        )
+        fh.write(",".join(names + list(columns)) + "\r\n")
+        for i, angles in enumerate(blocks):
+            cells = angles + [map(repr, c[i].tolist()) for c in planes]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_field_csv(path, grid: Grid, values: np.ndarray) -> None:
     """Dump a field as CSV with a metadata comment line for reconstruction."""
-    values = _check_shape(grid, values)
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# {FIELD_CSV_MAGIC} mode={grid.mode} n={grid.n}"
-            f" m_theta={grid.m_theta} m_phi={grid.m_phi}\n"
-        )
-        writer = csv.writer(fh)
-        # repr(float(x)) round-trips doubles exactly; numpy scalar reprs do not
-        if grid.mode == "axisym":
-            writer.writerow(["theta", "value"])
-            for i in range(grid.m_theta):
-                writer.writerow([repr(float(grid.theta[i])), repr(float(values[i]))])
-        else:
-            writer.writerow(["theta", "phi", "value"])
-            for i in range(grid.m_theta):
-                for j in range(grid.m_phi):
-                    writer.writerow(
-                        [
-                            repr(float(grid.theta[i])),
-                            repr(float(grid.phi[j])),
-                            repr(float(values[i, j])),
-                        ]
-                    )
+    write_node_table(path, grid, FIELD_CSV_MAGIC, {"value": _check_shape(grid, values)})
 
 
 def read_field_csv(path) -> tuple[Grid, np.ndarray]:
     """Rebuild (grid, values) from a file written by write_field_csv."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"# {FIELD_CSV_MAGIC}"):
             raise ValueError(f"not a {FIELD_CSV_MAGIC} file: {path}")
         meta = dict(tok.split("=") for tok in header.split()[2:])
+        missing = [k for k in ("mode", "n", "m_theta", "m_phi") if k not in meta]
+        if missing:
+            raise ValueError(f"header of {path} lacks {', '.join(missing)}")
         grid = Grid(
             mode=meta["mode"],
             n=int(meta["n"]),
             m_theta=int(meta["m_theta"]),
             m_phi=int(meta["m_phi"]),
         )
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
-    expect_cols = 2 if grid.mode == "axisym" else 3
-    body = rows[1:]  # skip column header
-    if len(body) != grid.node_count:
+        expect_cols = 2 if grid.mode == "axisym" else 3
+        next((row for row in fh if row != "\n"), None)  # column header
+        values = []
+        for row in fh:
+            cells = row.split(",")
+            if len(cells) != expect_cols:
+                if row == "\n":
+                    continue
+                raise ValueError(f"malformed row {row.rstrip()!r}")
+            values.append(float(cells[-1]))
+    if len(values) != grid.node_count:
         raise ValueError(
-            f"expected {grid.node_count} rows, found {len(body)} in {path}"
+            f"expected {grid.node_count} rows, found {len(values)} in {path}"
         )
-    values = np.empty(grid.shape)
-    if grid.mode == "axisym":
-        for i, row in enumerate(body):
-            if len(row) != expect_cols:
-                raise ValueError(f"malformed row {row!r}")
-            values[i] = float(row[1])
-    else:
-        for idx, row in enumerate(body):
-            if len(row) != expect_cols:
-                raise ValueError(f"malformed row {row!r}")
-            i, j = divmod(idx, grid.m_phi)
-            values[i, j] = float(row[2])
-    return grid, values
+    return grid, np.reshape(values, grid.shape)

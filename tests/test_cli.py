@@ -330,7 +330,36 @@ def test_curvature_gates(tmp_path, capsys):
     foreign = tmp_path / "foreign.csv"
     foreign.write_text("x,y\n1,2\n")
     assert cli.main(["curvature", str(foreign), str(cfg)]) == 65
+
+    # a row in the middle with a missing or an extra column, or a value that
+    # is not a number: refuse
+    middle = len(lines) // 2
+    for name, row in (
+        ("short", lines[middle].rsplit(",", 1)[0]),
+        ("long", lines[middle] + ",0.5"),
+        ("text", lines[middle].rsplit(",", 1)[0] + ",abc"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(lines[:middle] + [row] + lines[middle + 1 :]) + "\n")
+        assert cli.main(["curvature", str(bad), str(cfg)]) == 65, name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["mode", "n", "m_theta", "m_phi"])
+def test_curvature_refuses_a_field_header_without_a_key(tmp_path, capsys, key):
+    cfg = make_cfg(tmp_path / "k.cfg")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "0.01"]) == 3
+    capsys.readouterr()
+    lines = (out / "final_field.csv").read_text().splitlines()
+    header = " ".join(t for t in lines[0].split() if not t.startswith(key + "="))
+    assert header != lines[0]
+    field = tmp_path / "field.csv"
+    field.write_text("\n".join([header] + lines[1:]) + "\n")
+    assert cli.main(["curvature", str(field), str(cfg)]) == 65
+    err = capsys.readouterr().err
+    assert "gate failure" in err and f"lacks {key}" in err
+    assert "Traceback" not in err
 
 
 def test_full_s2_run_emits_meshes(tmp_path, capsys):

@@ -162,13 +162,27 @@ def test_axisym_and_full_s2_agree_on_symmetric_fields():
 
 def test_field_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(9)
-    for g in (axisym_grid(n=3, m_theta=12), full_s2_grid(m_theta=8, m_phi=10)):
+    grids = (axisym_grid(n=3, m_theta=12), full_s2_grid(m_theta=8, m_phi=10))
+    for g in grids:
         values = rng.normal(scale=1e3, size=g.shape) * 10.0 ** rng.integers(-12, 12, g.shape)
         path = tmp_path / f"field_{g.mode}.csv"
         write_field_csv(path, g, values)
         g2, v2 = read_field_csv(path)
         assert grids_compatible(g, g2)
         assert np.array_equal(values, v2)
+
+    # the benchmark size, with signed zeros, a subnormal, the float extremes
+    # and integers among the values
+    g = full_s2_grid(m_theta=64, m_phi=128)
+    values = rng.normal(size=g.shape) * 10.0 ** rng.integers(-300, 300, g.shape)
+    special = [-0.0, 0.0, 5e-324, 1e308, -1e308, 3.0, -42.0, 2.0**53]
+    values.flat[: len(special)] = special
+    path = tmp_path / "field_fine.csv"
+    write_field_csv(path, g, values)
+    g2, v2 = read_field_csv(path)
+    assert grids_compatible(g, g2)
+    assert np.array_equal(values, v2)
+    assert np.array_equal(np.signbit(values), np.signbit(v2))
 
 
 def test_field_csv_rejects_foreign_files(tmp_path):
@@ -186,3 +200,10 @@ def test_field_csv_rejects_truncation(tmp_path):
     path.write_text("\n".join(lines[:5]) + "\n")
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+    # a row in the middle with a missing or an extra column, or a value that
+    # is not a number
+    for row in ("0.7", "0.7,0.0,0.0", "0.7,abc"):
+        path.write_text("\n".join(lines[:5] + [row] + lines[6:]) + "\n")
+        with pytest.raises(ValueError):
+            read_field_csv(path)
