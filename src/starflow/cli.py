@@ -42,6 +42,11 @@ import numpy as np
 
 from . import __version__, diagnostics, flow, geometry, speed, spheregrid, symfunc
 
+__all__ = [
+    "ConfigError", "GateError", "RunSetup", "parse_config", "build_parser", "main",
+    "cmd_run", "cmd_validate", "cmd_selfcheck", "cmd_curvature",
+]
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1  # validate: no admissible barriers; selfcheck: suite failed
 EXIT_ABORTED = 2
@@ -99,43 +104,43 @@ def _get(cp, section: str, key: str, conv, default=None, required: bool = False)
         raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
 
 
+# variant -> (spec class, ((key, conversion), ...)): the [F] keys of the
+# variant, which are also, in order, the arguments of a product factor
+_F_VARIANTS = {
+    "sigma_k_root": (symfunc.SigmaKRoot, (("k", int),)),
+    "quotient_root": (symfunc.QuotientRoot, (("k", int), ("l", int))),
+    "power_mean": (symfunc.PowerMean, (("p", float),)),
+}
+
+
 def _parse_f_spec(cp) -> object:
     variant = _get(cp, "F", "variant", str, required=True).strip().lower()
-    if variant == "sigma_k_root":
-        return symfunc.SigmaKRoot(k=_get(cp, "F", "k", int, required=True))
-    if variant == "quotient_root":
-        return symfunc.QuotientRoot(
-            k=_get(cp, "F", "k", int, required=True),
-            l=_get(cp, "F", "l", int, required=True),
-        )
-    if variant == "power_mean":
-        return symfunc.PowerMean(p=_get(cp, "F", "p", float, required=True))
     if variant == "product":
         text = _get(cp, "F", "terms", str, required=True)
-        terms = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            m = re.fullmatch(r"([0-9.eE+-]+)\s*\*\s*(\w+)\(([^)]*)\)", chunk)
-            if not m:
-                raise ConfigError(
-                    f"bad product term {chunk!r}; expected WEIGHT*variant(args)"
-                )
-            weight = float(m.group(1))
-            name = m.group(2).lower()
-            args = [a.strip() for a in m.group(3).split(":") if a.strip()]
-            if name == "sigma_k_root":
-                sub = symfunc.SigmaKRoot(k=int(args[0]))
-            elif name == "quotient_root":
-                sub = symfunc.QuotientRoot(k=int(args[0]), l=int(args[1]))
-            elif name == "power_mean":
-                sub = symfunc.PowerMean(p=float(args[0]))
-            else:
-                raise ConfigError(f"unknown product factor {name!r}")
-            terms.append((sub, weight))
-        return symfunc.WeightedProduct(terms=tuple(terms))
-    raise ConfigError(f"unknown F variant {variant!r}")
+        chunks = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+        return symfunc.WeightedProduct(terms=tuple(map(_parse_product_factor, chunks)))
+    if variant not in _F_VARIANTS:
+        raise ConfigError(f"unknown F variant {variant!r}")
+    cls, keys = _F_VARIANTS[variant]
+    return cls(**{key: _get(cp, "F", key, conv, required=True) for key, conv in keys})
+
+
+def _parse_product_factor(chunk: str) -> tuple:
+    m = re.fullmatch(r"([0-9.eE+-]+)\s*\*\s*(\w+)\(([^)]*)\)", chunk)
+    if not m:
+        raise ConfigError(f"bad product term {chunk!r}; expected WEIGHT*variant(args)")
+    name = m.group(2).lower()
+    if name not in _F_VARIANTS:
+        raise ConfigError(f"unknown product factor {name!r}")
+    cls, keys = _F_VARIANTS[name]
+    args = [a.strip() for a in m.group(3).split(":") if a.strip()]
+    if len(args) != len(keys):
+        raise ConfigError(f"bad product term {chunk!r}; {name} takes {len(keys)} argument(s)")
+    try:
+        weight = float(m.group(1))
+        return cls(**{key: conv(arg) for (key, conv), arg in zip(keys, args)}), weight
+    except ValueError as exc:
+        raise ConfigError(f"bad product term {chunk!r}: {exc}") from exc
 
 
 def _parse_psi_terms(text: str) -> tuple:
@@ -277,7 +282,10 @@ def cmd_run(args) -> int:
         raise GateError(f"initial data rejected: {exc}") from exc
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out}: {exc}") from exc
     files = ["history.csv", "summary.json", "final_field.csv"]
 
     record_count = 0
@@ -350,9 +358,13 @@ def cmd_validate(args) -> int:
         state = "holds" if margin > 0 else ("boundary" if margin == 0 else "fails")
         print(f"condition {name}: margin = {margin:.6g} ({state})")
 
-    if cfg.G.isotropic and (cfg.G.a + cfg.G.b + cfg.beta) != 0.0:
-        r = speed.radius_root(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
-        print(f"stationary sphere radius: R = {r:.12g}")
+    if cfg.G.isotropic:
+        try:
+            r = speed.radius_root(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
+        except ValueError as exc:
+            print(f"no stationary sphere radius: {exc}")
+        else:
+            print(f"stationary sphere radius: R = {r:.12g}")
 
     return EXIT_OK if radii.ok else EXIT_CHECK_FAILED
 
@@ -477,9 +489,7 @@ def _suite_geometry(rng) -> list[str]:
             failures.append(f"{mode}: support value exceeded the radius somewhere")
         if mode == "full_s2":
             # assemble's closed-form 2x2 curvatures against the pencil (h, g) it built
-            pair = grid.shape + (2, 2)
-            g = np.stack([state.g_tt, state.g_tp, state.g_tp, state.g_pp], -1).reshape(pair)
-            h = np.stack([state.h_tt, state.h_tp, state.h_tp, state.h_pp], -1).reshape(pair)
+            g, h = geometry.fundamental_forms(state)
             direct = np.linalg.eigvals(np.linalg.solve(g, h)).real
             if float(np.max(np.abs(np.sort(direct)[..., ::-1] - state.kappa))) > 1e-8:
                 failures.append(f"{mode}: curvatures disagree with the pencil eigensolve")
@@ -546,7 +556,10 @@ def cmd_curvature(args) -> int:
     columns = {"rho": geom.rho, "u": geom.u}
     columns.update((f"kappa_{i + 1}", geom.kappa[..., i]) for i in range(grid.n))
     columns.update(f=f_val, q_minus_1=q - 1.0, cone_ok=mask.astype(np.int8))
-    spheregrid.write_node_table(out, grid, "starflow-curvature-v1", columns)
+    try:
+        spheregrid.write_node_table(out, grid, "starflow-curvature-v1", columns)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
     print(f"wrote {out} ({grid.node_count} nodes)")
     return EXIT_OK
 

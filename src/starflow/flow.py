@@ -56,7 +56,7 @@ from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_check
 from .speed import G_from_table, SpeedSpec, psi_eval
 from .spheregrid import Grid, factor_shifted_laplacian
-from .symfunc import Cone, F_fused, cone_failure, natural_cone
+from .symfunc import Cone, F_fused, _validate_spec, cone_failure, natural_cone
 
 __all__ = [
     "PSI_IDENTITY",
@@ -139,6 +139,7 @@ class FlowConfig:
             raise ValueError("dt_safety must lie in (0, 1]")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
+        _validate_spec(self.F, self.grid.n)
         self.guard = natural_cone(self.F)
         # c ψ(ξ) at the grid nodes: the part of G that no step changes
         self.G_table = self.G.c * psi_eval(self.G, self.grid.xi)

@@ -22,10 +22,10 @@ entirely because the meridian and parallel directions are already principal:
 the parallel value carrying multiplicity n-1.
 
 Axisym states embed the meridian half-plane into the Cartesian xz-plane, so X
-and ν are 3-vectors in both modes; both are computed on demand from the
-grid's frames, since the flow itself never reads them.  All functions are
-pure; a GeometryState is a plain bundle of arrays that is never mutated after
-construction.
+and ν are 3-vectors in both modes.  X, ν, g and h are computed on demand
+(fundamental_forms() for g and h), since the flow itself never reads them.
+All functions are pure; a GeometryState is a plain bundle of arrays that is
+never mutated after construction.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "GeometryState",
     "assemble",
     "star_shape_check",
+    "fundamental_forms",
     "support_identity_residual",
     "sphere_gap",
     "export_obj",
@@ -53,12 +54,9 @@ class DegenerateGeometry(ValueError):
 
 @dataclass
 class GeometryState:
-    """Everything assemble() derives from one γ field.  Read-only by convention.
+    """What the flow reads of one γ field.  Read-only by convention.
 
-    Chart 2×2 blocks (g, h, and the curvature work arrays) are stored in the
-    orthonormalized frame (ê_θ, ê_φ/sinθ) so that components stay O(1) near
-    the poles; axisym states put the meridian value in the *_tt slot and the
-    parallel value in the *_pp slot with the cross term identically zero.
+    g and h are not stored: fundamental_forms() rebuilds them on demand.
     """
 
     grid: Grid
@@ -69,12 +67,6 @@ class GeometryState:
     omega: np.ndarray
     u: np.ndarray
     grad_sq: np.ndarray          # |Dγ|²
-    g_tt: np.ndarray
-    g_tp: np.ndarray
-    g_pp: np.ndarray
-    h_tt: np.ndarray
-    h_tp: np.ndarray
-    h_pp: np.ndarray
     kappa: np.ndarray            # (..., n), sorted descending per node
 
     @property
@@ -120,30 +112,14 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         b_t = g_t
         kappa_mer = (-h_cov_tt + b_t * b_t + 1.0) / (rho * omega**3)
         kappa_par = (1.0 - grid.cot_theta * b_t) / (rho * omega)
-        g_tt = rho * rho * omega * omega
-        g_tp = np.zeros_like(rho)
-        g_pp = rho * rho
-        h_tt = u * (-h_cov_tt + b_t * b_t + 1.0)
-        h_tp = np.zeros_like(rho)
-        h_pp = u * (1.0 - grid.cot_theta * b_t)
         kappa = np.repeat(kappa_par[None], grid.n, axis=0)
         kappa[0] = np.maximum(kappa_mer, kappa_par)
         kappa[-1] = np.minimum(kappa_mer, kappa_par)
     else:
-        # orthonormalized chart frame (ê_θ, ê_φ/sinθ)
-        st = grid.sin_theta
-        b_t = g_t
-        b_p = g_p / st
-        B_tt = h_cov_tt
-        B_tp = h_cov_tp / st
-        B_pp = h_cov_pp / (st * st)
         rr = rho * rho
-        g_tt = rr * (1.0 + b_t * b_t)
-        g_tp = rr * (b_t * b_p)
-        g_pp = rr * (1.0 + b_p * b_p)
-        h_tt = u * (-B_tt + b_t * b_t + 1.0)
-        h_tp = u * (-B_tp + b_t * b_p)
-        h_pp = u * (-B_pp + b_p * b_p + 1.0)
+        g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
+            grid, rr, u, g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp
+        )
         det_g = rr * rr * omega * omega
         trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
         # discriminant of A = g⁻¹h as (a_tt - a_pp)² + 4 a_tp a_pt: unlike
@@ -166,12 +142,6 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         omega=omega,
         u=u,
         grad_sq=gsq,
-        g_tt=g_tt,
-        g_tp=g_tp,
-        g_pp=g_pp,
-        h_tt=h_tt,
-        h_tp=h_tp,
-        h_pp=h_pp,
         kappa=kappa,
     )
     if check:
@@ -198,6 +168,41 @@ def star_shape_check(grid: Grid, gamma: np.ndarray) -> tuple[bool, float]:
     return bool(np.isfinite(u_min) and u_min > 0.0), u_min
 
 
+def _frame_forms(grid: Grid, rr, u, g_t, g_p, hess_tt, hess_tp, hess_pp):
+    """(g_tt, g_tp, g_pp, h_tt, h_tp, h_pp) in the frame (ê_θ, ê_φ/sinθ).
+
+    Components in that orthonormalized frame stay O(1) near the poles.  The
+    inputs are ρ², u, and the chart gradient and covariant Hessian of γ.
+    """
+    st = grid.sin_theta
+    b_t = g_t
+    b_p = g_p / st
+    return (
+        rr * (1.0 + b_t * b_t),
+        rr * (b_t * b_p),
+        rr * (1.0 + b_p * b_p),
+        u * (-hess_tt + b_t * b_t + 1.0),
+        u * (-hess_tp / st + b_t * b_p),
+        u * (-hess_pp / (st * st) + b_p * b_p + 1.0),
+    )
+
+
+def fundamental_forms(state: GeometryState) -> tuple[np.ndarray, np.ndarray]:
+    """Metric g and second fundamental form h, each of shape (..., 2, 2).
+
+    Both are written in the frame (ê_θ, ê_φ/sinθ).  On axisym grids the
+    second direction is one of the n - 1 parallel ones and the cross terms
+    vanish.  Rebuilt from γ on each call; the flow never reads them.
+    """
+    grid = state.grid
+    g_t, g_p, *hess = derivatives(grid, state.gamma)
+    tt, tp, pp, h_tt, h_tp, h_pp = _frame_forms(grid, state.rho**2, state.u, g_t, g_p, *hess)
+    pair = grid.shape + (2, 2)
+    g = np.stack([tt, tp, tp, pp], axis=-1).reshape(pair)
+    h = np.stack([h_tt, h_tp, h_tp, h_pp], axis=-1).reshape(pair)
+    return g, h
+
+
 def support_identity_residual(state: GeometryState) -> float:
     """Max-norm residual of ∇u = h(·, ∇Φ) with Φ = ρ²/2.
 
@@ -205,27 +210,13 @@ def support_identity_residual(state: GeometryState) -> float:
     are evaluated in the orthonormalized frame.  O(Δθ²) on smooth profiles.
     """
     grid = state.grid
-    u_t, u_p = grad(grid, state.u)
-    phi_t = state.rho**2 * state.gamma_t
-    if grid.mode == "axisym":
-        inv_g_tt = 1.0 / state.g_tt
-        rhs_t = state.h_tt * inv_g_tt * phi_t
-        return float(np.max(np.abs(u_t - rhs_t)))
     st = grid.sin_theta
+    u_t, u_p = grad(grid, state.u)
     lhs = np.stack([u_t, u_p / st], axis=-1)
-    b_p = state.gamma_p / st
-    phi = np.stack([phi_t, state.rho**2 * b_p], axis=-1)
-    det_g = state.g_tt * state.g_pp - state.g_tp**2
-    inv_tt = state.g_pp / det_g
-    inv_tp = -state.g_tp / det_g
-    inv_pp = state.g_tt / det_g
-    w_t = inv_tt * phi[..., 0] + inv_tp * phi[..., 1]
-    w_p = inv_tp * phi[..., 0] + inv_pp * phi[..., 1]
-    rhs = np.stack(
-        [state.h_tt * w_t + state.h_tp * w_p, state.h_tp * w_t + state.h_pp * w_p],
-        axis=-1,
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+    phi = (state.rho**2)[..., None] * np.stack([state.gamma_t, state.gamma_p / st], axis=-1)
+    g, h = fundamental_forms(state)
+    rhs = h @ np.linalg.solve(g, phi[..., None])
+    return float(np.max(np.abs(lhs - rhs[..., 0])))
 
 
 def sphere_gap(state: GeometryState) -> float:

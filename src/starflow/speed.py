@@ -2,22 +2,23 @@
 
 The right-hand side driving every flow in this package has the separable form
 
-    G(X, ν) = c · exp(Σ_j s_j ⟨X/|X|, v_j⟩) · u^a · ρ^b,
+    G(X, ν) = c · exp⟨X/|X|, w⟩ · u^a · ρ^b,      w = Σ_j s_j v_j,
 
-with u = ⟨X, ν⟩ the support value and ρ = |X|.  The exponential factor ψ is
-the anisotropy; with no terms ψ ≡ 1 and G depends on the point only through u
-and ρ.  Admissibility of a (G, F, β) triple is decided here:
+with u = ⟨X, ν⟩ the support value and ρ = |X|.  The factors exp(s_j ⟨ξ, v_j⟩)
+of the configuration multiply into the one vector w, which SpeedSpec sums
+once; ψ = exp⟨ξ, w⟩ is the anisotropy, and w = 0 gives ψ ≡ 1.  Admissibility
+of a (G, F, β) triple is decided here:
 
 - barrier_radii: the largest sphere pinched from inside and the smallest
-  pinching from outside, where the power law r ↦ (c ψ_ext)^{1/β} r^{(a+b+β)/β}
-  meets F(1, ..., 1), with the extrema of ψ in closed form.
+  pinching from outside, at the extrema e^{∓|w|} of ψ.
 - monotonicity_report: the closed-form exponent conditions that the various
   convergence and uniqueness arguments need, each with its margin.
 - radius_root: for isotropic G, the radius of the stationary sphere solving
-  η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.  The normalization η is kept
-  explicit rather than folded into c.
+  η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.
 
-Both radii solve a power law in r, so they come in closed form in log r.
+All three radii are the one sphere on which (c ψ)^{1/β} r^{(a+b+β)/β} meets
+F(1, ..., 1), at ψ = e^{-|w|}, e^{|w|} and 1; that power law has its root in
+closed form in log r.
 
 Validators are report-only: nothing here mutates a flow, and the run loop
 never calls them unless asked to gate on them.
@@ -66,12 +67,13 @@ class PsiTerm:
 
 @dataclass(frozen=True)
 class SpeedSpec:
-    """Forcing G = c ψ(ξ) u^a ρ^b."""
+    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩ and w = Σ_j s_j v_j."""
 
     c: float
     a: float
     b: float
     psi: tuple[PsiTerm, ...] = ()
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c > 0.0):
@@ -80,57 +82,44 @@ class SpeedSpec:
             if not np.isfinite(x):
                 raise ValueError("exponents must be finite")
         object.__setattr__(self, "psi", tuple(self.psi))
+        w = np.zeros(3)
+        for term in self.psi:
+            w = w + term.s * np.asarray(term.v)
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     @property
     def isotropic(self) -> bool:
-        return all(term.s == 0.0 for term in self.psi)
+        """True when w = 0, so ψ ≡ 1."""
+        return not np.any(self.w)
 
-    def axis_aligned(self, tol: float = 1e-12) -> bool:
-        """True when every anisotropy direction is ±(0, 0, 1)."""
-        for term in self.psi:
-            vx, vy, vz = term.v
-            if abs(vx) > tol or abs(vy) > tol or abs(abs(vz) - 1.0) > tol:
-                return False
-        return True
+    def axis_aligned(self) -> bool:
+        """True when w is parallel to the polar axis (0, 0, 1), or zero."""
+        return bool(abs(self.w[0]) <= 1e-12 and abs(self.w[1]) <= 1e-12)
 
 
 def psi_eval(spec: SpeedSpec, xi: np.ndarray) -> np.ndarray:
-    """ψ(ξ) = exp(Σ s_j ⟨ξ, v_j⟩) for directions ξ of shape (..., 3)."""
+    """ψ(ξ) = exp⟨ξ, w⟩ for directions ξ of shape (..., 3)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != 3:
         raise ValueError("directions must be 3-vectors")
-    acc = np.zeros(xi.shape[:-1])
-    for term in spec.psi:
-        acc = acc + term.s * (xi @ np.asarray(term.v))
-    return np.exp(acc)
+    return np.exp(xi @ spec.w)
 
 
 def psi_extrema(spec: SpeedSpec) -> tuple[float, float]:
-    """(min, max) of ψ over unit directions: ψ(ξ) = exp⟨ξ, w⟩ with
-    w = Σ s_j v_j, so the extrema are e^{∓|w|}, taken at ξ = ∓w/|w|."""
-    w = np.zeros(3)
-    for term in spec.psi:
-        w = w + term.s * np.asarray(term.v)
-    size = float(np.linalg.norm(w))
+    """(min, max) of ψ over unit directions: e^{∓|w|}, taken at ξ = ∓w/|w|."""
+    size = float(np.linalg.norm(spec.w))
     return float(np.exp(-size)), float(np.exp(size))
 
 
-def G_eval(
-    spec: SpeedSpec,
-    xi: np.ndarray,
-    u: np.ndarray,
-    rho: np.ndarray,
-    *,
-    checked: bool = True,
-):
+def G_eval(spec: SpeedSpec, xi: np.ndarray, u: np.ndarray, rho: np.ndarray):
     """Evaluate G at nodes with radial direction ξ, support u, radius ρ."""
     u = np.asarray(u, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if checked:
-        if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-            raise ValueError("support function must be positive and finite")
-        if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
-            raise ValueError("radius must be positive and finite")
+    if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
+        raise ValueError("support function must be positive and finite")
+    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+        raise ValueError("radius must be positive and finite")
     return G_from_table(spec, spec.c * psi_eval(spec, xi), u, rho)
 
 
@@ -176,11 +165,7 @@ def barrier_radii(
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    f_unit = float(F_eval(F_spec, np.ones(n)))
-    slope = (spec.a + spec.b + beta) / beta
-    psi_min, psi_max = psi_extrema(spec)
-
-    if slope > 0.0:
+    if spec.a + spec.b + beta > 0.0:
         return BarrierRadii(
             ok=False,
             reason=(
@@ -188,27 +173,29 @@ def barrier_radii(
                 "inner/outer pair exists"
             ),
         )
-    if slope == 0.0:
-        return BarrierRadii(
-            ok=False,
-            reason="a + b + beta = 0: forcing is scale-invariant, radii are not pinned",
-        )
-
-    def edge(psi_val: float) -> float:
-        # root of (c psi)^{1/beta} r^{slope} = f_unit
-        r = float(np.exp((np.log(f_unit) - np.log(spec.c * psi_val) / beta) / slope))
-        if not _R_LO < r < _R_HI:
-            raise ValueError(
-                f"no barrier radius inside [{_R_LO:g}, {_R_HI:g}] (root at r = {r:.3g})"
-            )
-        return r
-
+    psi_min, psi_max = psi_extrema(spec)
     try:
-        r1 = edge(psi_min)
-        r2 = edge(psi_max)
+        r1 = _sphere_radius(spec, F_spec, n, beta, psi_min)
+        r2 = _sphere_radius(spec, F_spec, n, beta, psi_max)
     except ValueError as exc:
         return BarrierRadii(ok=False, reason=str(exc))
     return BarrierRadii(ok=True, r1=r1, r2=r2, equality=bool(abs(r1 - r2) < 1e-12))
+
+
+def _sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float) -> float:
+    """Radius r where G = F^β on the sphere of radius r, with ψ taken as psi.
+
+    On that sphere u = ρ = r, so r solves (c ψ)^{1/β} r^{(a+b+β)/β} = F(1, ..., 1)
+    in closed form in log r; the root must lie in (1e-6, 1e6).
+    """
+    slope = (spec.a + spec.b + beta) / beta
+    if slope == 0.0:
+        raise ValueError("a + b + beta = 0: forcing is scale-invariant, radii are not pinned")
+    f_unit = float(F_eval(F_spec, np.ones(n)))
+    r = float(np.exp((np.log(f_unit) - np.log(spec.c * psi) / beta) / slope))
+    if not _R_LO < r < _R_HI:
+        raise ValueError(f"no sphere radius inside [{_R_LO:g}, {_R_HI:g}] (root at r = {r:.3g})")
+    return r
 
 
 @dataclass(frozen=True)
@@ -248,19 +235,12 @@ def monotonicity_report(spec: SpeedSpec, beta: float) -> MonotonicityReport:
 def radius_root(spec: SpeedSpec, F_spec, n: int, beta: float) -> float:
     """Radius of the stationary sphere for isotropic forcing.
 
-    Solves η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}, so
-    R = (η c)^{-1/(a+b+β)}, which must lie in [1e-6, 1e6].  Requires ψ ≡ 1
-    and a nonzero net exponent.
+    The barrier edge at ψ = 1: η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.
+    Requires ψ ≡ 1 and a nonzero net exponent; raises ValueError when the
+    root falls outside (1e-6, 1e6).
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not spec.isotropic:
-        raise ValueError("radius_root needs isotropic forcing (no psi terms)")
-    eta = float(F_eval(F_spec, np.ones(n)) ** (-beta))
-    s = spec.a + spec.b + beta
-    if s == 0.0:
-        raise ValueError("net radial exponent is zero: stationary radius is not isolated")
-    r = float(np.exp(-np.log(eta * spec.c) / s))
-    if not _R_LO <= r <= _R_HI:
-        raise ValueError("stationary radius falls outside [1e-6, 1e6]")
-    return r
+        raise ValueError("radius_root needs isotropic forcing (w = 0)")
+    return _sphere_radius(spec, F_spec, n, beta, 1.0)

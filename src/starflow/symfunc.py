@@ -227,9 +227,7 @@ def _validate_spec(spec, n: int) -> None:
 
 def natural_cone(spec) -> Cone:
     """Largest cone on which the speed is defined, elliptic, and concave."""
-    if isinstance(spec, SigmaKRoot):
-        return Cone(spec.k)
-    if isinstance(spec, QuotientRoot):
+    if isinstance(spec, (SigmaKRoot, QuotientRoot)):
         return Cone(spec.k)
     if isinstance(spec, PowerMean):
         return GAMMA_PLUS
@@ -298,12 +296,11 @@ def _F_eval_raw(spec, e: np.ndarray, arr: np.ndarray):
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
 
-def F_grad(spec, kappa, *, checked: bool = True) -> np.ndarray:
-    """∂F/∂κ_i, shape (..., n); strictly positive on the natural cone."""
+def F_grad(spec, kappa) -> np.ndarray:
+    """∂F/∂κ_i, shape (..., n); positive on the natural cone, ConeViolation off it."""
     arr = _as_batch(kappa)
     _validate_spec(spec, arr.shape[-1])
-    if checked:
-        _check_cone(spec, arr)
+    _check_cone(spec, arr)
     e = sigma_all(arr, _sigma_order(spec))
     return _F_grad_raw(spec, e, arr, slice(None), lambda k: sigma_grad(arr, k))
 

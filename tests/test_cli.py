@@ -154,6 +154,50 @@ def test_config_errors_exit_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "F",
+    [
+        pytest.param({"k": "3"}, id="sigma_k_root-k-above-n"),
+        pytest.param({"variant": "quotient_root", "l": "2"}, id="quotient-l-not-below-k"),
+        pytest.param({"variant": "power_mean", "k": None, "p": "1.5"}, id="power-mean-p-positive"),
+        pytest.param(
+            {"variant": "product", "terms": "0.5*sigma_k_root(2), 0.4*power_mean(-1)"},
+            id="product-weights-not-summing-to-1",
+        ),
+        pytest.param({"variant": "product", "terms": "1.0*sigma_k_root()"}, id="factor-no-args"),
+        pytest.param({"variant": "product", "terms": "1.0*sigma_k_root(x)"}, id="factor-not-int"),
+        pytest.param({"variant": "product", "terms": "1.0*sigma_k_root(1:1)"}, id="factor-extra-arg"),
+        pytest.param({"variant": "product", "terms": "1.0*quotient_root(2)"}, id="factor-one-arg-short"),
+        pytest.param({"variant": "product", "terms": "1..0*sigma_k_root(2)"}, id="factor-bad-weight"),
+    ],
+)
+def test_invalid_F_exits_64(tmp_path, capsys, F):
+    cfg = make_cfg(tmp_path / "f.cfg", **{f"F__{key}": value for key, value in F.items()})
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert cli.main(argv) == 64, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_64(tmp_path, capsys):
+    cfg = make_cfg(tmp_path / "o.cfg")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["run", str(cfg), "--out", str(taken)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(taken) in err
+
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "0.01"]) == 3
+    table = tmp_path / "missing_dir" / "x.csv"
+    field = str(out / "final_field.csv")
+    assert cli.main(["curvature", field, str(cfg), "--out", str(table)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(table) in err
+
+
 def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as info:
         cli.main(["run"])  # missing config argument
@@ -192,6 +236,14 @@ def test_validate_anisotropic_and_failing(tmp_path, capsys):
     bad = make_cfg(tmp_path / "b.cfg", G__b="1.0")
     assert cli.main(["validate", str(bad)]) == 1
     assert "no admissible barrier radii" in capsys.readouterr().out
+
+    # the stationary sphere, radius 1e-30, lies outside (1e-6, 1e6) too; at
+    # a + b + beta = 0 no sphere is isolated
+    for name, edits in (("t", {"G__c": "1e-30"}), ("s", {"G__b": "-1.0"})):
+        cfg = make_cfg(tmp_path / f"{name}.cfg", **edits)
+        assert cli.main(["validate", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "no admissible barrier radii" in out and "no stationary sphere radius" in out
 
 
 def test_bundled_configs_parse_and_validate(capsys):

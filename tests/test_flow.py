@@ -75,6 +75,13 @@ def test_config_validation():
     # axisym grids cannot carry an off-axis anisotropy
     with pytest.raises(ValueError):
         setup1(G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.1, v=(1.0, 0.0, 0.0)),)))
+    # but off-axis terms that cancel leave w = 0, which they accept
+    cancelling = (PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)), PsiTerm(s=0.2, v=(-1.0, 0.0, 0.0)))
+    cfg = setup1(G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=cancelling))
+    assert np.all(cfg.G_table == 1.0)
+    # F must be defined on the grid's n
+    with pytest.raises(ValueError):
+        setup1(F=SigmaKRoot(k=3))
 
 
 def test_speed_field_psi_contrast():

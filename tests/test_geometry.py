@@ -18,6 +18,7 @@ from starflow.geometry import (
     DegenerateGeometry,
     assemble,
     export_obj,
+    fundamental_forms,
     sphere_gap,
     star_shape_check,
     support_identity_residual,
@@ -111,13 +112,13 @@ def test_radial_gradient_identity_is_exact():
         else:
             gamma = 0.15 * np.sin(grid.theta)[:, None] * np.cos(grid.phi)[None, :]
         st = assemble(grid, gamma)
-        # rho gradient in the same orthonormalized frame as the stored metric
+        g, _ = fundamental_forms(st)
+        g_tt, g_tp, g_pp = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+        # rho gradient in the same orthonormalized frame as the metric
         r1 = st.rho * st.gamma_t
         r2 = st.rho * (st.gamma_p / grid.sin_theta if grid.mode == "full_s2" else 0.0)
-        det = st.g_tt * st.g_pp - st.g_tp**2
-        contracted = (
-            st.g_pp * r1**2 - 2.0 * st.g_tp * r1 * r2 + st.g_tt * r2**2
-        ) / det
+        det = g_tt * g_pp - g_tp**2
+        contracted = (g_pp * r1**2 - 2.0 * g_tp * r1 * r2 + g_tt * r2**2) / det
         want = 1.0 - 1.0 / st.omega**2
         assert np.max(np.abs(contracted - want)) <= 1e-13
 

@@ -42,8 +42,23 @@ def test_speed_spec_validation():
     assert aniso.axis_aligned()
     tilted = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)),))
     assert not tilted.axis_aligned()
-    # zero-strength terms count as isotropic no matter the direction
-    assert SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.0, v=(1.0, 0.0, 0.0)),)).isotropic
+    # only w = sum s_j v_j counts: zero-strength terms and terms that cancel
+    # are isotropic, and so axis-aligned, whatever their directions
+    ex, minus_ex = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
+    for psi in (
+        (PsiTerm(s=0.0, v=ex),),
+        (PsiTerm(s=0.2, v=ex), PsiTerm(s=0.2, v=minus_ex)),
+        (PsiTerm(s=0.2, v=ex), PsiTerm(s=-0.2, v=ex)),
+    ):
+        spec = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=psi)
+        assert spec.isotropic and spec.axis_aligned()
+        assert psi_extrema(spec) == (1.0, 1.0)
+    # off-axis parts that cancel leave an axis-aligned, anisotropic w
+    spec = SpeedSpec(
+        c=1.0, a=0.0, b=0.0,
+        psi=(PsiTerm(s=0.2, v=ex), PsiTerm(s=0.2, v=minus_ex), PsiTerm(s=0.1, v=EZ)),
+    )
+    assert not spec.isotropic and spec.axis_aligned()
 
 
 def test_psi_eval_pointwise():
@@ -122,9 +137,6 @@ def test_G_eval_rejects_bad_support():
         G_eval(spec, xi, 0.0, 1.0)
     with pytest.raises(ValueError):
         G_eval(spec, xi, 1.0, -1.0)
-    # unchecked mode leaves the branch cut to the caller
-    with np.errstate(divide="ignore"):
-        G_eval(spec, xi, 0.0, 1.0, checked=False)
 
 
 def test_barrier_radii_isotropic_pinch():
@@ -169,14 +181,21 @@ def test_monotonicity_report():
 
 
 def test_radius_root_identity_mode():
-    # eta = 1 for sigma_2^{1/2} on S^2, so c R^{a+b+beta} = 1
-    r = radius_root(SpeedSpec(c=1.0, a=0.0, b=-2.0), SigmaKRoot(k=2), 2, 1.0)
-    assert r == pytest.approx(1.0, rel=1e-10)
-    r = radius_root(SpeedSpec(c=2.0, a=0.0, b=-2.0), SigmaKRoot(k=2), 2, 1.0)
-    assert r == pytest.approx(2.0, rel=1e-10)
-    # eta = 1/3 for sigma_1 on S^3: R = 1/3
-    r = radius_root(SpeedSpec(c=1.0, a=0.0, b=-2.0), SigmaKRoot(k=1), 3, 1.0)
-    assert r == pytest.approx(1.0 / 3.0, rel=1e-10)
+    cancelling = (PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)), PsiTerm(s=0.2, v=(-1.0, 0.0, 0.0)))
+    for c, psi, k, n, want in (
+        # eta = 1 for sigma_2^{1/2} on S^2, so c R^{a+b+beta} = 1
+        (1.0, (), 2, 2, 1.0),
+        (2.0, (), 2, 2, 2.0),
+        (2.0, cancelling, 2, 2, 2.0),
+        # eta = 1/3 for sigma_1 on S^3: R = 1/3
+        (1.0, (), 1, 3, 1.0 / 3.0),
+    ):
+        spec = SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
+        r = radius_root(spec, SigmaKRoot(k=k), n, 1.0)
+        assert r == pytest.approx(want, rel=1e-10)
+        # isotropic barriers coincide with the stationary sphere exactly
+        radii = barrier_radii(spec, SigmaKRoot(k=k), n, 1.0)
+        assert radii.ok and radii.equality and radii.r1 == radii.r2 == r
 
 
 def test_radius_root_rejections():
