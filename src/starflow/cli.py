@@ -18,8 +18,8 @@ Exit codes are part of the interface and nothing else is ever returned:
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap
     64  usage or configuration parse error
-    65  gate failure: --strict validation failed, initial data not
-        star-shaped, or a stored field does not match the configured grid
+    65  gate failure: --strict validation failed, initial data or a stored
+        field not star-shaped, or a stored field not on the configured grid
     70  internal error (a bug; please report the traceback)
 """
 
@@ -34,7 +34,7 @@ import re
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -256,13 +256,13 @@ def _wrap_value_errors(builder):
 
 def cmd_run(args) -> int:
     setup = parse_config(args.config)
-    cfg = setup.config
+    overrides = {"t_max": args.t_max, "tol_residual": args.tol_residual}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    # FlowConfig validates the overrides like the file's own values
+    cfg = setup.config = _wrap_value_errors(lambda: replace(setup.config, **overrides))
     # overrides enter the hashed [flow] entries too, so the hash names the
     # problem that actually ran
-    for key, value in (("t_max", args.t_max), ("tol_residual", args.tol_residual)):
-        if value is not None:
-            setattr(cfg, key, value)
-            setup.raw["flow"][key] = repr(value)
+    setup.raw["flow"].update((key, repr(value)) for key, value in overrides.items())
     setup.config_hash = _hash_raw(setup.raw)
 
     if args.strict:
@@ -457,9 +457,7 @@ def _suite_grid(rng) -> list[str]:
         p = os.path.join(tmp, "f.csv")
         spheregrid.write_field_csv(p, grid, values)
         grid2, values2 = spheregrid.read_field_csv(p)
-        if not spheregrid.grids_compatible(grid, grid2) or not np.array_equal(
-            values, values2
-        ):
+        if grid != grid2 or not np.array_equal(values, values2):
             failures.append("field CSV round trip is not exact")
     return failures
 
@@ -528,16 +526,17 @@ def cmd_curvature(args) -> int:
         raise GateError(f"cannot read field file: {exc}") from exc
     setup = parse_config(args.config)
     cfg = setup.config
-    if not spheregrid.grids_compatible(grid, cfg.grid):
+    if grid != cfg.grid:
         raise GateError(
             f"field grid ({grid.mode} {grid.m_theta}x{grid.m_phi or 1}, n={grid.n}) "
             f"does not match configured grid ({cfg.grid.mode} "
             f"{cfg.grid.m_theta}x{cfg.grid.m_phi or 1}, n={cfg.grid.n})"
         )
-    try:
+    with np.errstate(all="ignore"):  # the gate below reports a degenerate field
         geom = geometry.assemble(grid, gamma)
-    except geometry.DegenerateGeometry as exc:
-        raise GateError(f"stored field is not an admissible profile: {exc}") from exc
+    failure = geometry.star_shape_failure(geom)
+    if failure is not None:
+        raise GateError(f"stored field is {failure}")
 
     mask = symfunc.in_cone(geom.kappa, cfg.guard)
     f_val = np.full(grid.shape, np.nan)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .geometry import GeometryState, sphere_gap
-from .spheregrid import grids_compatible
 
 __all__ = [
     "HISTORY_CSV_MAGIC",
@@ -269,7 +268,7 @@ def decay_fit(history, tail_fraction: float = 0.5) -> DecayFit:
 
 def uniqueness_crosscheck(geom_a: GeometryState, geom_b: GeometryState) -> float:
     """Largest pointwise relative radius gap between two states on one grid."""
-    if not grids_compatible(geom_a.grid, geom_b.grid):
+    if geom_a.grid != geom_b.grid:
         raise ValueError("states live on different grids")
     ra, rb = geom_a.rho, geom_b.rho
     return float(np.max(np.abs(ra - rb) / np.minimum(ra, rb)))

@@ -32,13 +32,14 @@ The step size h follows the local error estimate (h/2)(k1 + k2), measured as
 max |est| / (ERR_TOL · (1 + |γ|)) and controlled as in Hairer & Wanner,
 Solving ODEs II.  dt_safety only sets the first step, a fraction of the
 explicit parabolic bound min over nodes of (ρΔθ)² / (2 n D).  A guard
-failure at a trial stage or at γ⁺ (curvatures leaving the admissibility cone,
-a non-finite or non-star-shaped profile) is not a state of the flow: the step
-is rejected like one whose error is too large, and h shrinks.  Only when h
-falls below H_FLOOR does the run abort, with the status of the guard that
-fired last (or diverged, when the error estimate alone forced h down).  γ is
-never filtered or clamped; clipping Z changes only W, which a W-method leaves
-free.  A run therefore ends in exactly one of five states: converged,
+failure at a trial stage or at γ⁺ (geometry.star_shape_failure, then
+symfunc.cone_failure once F_fused's cone mask fails) is not a state of the
+flow: the step is rejected like one whose error is too large, and h shrinks.
+Only when h falls below H_FLOOR does the run abort, with the status and
+detail of the guard that fired last (or diverged, when the error estimate
+alone forced h down).  Guard and radius details name the first failing node.
+γ is never filtered or clamped; clipping Z changes only W, which a W-method
+leaves free.  A run therefore ends in exactly one of five states: converged,
 diverged, cone_exit, star_shape_lost, or time_cap.
 
 run() is deterministic: identical configs and initial data reproduce
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics
-from .geometry import GeometryState, assemble, star_shape_check
+from .geometry import GeometryState, assemble, star_shape_failure
 from .speed import G_from_table, SpeedSpec, psi_eval
 from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import Cone, F_fused, _validate_spec, cone_failure, natural_cone
@@ -131,8 +132,9 @@ class FlowConfig:
     guard: Cone = field(init=False)  # always natural_cone(F)
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for key in ("beta", "t_max", "tol_residual"):
+            if not getattr(self, key) > 0.0:  # NaN fails too
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.psi_mode not in (PSI_IDENTITY, PSI_NEG_RECIPROCAL):
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if not 0.0 < self.dt_safety <= 1.0:
@@ -184,27 +186,16 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
 
     Returns (speed, Q, F values, λ_max(∂F/∂κ), geometry); the cone test, F
     and λ_max come from one σ sweep.  Raises FlowAbort when the profile stops
-    being an admissible star-shaped graph; the detail names the first
-    offending node.
+    being an admissible star-shaped graph, with the detail of
+    star_shape_failure or cone_failure, which names the first offending node.
     """
-    grid = config.grid
-    geom = assemble(grid, gamma, check=False)
-    if not np.all(np.isfinite(geom.kappa)) or np.any(geom.u <= 0.0):
-        u_min = float(np.min(geom.u)) if np.all(np.isfinite(geom.u)) else float("nan")
-        raise FlowAbort(
-            STATUS_STAR_SHAPE_LOST,
-            f"non-finite state or u <= 0 (min u = {u_min:.6g})",
-        )
+    geom = assemble(config.grid, gamma)
+    failure = star_shape_failure(geom)
+    if failure is not None:
+        raise FlowAbort(STATUS_STAR_SHAPE_LOST, failure)
     ok, f_val, lam = F_fused(config.F, geom.kappa)
     if not np.all(ok):
-        bad = int(np.argmin(ok.reshape(-1)))
-        node = np.unravel_index(bad, grid.shape)
-        kappa_bad = geom.kappa.reshape(-1, geom.kappa.shape[-1])[bad]
-        raise FlowAbort(
-            STATUS_CONE_EXIT,
-            f"curvature left {config.guard.describe()} at node {tuple(int(i) for i in node)}: "
-            f"{cone_failure(kappa_bad, config.guard)}",
-        )
+        raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, config.guard))
     g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
     q = g * f_val ** (-config.beta)
     speed = psi_apply(config.psi_mode, q) - psi_apply(config.psi_mode, 1.0)
@@ -321,11 +312,14 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             status = STATUS_CONVERGED
             record(geom, q, f_val, residual)
             break
-        if np.min(geom.rho) < RHO_FLOOR or np.max(geom.rho) > RHO_CEIL:
+        rho = geom.rho
+        if np.min(rho) < RHO_FLOOR or np.max(rho) > RHO_CEIL:
             status = STATUS_DIVERGED
+            outside = (rho < RHO_FLOOR) | (rho > RHO_CEIL)
+            node = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), rho.shape))
             detail = (
-                f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] "
-                f"(range [{float(np.min(geom.rho)):.3g}, {float(np.max(geom.rho)):.3g}])"
+                f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] at node {node}: "
+                f"rho = {rho[node]:.3g} (range [{np.min(rho):.3g}, {np.max(rho):.3g}])"
             )
             record(geom, q, f_val, residual)
             break
@@ -408,8 +402,8 @@ def initial_gamma(kind, grid: Grid) -> np.ndarray:
     Perturbed: γ = log R + amplitude · cosθ on axisym grids,
                γ = log R + amplitude · sinθ cosφ on full_s2 grids.
 
-    Raises ValueError (with the offending minimum of u) when the profile
-    fails the star-shape check.
+    Raises ValueError, naming the first node and its u, when the profile is
+    not a star-shaped graph.
     """
     theta = grid.theta
     if grid.mode == "full_s2":
@@ -438,10 +432,10 @@ def initial_gamma(kind, grid: Grid) -> np.ndarray:
     else:
         raise TypeError(f"unknown initial-data kind {kind!r}")
 
-    ok, u_min = star_shape_check(grid, gamma)
-    if not ok:
-        raise ValueError(
-            f"initial profile is not a star-shaped graph (min u = {u_min:.6g})"
-        )
+    # a huge γ overflows e^γ or |Dγ|²; the verdict reports it, not a warning
+    with np.errstate(all="ignore"):
+        failure = star_shape_failure(assemble(grid, gamma))
+    if failure is not None:
+        raise ValueError(f"initial profile is {failure}")
     return gamma
 

@@ -25,7 +25,8 @@ Axisym states embed the meridian half-plane into the Cartesian xz-plane, so X
 and ν are 3-vectors in both modes.  X, ν, g and h are computed on demand
 (fundamental_forms() for g and h), since the flow itself never reads them.
 All functions are pure; a GeometryState is a plain bundle of arrays that is
-never mutated after construction.
+never mutated after construction.  assemble() builds a state without judging
+it; star_shape_failure() alone decides whether it is a star-shaped graph.
 """
 
 from __future__ import annotations
@@ -37,19 +38,14 @@ import numpy as np
 from .spheregrid import Grid, derivatives, grad, grad_norm_sq
 
 __all__ = [
-    "DegenerateGeometry",
     "GeometryState",
     "assemble",
-    "star_shape_check",
+    "star_shape_failure",
     "fundamental_forms",
     "support_identity_residual",
     "sphere_gap",
     "export_obj",
 ]
-
-
-class DegenerateGeometry(ValueError):
-    """Raised when a profile produces a non-finite or non-star-shaped state."""
 
 
 @dataclass
@@ -88,18 +84,15 @@ class GeometryState:
         return (grid.xi - b_t * grid.e_theta - b_p * grid.e_phi) / self.omega[..., None]
 
 
-def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometryState:
+def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
     """Build the full geometric state of the graph ρ = e^γ.
 
-    With check=True a non-finite field or a node with u <= 0 raises
-    DegenerateGeometry; with check=False the state is returned as-is so the
-    caller can classify the failure itself.
+    Raises ValueError on a field of the wrong shape only; whether the state
+    is star-shaped is star_shape_failure's question.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != grid.shape:
         raise ValueError(f"gamma shape {gamma.shape} does not match grid {grid.shape}")
-    if check and not np.all(np.isfinite(gamma)):
-        raise DegenerateGeometry("profile contains non-finite values")
 
     g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp = derivatives(grid, gamma)
     gsq = grad_norm_sq(grid, g_t, g_p)
@@ -133,7 +126,7 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
     # κ_i is stored as one contiguous plane each, which the σ sweeps read
     kappa = np.moveaxis(kappa, 0, -1)
 
-    state = GeometryState(
+    return GeometryState(
         grid=grid,
         gamma=gamma,
         gamma_t=g_t,
@@ -144,28 +137,18 @@ def assemble(grid: Grid, gamma: np.ndarray, *, check: bool = True) -> GeometrySt
         grad_sq=gsq,
         kappa=kappa,
     )
-    if check:
-        if not np.all(np.isfinite(gamma)) or not np.all(np.isfinite(kappa)):
-            raise DegenerateGeometry("non-finite values in assembled state")
-        if np.any(u <= 0.0):
-            raise DegenerateGeometry(
-                f"graph is not star-shaped: min u = {float(np.min(u)):.6g}"
-            )
-    return state
 
 
-def star_shape_check(grid: Grid, gamma: np.ndarray) -> tuple[bool, float]:
-    """(all nodes star-shaped and finite, min u).  Never raises."""
-    gamma = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(gamma)):
-        return False, float("nan")
-    # a huge γ overflows e^γ or |Dγ|² to inf; the finite test below rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_t, g_p = grad(grid, gamma)
-        omega = np.sqrt(1.0 + grad_norm_sq(grid, g_t, g_p))
-        u = np.exp(gamma) / omega
-        u_min = float(np.min(u))
-    return bool(np.isfinite(u_min) and u_min > 0.0), u_min
+def star_shape_failure(state: GeometryState) -> str | None:
+    """None when every κ and u of the state is finite and u > 0; otherwise
+    the first node that fails, as an index over grid.shape, with its u and κ."""
+    kappa, u = state.kappa, state.u
+    if np.all(np.isfinite(kappa)) and np.min(u) > 0.0 and np.max(u) < np.inf:
+        return None
+    ok = np.all(np.isfinite(kappa), axis=-1) & (u > 0.0) & (u < np.inf)
+    node = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), u.shape))
+    values = ", ".join(f"{x:.6g}" for x in kappa[node])
+    return f"not a star-shaped graph at node {node}: u = {u[node]:.6g}, kappa = ({values})"
 
 
 def _frame_forms(grid: Grid, rr, u, g_t, g_p, hess_tt, hess_tp, hess_pp):

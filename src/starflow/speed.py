@@ -57,6 +57,8 @@ class PsiTerm:
     v: tuple[float, float, float]
 
     def __post_init__(self):
+        if not np.isfinite(self.s):
+            raise ValueError(f"psi strength s must be finite, got {self.s}")
         v = np.asarray(self.v, dtype=float)
         if v.shape != (3,) or not np.all(np.isfinite(v)):
             raise ValueError("psi direction must be a finite 3-vector")

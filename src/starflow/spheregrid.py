@@ -39,7 +39,6 @@ __all__ = [
     "Grid",
     "axisym_grid",
     "full_s2_grid",
-    "grids_compatible",
     "pad_theta",
     "derivatives",
     "grad",
@@ -57,16 +56,17 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 @dataclass
 class Grid:
     """Nodes, spacings, trig tables, Cartesian frames and the φ-mode stencil
-    of the Laplace–Beltrami operator; treat as immutable."""
+    of the Laplace–Beltrami operator; treat as immutable.  Two grids are
+    equal when mode, n, m_theta and m_phi are; the rest derives from them."""
 
     mode: str
     n: int
     m_theta: int
     m_phi: int
-    theta: np.ndarray = field(repr=False, default=None)
-    phi: np.ndarray = field(repr=False, default=None)
-    dtheta: float = 0.0
-    dphi: float = 0.0
+    theta: np.ndarray = field(init=False, compare=False, repr=False)
+    phi: np.ndarray = field(init=False, compare=False, repr=False)
+    dtheta: float = field(init=False, compare=False)
+    dphi: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("axisym", "full_s2"):
@@ -155,15 +155,6 @@ def axisym_grid(n: int, m_theta: int) -> Grid:
 def full_s2_grid(m_theta: int, m_phi: int) -> Grid:
     """Full (θ, φ) chart of S²."""
     return Grid(mode="full_s2", n=2, m_theta=m_theta, m_phi=m_phi)
-
-
-def grids_compatible(a: Grid, b: Grid) -> bool:
-    return (
-        a.mode == b.mode
-        and a.n == b.n
-        and a.m_theta == b.m_theta
-        and a.m_phi == b.m_phi
-    )
 
 
 def _check_shape(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -145,22 +145,26 @@ def in_cone(kappa, cone: Cone):
 
 
 def cone_failure(kappa, cone: Cone) -> str | None:
-    """First violated inequality for a single vector, or None if admissible."""
-    arr = np.asarray(kappa, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("cone_failure expects a single curvature vector")
-    if not np.all(np.isfinite(arr)):
-        return "non-finite curvature entry"
-    if cone.k is None:
-        for i, x in enumerate(arr):
-            if x <= 0.0:
-                return f"kappa_{i + 1} = {x:.6g} <= 0"
+    """None when every vector of κ, shape (..., n), lies in the cone; otherwise
+    the first one outside it, named by its index over the leading axes, with
+    the first inequality it breaks."""
+    arr = _as_batch(kappa)
+    ok = in_cone(arr, cone)
+    if np.all(ok):
         return None
-    for j in range(1, cone.k + 1):
-        s = float(sigma(arr, j))
-        if s <= 0.0:
-            return f"sigma_{j} = {s:.6g} <= 0"
-    return None
+    node = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), arr.shape[:-1]))
+    x = arr[node]
+    if not np.all(np.isfinite(x)):
+        broken = "non-finite curvature entry"
+    elif cone.k is None:
+        i = int(np.argmax(x <= 0.0))
+        broken = f"kappa_{i + 1} = {x[i]:.6g} <= 0"
+    else:
+        e = sigma_all(x, cone.k)
+        j = int(np.argmax(e[1:] <= 0.0)) + 1
+        broken = f"sigma_{j} = {e[j]:.6g} <= 0"
+    at = f" at node {node}" if node else ""
+    return f"curvature left {cone.describe()}{at}: {broken}"
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +247,9 @@ def natural_cone(spec) -> Cone:
 
 
 def _check_cone(spec, arr: np.ndarray) -> None:
-    cone = natural_cone(spec)
-    ok = in_cone(arr, cone)
-    if arr.ndim == 1:
-        if not ok:
-            raise ConeViolation(cone_failure(arr, cone) or "cone violation")
-        return
-    if not np.all(ok):
-        flat = arr.reshape(-1, arr.shape[-1])
-        bad = int(np.argmin(np.asarray(ok).reshape(-1)))
-        raise ConeViolation(
-            f"cone violation at flat node {bad}: {cone_failure(flat[bad], cone)}"
-        )
+    failure = cone_failure(arr, natural_cone(spec))
+    if failure is not None:
+        raise ConeViolation(failure)
 
 
 def _sigma_order(spec) -> int:

@@ -115,7 +115,7 @@ def test_run_diverged_exit_2(tmp_path):
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "diverged"
-    assert summary["detail"] != ""
+    assert summary["detail"].startswith("radius left [1e-06, 1e+06] at node (")
 
 
 def test_run_time_cap_exit_3(tmp_path):
@@ -178,6 +178,31 @@ def test_invalid_F_exits_64(tmp_path, capsys, F):
         assert cli.main(argv) == 64, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edits, argv",
+    [
+        pytest.param({"flow__beta": "nan"}, [], id="beta-nan"),
+        pytest.param({"flow__t_max": "nan"}, [], id="t_max-nan"),
+        pytest.param({"flow__tol_residual": "-1"}, [], id="tol_residual-negative"),
+        pytest.param(
+            {"grid__mode": "full_s2", "grid__m_theta": "8", "grid__m_phi": "16", "G__psi": "nan 0 0 1"},
+            [],
+            id="psi-strength-nan",
+        ),
+        pytest.param({}, ["--t-max", "nan"], id="override-t-max-nan"),
+        pytest.param({}, ["--t-max", "-1"], id="override-t-max-negative"),
+        pytest.param({}, ["--tol-residual", "-1"], id="override-tol-residual-negative"),
+    ],
+)
+def test_nonfinite_or_nonpositive_run_values_exit_64(tmp_path, capsys, edits, argv):
+    cfg = make_cfg(tmp_path / "v.cfg", **edits)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), *argv]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -397,6 +422,26 @@ def test_curvature_gates(tmp_path, capsys):
     capsys.readouterr()
 
 
+# e^gamma underflows to 0 (u = 0) or overflows to inf (u = inf, kappa = 0)
+@pytest.mark.parametrize("value, u", [("-800.0", "0"), ("800.0", "inf")])
+def test_curvature_refuses_a_field_that_is_not_star_shaped(tmp_path, capsys, value, u):
+    cfg = make_cfg(tmp_path / "s.cfg")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "0.01"]) == 3
+    capsys.readouterr()
+    # rows follow the version line and the column header; node 5 gets gamma
+    lines = (out / "final_field.csv").read_text().splitlines()
+    lines[2 + 5] = lines[2 + 5].split(",")[0] + "," + value
+    field = tmp_path / "field.csv"
+    field.write_text("\n".join(lines) + "\n")
+    table = tmp_path / "table.csv"
+    assert cli.main(["curvature", str(field), str(cfg), "--out", str(table)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith(f"gate failure: stored field is not a star-shaped graph at node (5,): u = {u},")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not table.exists()
+
+
 @pytest.mark.parametrize("key", ["mode", "n", "m_theta", "m_phi"])
 def test_curvature_refuses_a_field_header_without_a_key(tmp_path, capsys, key):
     cfg = make_cfg(tmp_path / "k.cfg")
@@ -493,7 +538,8 @@ def test_non_star_shaped_initial_data_exits_65(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 65
-    assert "not a star-shaped graph" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "initial profile is not a star-shaped graph at node (9,): u = " in err
     assert not out.exists()
 
 
@@ -515,7 +561,8 @@ def test_overflowing_initial_data_exits_65_without_warnings(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 65, proc.stderr
-    assert "not a star-shaped graph" in proc.stderr
+    # e^gamma overflows first at the north-pole node
+    assert "not a star-shaped graph at node (0,): u = inf" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
 

@@ -19,6 +19,7 @@ from starflow.flow import (
     STATUS_CONE_EXIT,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
+    STATUS_STAR_SHAPE_LOST,
     STATUS_TIME_CAP,
     ROS2_GAMMA,
     Constant,
@@ -111,7 +112,17 @@ def test_speed_field_cone_exit():
     with pytest.raises(FlowAbort) as info:
         speed_field(cfg, wild)
     assert info.value.status == STATUS_CONE_EXIT
-    assert "node" in info.value.detail
+    assert info.value.detail.startswith("curvature left Gamma_2^+ at node (")
+
+
+def test_speed_field_star_shape_lost():
+    cfg = setup1()
+    gamma = np.zeros(16)
+    gamma[9] = -800.0  # e^gamma underflows to 0: u = 0 at node 9
+    with pytest.raises(FlowAbort) as info, np.errstate(divide="ignore", invalid="ignore"):
+        speed_field(cfg, gamma)
+    assert info.value.status == STATUS_STAR_SHAPE_LOST
+    assert info.value.detail.startswith("not a star-shaped graph at node (9,): u = 0,")
 
 
 def test_step_matches_scalar_ros2():
@@ -195,7 +206,11 @@ def test_run_diverges_under_growing_forcing():
     cfg = setup1(G=SpeedSpec(c=1.0, a=0.0, b=1.0))  # Q = R^2 on spheres
     res = run(cfg, initial_gamma(Constant(R=1.1), cfg.grid))
     assert res.status == STATUS_DIVERGED
-    assert res.detail != ""
+    # the detail names the first node outside the range, with its rho
+    assert res.detail.startswith("radius left [1e-06, 1e+06] at node (")
+    node = int(res.detail.split("(")[1].split(",")[0])
+    rho = float(res.detail.split("rho = ")[1].split()[0])
+    assert rho == pytest.approx(np.exp(res.state.gamma[node]), rel=1e-2) and rho > 1e6
     assert res.history[-1].rho_max > 1e3
 
 

@@ -15,12 +15,11 @@ import pytest
 
 from starflow import spheregrid
 from starflow.geometry import (
-    DegenerateGeometry,
     assemble,
     export_obj,
     fundamental_forms,
     sphere_gap,
-    star_shape_check,
+    star_shape_failure,
     support_identity_residual,
 )
 from starflow.spheregrid import axisym_grid, full_s2_grid
@@ -135,24 +134,45 @@ def test_support_identity_residual_second_order():
     assert support_identity_residual(assemble(grid, np.zeros(16))) <= 1e-13
 
 
-def test_star_shape_check():
+def test_star_shape_failure():
     grid = axisym_grid(n=2, m_theta=16)
-    ok, u_min = star_shape_check(grid, np.zeros(16))
-    assert ok and u_min == pytest.approx(1.0, abs=1e-14)
-    ok, u_min = star_shape_check(grid, np.full(16, np.nan))
-    assert not ok
+    assert star_shape_failure(assemble(grid, np.zeros(16))) is None
     # violent profile: still star-shaped as a graph, u just gets small
-    wild = 4.0 * np.cos(5.0 * grid.theta)
-    ok, u_min = star_shape_check(grid, wild)
-    assert isinstance(ok, bool) and np.isfinite(u_min)
+    assert star_shape_failure(assemble(grid, 4.0 * np.cos(5.0 * grid.theta))) is None
+    # e^gamma underflows to 0 at node 5: u = 0 there, and kappa divides by it
+    flat = np.zeros(16)
+    flat[5] = -800.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        state = assemble(grid, flat)
+    failure = star_shape_failure(state)
+    assert failure.startswith("not a star-shaped graph at node (5,): u = 0,")
+    # on full_s2 the node is a (theta, phi) index
+    grid = full_s2_grid(m_theta=8, m_phi=8)
+    flat = np.zeros(grid.shape)
+    flat[2, 6] = -800.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        failure = star_shape_failure(assemble(grid, flat))
+    assert "at node (2, 6): u = 0," in failure
 
 
-def test_assemble_rejects_nonfinite():
+def test_star_shape_failure_names_nonfinite_nodes():
+    # assemble never raises on a bad state; the verdict names the first node
     grid = axisym_grid(n=2, m_theta=16)
     bad = np.zeros(16)
     bad[3] = np.inf
-    with pytest.raises(DegenerateGeometry):
-        assemble(grid, bad)
+    with np.errstate(invalid="ignore"):
+        state = assemble(grid, bad)
+    assert "at node (2,)" in star_shape_failure(state)  # node 3's neighbour
+    bad[:] = 0.0
+    bad[7] = np.nan
+    failure = star_shape_failure(assemble(grid, bad))
+    assert "at node (6,): u = nan, kappa = (nan, nan)" in failure  # 7's neighbour
+    # e^gamma overflows at node 0: u = inf is not finite either
+    with np.errstate(over="ignore"):
+        state = assemble(grid, np.full(16, 800.0))
+    assert "at node (0,): u = inf" in star_shape_failure(state)
+    with pytest.raises(ValueError):
+        assemble(grid, np.zeros(15))
 
 
 def test_export_obj(tmp_path):

@@ -10,7 +10,6 @@ from starflow.spheregrid import (
     full_s2_grid,
     grad,
     grad_norm_sq,
-    grids_compatible,
     pad_theta,
     read_field_csv,
     write_field_csv,
@@ -48,10 +47,15 @@ def test_grid_rejects_bad_parameters():
         Grid(mode="polar", n=2, m_theta=8, m_phi=0)
 
 
-def test_grids_compatible():
-    assert grids_compatible(axisym_grid(2, 16), axisym_grid(2, 16))
-    assert not grids_compatible(axisym_grid(2, 16), axisym_grid(3, 16))
-    assert not grids_compatible(axisym_grid(2, 16), full_s2_grid(16, 16))
+def test_grid_equality():
+    assert axisym_grid(2, 16) == axisym_grid(2, 16)
+    assert full_s2_grid(8, 16) == Grid(mode="full_s2", n=2, m_theta=8, m_phi=16)
+    assert axisym_grid(2, 16) != axisym_grid(3, 16)
+    assert axisym_grid(2, 16) != full_s2_grid(16, 16)
+    assert full_s2_grid(8, 16) != full_s2_grid(8, 18)
+    # the spacings and nodes derive from the counts; they are not arguments
+    with pytest.raises(TypeError):
+        Grid(mode="axisym", n=2, m_theta=16, m_phi=0, dtheta=5.0)
 
 
 def test_pad_theta_axisym_mirror():
@@ -168,7 +172,7 @@ def test_field_csv_round_trip_is_exact(tmp_path):
         path = tmp_path / f"field_{g.mode}.csv"
         write_field_csv(path, g, values)
         g2, v2 = read_field_csv(path)
-        assert grids_compatible(g, g2)
+        assert g == g2
         assert np.array_equal(values, v2)
 
     # the benchmark size, with signed zeros, a subnormal, the float extremes
@@ -180,7 +184,7 @@ def test_field_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "field_fine.csv"
     write_field_csv(path, g, values)
     g2, v2 = read_field_csv(path)
-    assert grids_compatible(g, g2)
+    assert g == g2
     assert np.array_equal(values, v2)
     assert np.array_equal(np.signbit(values), np.signbit(v2))
 

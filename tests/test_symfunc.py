@@ -131,6 +131,30 @@ def test_cone_membership_batched():
     assert mask.tolist() == [True, False, False]
 
 
+def test_cone_failure_names_the_first_node():
+    kappa = np.ones((3, 4, 3))
+    kappa[1, 2] = [2.0, 0.5, -0.25]  # in Gamma_2^+, not in Gamma_3^+ or Gamma_plus
+    kappa[2, 0] = [1.0, -2.0, -2.0]
+    assert cone_failure(kappa, GAMMA_PLUS) == (
+        "curvature left Gamma_plus at node (1, 2): kappa_3 = -0.25 <= 0"
+    )
+    assert cone_failure(kappa, Cone(3)) == (
+        "curvature left Gamma_3^+ at node (1, 2): sigma_3 = -0.25 <= 0"
+    )
+    assert cone_failure(kappa, Cone(1)) == (
+        "curvature left Gamma_1^+ at node (2, 0): sigma_1 = -3 <= 0"
+    )
+    kappa[0, 3, 1] = np.nan
+    assert cone_failure(kappa, Cone(1)) == (
+        "curvature left Gamma_1^+ at node (0, 3): non-finite curvature entry"
+    )
+    assert cone_failure(np.ones((5, 2)), GAMMA_PLUS) is None
+    # a single vector has no node to name
+    assert cone_failure(np.array([1.0, -0.5]), GAMMA_PLUS) == (
+        "curvature left Gamma_plus: kappa_2 = -0.5 <= 0"
+    )
+
+
 def test_cone_describe():
     assert GAMMA_PLUS.describe() == "Gamma_plus"
     assert Cone(2).describe() == "Gamma_2^+"
@@ -178,6 +202,11 @@ def test_F_grad_positive_in_cone():
 def test_F_checked_raises_outside_cone():
     with pytest.raises(ConeViolation):
         F_eval(SigmaKRoot(k=2), np.array([1.0, -1.0]))
+    batch = np.ones((4, 2))
+    batch[2] = [2.0, -1.0]
+    for evaluate in (F_eval, F_grad):
+        with pytest.raises(ConeViolation, match=r"at node \(2,\): sigma_2 = -2 <= 0"):
+            evaluate(SigmaKRoot(k=2), batch)
     # unchecked evaluation is the caller's problem; it must not raise
     with np.errstate(invalid="ignore"):
         val = F_eval(SigmaKRoot(k=2), np.array([1.0, -1.0]), checked=False)
