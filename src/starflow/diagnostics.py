@@ -192,7 +192,7 @@ def evolution_identity_check(config, state_a, state_b) -> float:
     """
     from .flow import speed_field
     from .geometry import assemble
-    from .spheregrid import grad, grad_norm_sq
+    from .spheregrid import derivatives
 
     dt = state_b.t - state_a.t
     if dt <= 0.0:
@@ -202,11 +202,9 @@ def evolution_identity_check(config, state_a, state_b) -> float:
     geom_b = assemble(grid, state_b.gamma)
     lhs = (geom_b.u - geom_a.u) / dt
 
-    s_t, s_p = grad(grid, speed)
-    if grid.mode == "axisym":
-        pairing = geom_a.gamma_t * s_t
-    else:
-        pairing = geom_a.gamma_t * s_t + geom_a.gamma_p * s_p / grid.sin_theta**2
+    # both φ terms are zero arrays on axisym grids
+    s_t, s_p = derivatives(grid, speed)[:2]
+    pairing = geom_a.gamma_t * s_t + geom_a.gamma_p * s_p / grid.sin_theta**2
     x_dot_grad = pairing / geom_a.omega**2
     rhs = geom_a.u * (speed - x_dot_grad)
     return float(np.max(np.abs(lhs - rhs)))

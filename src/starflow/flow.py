@@ -371,11 +371,20 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 # initial data
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0.0):  # NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Constant:
     """Round sphere of radius R."""
 
     R: float
+
+    def __post_init__(self):
+        _require_positive(radius=self.R)
 
 
 @dataclass(frozen=True)
@@ -385,6 +394,9 @@ class Spheroid:
     a: float
     b: float
 
+    def __post_init__(self):
+        _require_positive(a_axis=self.a, b_axis=self.b)
+
 
 @dataclass(frozen=True)
 class Perturbed:
@@ -393,41 +405,31 @@ class Perturbed:
     R: float
     amplitude: float
 
+    def __post_init__(self):
+        _require_positive(radius=self.R)
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+
 
 def initial_gamma(kind, grid: Grid) -> np.ndarray:
     """Build a starting profile γ and validate it is a star-shaped graph.
 
     Constant:  γ = log R.
     Spheroid:  ρ(θ) = ab / sqrt(b² sin²θ + a² cos²θ).
-    Perturbed: γ = log R + amplitude · cosθ on axisym grids,
-               γ = log R + amplitude · sinθ cosφ on full_s2 grids.
+    Perturbed: γ = log R + amplitude · ⟨ξ, v⟩, with v = e_z on axisym grids
+               (cosθ) and v = e_x on full_s2 grids (sinθ cosφ).
 
     Raises ValueError, naming the first node and its u, when the profile is
     not a star-shaped graph.
     """
-    theta = grid.theta
-    if grid.mode == "full_s2":
-        theta = theta[:, None]
     if isinstance(kind, Constant):
-        if kind.R <= 0.0:
-            raise ValueError("radius must be positive")
         gamma = np.full(grid.shape, np.log(kind.R))
     elif isinstance(kind, Spheroid):
-        if kind.a <= 0.0 or kind.b <= 0.0:
-            raise ValueError("spheroid semi-axes must be positive")
-        rho = (
-            kind.a
-            * kind.b
-            / np.sqrt(kind.b**2 * np.sin(theta) ** 2 + kind.a**2 * np.cos(theta) ** 2)
-        )
+        st, ct = grid.sin_theta, grid.cos_theta
+        rho = kind.a * kind.b / np.sqrt(kind.b**2 * st**2 + kind.a**2 * ct**2)
         gamma = np.broadcast_to(np.log(rho), grid.shape).copy()
     elif isinstance(kind, Perturbed):
-        if kind.R <= 0.0:
-            raise ValueError("radius must be positive")
-        if grid.mode == "axisym":
-            bump = np.cos(theta)
-        else:
-            bump = np.sin(theta) * np.cos(grid.phi[None, :])
+        bump = grid.xi[..., 2 if grid.mode == "axisym" else 0]
         gamma = np.log(kind.R) + kind.amplitude * bump
     else:
         raise TypeError(f"unknown initial-data kind {kind!r}")
@@ -438,4 +440,3 @@ def initial_gamma(kind, grid: Grid) -> np.ndarray:
     if failure is not None:
         raise ValueError(f"initial profile is {failure}")
     return gamma
-

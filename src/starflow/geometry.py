@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spheregrid import Grid, derivatives, grad, grad_norm_sq
+from .spheregrid import Grid, derivatives, grad_norm_sq
 
 __all__ = [
     "GeometryState",
@@ -194,7 +194,7 @@ def support_identity_residual(state: GeometryState) -> float:
     """
     grid = state.grid
     st = grid.sin_theta
-    u_t, u_p = grad(grid, state.u)
+    u_t, u_p = derivatives(grid, state.u)[:2]
     lhs = np.stack([u_t, u_p / st], axis=-1)
     phi = (state.rho**2)[..., None] * np.stack([state.gamma_t, state.gamma_p / st], axis=-1)
     g, h = fundamental_forms(state)

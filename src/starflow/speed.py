@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _R_LO, _R_HI = 1e-6, 1e6
+# -log of the smallest normal double, just below log of the largest double
+_LOG_MAX = -float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,16 @@ class SpeedSpec:
                 raise ValueError("exponents must be finite")
         object.__setattr__(self, "psi", tuple(self.psi))
         w = np.zeros(3)
-        for term in self.psi:
-            w = w + term.s * np.asarray(term.v)
+        with np.errstate(over="ignore"):  # an infinite |w| is refused below
+            for term in self.psi:
+                w = w + term.s * np.asarray(term.v)
+            size = float(np.linalg.norm(w))
+        # c ψ ranges over c e^{±|w|}: both ends, and e^{±|w|}, are finite
+        # normal doubles exactly when |log c| + |w| < -log(tiny)
+        if not abs(float(np.log(self.c))) + size < _LOG_MAX:
+            raise ValueError(
+                f"forcing c e^(+-|w|) overflows a double: c = {self.c:g}, |w| = {size:g}"
+            )
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
@@ -194,10 +204,13 @@ def _sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float) -> 
     if slope == 0.0:
         raise ValueError("a + b + beta = 0: forcing is scale-invariant, radii are not pinned")
     f_unit = float(F_eval(F_spec, np.ones(n)))
-    r = float(np.exp((np.log(f_unit) - np.log(spec.c * psi) / beta) / slope))
-    if not _R_LO < r < _R_HI:
-        raise ValueError(f"no sphere radius inside [{_R_LO:g}, {_R_HI:g}] (root at r = {r:.3g})")
-    return r
+    # a float quotient: a tiny slope sends log r to inf without a warning
+    log_r = float(np.log(f_unit) - np.log(spec.c * psi) / beta) / slope
+    if not np.log(_R_LO) < log_r < np.log(_R_HI):
+        raise ValueError(
+            f"no sphere radius inside [{_R_LO:g}, {_R_HI:g}] (root at log r = {log_r:.3g})"
+        )
+    return float(np.exp(log_r))
 
 
 @dataclass(frozen=True)
@@ -213,12 +226,6 @@ class MonotonicityReport:
     """
 
     margins: dict = field(default_factory=dict)
-
-    def holds(self, name: str) -> bool:
-        return self.margins[name] > 0.0
-
-    def holds_weak(self, name: str) -> bool:
-        return self.margins[name] >= 0.0
 
 
 def monotonicity_report(spec: SpeedSpec, beta: float) -> MonotonicityReport:

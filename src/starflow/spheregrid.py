@@ -41,9 +41,7 @@ __all__ = [
     "full_s2_grid",
     "pad_theta",
     "derivatives",
-    "grad",
     "grad_norm_sq",
-    "covariant_hessian",
     "factor_shifted_laplacian",
     "write_node_table",
     "write_field_csv",
@@ -183,8 +181,15 @@ def pad_theta(grid: Grid, f: np.ndarray) -> np.ndarray:
 def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     """Chart gradient and covariant Hessian of f from one ghost padding.
 
-    Returns (∂_θ f, ∂_φ f, f_{;θθ}, f_{;θφ}, f_{;φφ}); grad and
-    covariant_hessian document the two halves.
+    Returns (∂_θ f, ∂_φ f, f_{;θθ}, f_{;θφ}, f_{;φφ}), central differences of
+
+        f_{;θθ} = ∂²_θ f
+        f_{;θφ} = ∂_θ∂_φ f - cotθ ∂_φ f
+        f_{;φφ} = ∂²_φ f + sinθ cosθ ∂_θ f
+
+    On axisym grids every ∂_φ term is zero: ∂_φ f and f_{;θφ} are zero
+    arrays, and the φφ slot is sinθ cosθ ∂_θ f, the S² chart value shared by
+    every parallel direction.
     """
     f = _check_shape(grid, f)
     p = pad_theta(grid, f)
@@ -204,34 +209,11 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     return f_t, f_p, f_tt, h_tp, h_pp
 
 
-def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chart partials (∂_θ f, ∂_φ f) by central differences.
-
-    The φ component is identically zero on axisym grids.
-    """
-    return derivatives(grid, f)[:2]
-
-
 def grad_norm_sq(grid: Grid, f_t: np.ndarray, f_p: np.ndarray) -> np.ndarray:
     """|Df|² in the round chart metric: f_θ² + f_φ²/sin²θ."""
     if grid.mode == "axisym":
         return f_t * f_t
     return f_t * f_t + (f_p / grid.sin_theta) ** 2
-
-
-def covariant_hessian(
-    grid: Grid, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariant chart Hessian (f_{;θθ}, f_{;θφ}, f_{;φφ}) on the round sphere.
-
-        f_{;θθ} = ∂²_θ f
-        f_{;θφ} = ∂_θ∂_φ f - cotθ ∂_φ f
-        f_{;φφ} = ∂²_φ f + sinθ cosθ ∂_θ f
-
-    Axisym grids return the same triple with ∂_φ terms dropped; the φφ slot is
-    then sinθ cosθ ∂_θ f, the S² chart value shared by every parallel direction.
-    """
-    return derivatives(grid, f)[2:]
 
 
 def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):

@@ -5,7 +5,9 @@ as SystemExit(64) and are asserted as such.
 """
 
 import configparser
+import contextlib
 import csv
+import io
 import json
 import os
 import pathlib
@@ -14,6 +16,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from starflow import cli
 from starflow.diagnostics import read_history_csv
@@ -204,6 +208,178 @@ def test_nonfinite_or_nonpositive_run_values_exit_64(tmp_path, capsys, edits, ar
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def assert_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param({"initial__radius": "nan"}, id="radius-nan"),
+        pytest.param({"initial__radius": "-1"}, id="radius-negative"),
+        pytest.param({"initial__radius": "inf"}, id="radius-inf"),
+        pytest.param(
+            {"initial__kind": "perturbed", "initial__amplitude": "nan"}, id="amplitude-nan"
+        ),
+        pytest.param(
+            {"initial__kind": "perturbed", "initial__radius": "0", "initial__amplitude": "0.1"},
+            id="perturbed-radius-zero",
+        ),
+        pytest.param(
+            {"initial__kind": "spheroid", "initial__a_axis": "nan", "initial__b_axis": "1"},
+            id="spheroid-a-nan",
+        ),
+        pytest.param(
+            {"initial__kind": "spheroid", "initial__a_axis": "1", "initial__b_axis": "-1"},
+            id="spheroid-b-negative",
+        ),
+    ],
+)
+def test_bad_initial_data_values_exit_64(tmp_path, capsys, edits):
+    cfg = make_cfg(tmp_path / "i.cfg", **edits)
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert cli.main(argv) == 64, argv[0]
+        assert_config_error(capsys)
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_64(tmp_path, capsys):
+    cfg = make_cfg(tmp_path / "latin1.cfg")
+    cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+    assert cli.main(["validate", str(cfg)]) == 64
+    assert_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "edits, code, text",
+    [
+        # e^1000 is not a double: a configuration error
+        pytest.param(
+            {"G__psi": "1000 0 0 1"}, 64, "configuration error: forcing", id="psi-overflows"
+        ),
+        # c = 1e300 is, but the sphere where G = F^beta sits at log r = 6.9e8
+        pytest.param(
+            {"G__c": "1e300", "G__b": "-1.000001"},
+            1,
+            "no admissible barrier radii: no sphere radius inside [1e-06, 1e+06]",
+            id="radius-overflows",
+        ),
+    ],
+)
+def test_forcing_that_overflows_a_double(tmp_path, capsys, edits, code, text):
+    # a RuntimeWarning on the way would be an error here, and exit 70
+    cfg = make_cfg(tmp_path / "g.cfg", **edits)
+    assert cli.main(["validate", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert text in captured.out + captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param({"grid__m_theta": None}, id="missing-key"),
+        pytest.param({"grid__m_theta": "sixteen"}, id="bad-conversion"),
+        pytest.param(
+            {"F__variant": "product", "F__terms": "1.0*harmonic(2)"}, id="unknown-product-factor"
+        ),
+        pytest.param({"G__psi": "0.2 0 1"}, id="psi-term-three-fields"),
+        pytest.param({"grid__mode": "cubed_sphere"}, id="unknown-grid-mode"),
+        pytest.param({"initial__kind": "torus"}, id="unknown-initial-kind"),
+        pytest.param({"flow__t_max": "50%"}, id="percent-sign"),
+        pytest.param(None, id="unparseable-ini"),
+    ],
+)
+def test_configuration_error_branches_exit_64(tmp_path, capsys, edits):
+    cfg = tmp_path / "e.cfg"
+    if edits is None:
+        cfg.write_text("beta = 1.0\n[flow]\n")  # a key before any section header
+    else:
+        make_cfg(cfg, **edits)
+    assert cli.main(["validate", str(cfg)]) == 64
+    assert_config_error(capsys)
+
+
+# per-key literals, the first valid, the rest valid or invalid (junk text
+# included); None leaves the key out.  Keys that size a grid take only listed
+# values, so no grid beyond 64x128 is built.
+_INI_LITERALS = {
+    "flow": {
+        "beta": ["1.0", "0.5", "0", "-1", "nan", "inf", "one", None],
+        "psi_mode": ["identity", "neg_reciprocal", "bogus", None],
+        "dt_safety": ["0.5", "1.5", "0", "x", None],
+        "t_max": ["50", "1e-3", "-1", "nan", "50%", None],
+        "tol_residual": ["1e-6", "0", "inf", "?", None],
+        "cadence": ["50", "0", "2.5", None],
+    },
+    "F": {
+        "variant": ["sigma_k_root", "quotient_root", "power_mean", "product", "harmonic", None],
+        "k": ["1", "2", "3", "0", "x", None],
+        "l": ["0", "1", "5", None],
+        "p": ["-1", "2", "nan", None],
+        "terms": [
+            "0.5*sigma_k_root(2), 0.5*power_mean(-1)",
+            "1.0*harmonic(2)",
+            "1.0*sigma_k_root(",
+            "%(k)s",
+            "junk",
+            None,
+        ],
+    },
+    "G": {
+        "c": ["1.0", "1e300", "1e-320", "0", "-2", "nan", "x", None],
+        "a": ["0.0", "-0.5", "1e308", "nan", "x", None],
+        "b": ["-2.0", "-1.000001", "1.0", "-1e308", "inf", None],
+        "psi": ["", "0.2 0 0 1", "0.2 1 0 0", "1000 0 0 1", "0.2 0 1", "nan 0 0 1", "a b c d", None],
+    },
+    "grid": {
+        "mode": ["axisym", "full_s2", "cubed", None],
+        "n": ["2", "3", "1", "x", None],
+        "m_theta": ["8", "16", "64", "7", "0", "x", None],
+        "m_phi": ["16", "0", "128", "7", "x", None],
+    },
+    "initial": {
+        "kind": ["constant", "spheroid", "perturbed", "torus", None],
+        "radius": ["1.3", "-1", "0", "nan", "1e-300", "x", None],
+        "a_axis": ["1.1", "0", "nan", None],
+        "b_axis": ["0.9", "-1", "inf", None],
+        "amplitude": ["0.1", "1000", "nan", None],
+    },
+    "output": {"obj_every": ["0", "40", "-1", "x", None]},
+}
+
+
+@st.composite
+def ini_sections(draw):
+    """The all-valid INI with a few keys redrawn from their literal lists."""
+    sections = {
+        name: {key: values[0] for key, values in keys.items()}
+        for name, keys in _INI_LITERALS.items()
+    }
+    keys = [(name, key) for name, body in _INI_LITERALS.items() for key in body]
+    for name, key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        sections[name][key] = draw(st.sampled_from(_INI_LITERALS[name][key]))
+    return sections
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ini_sections())
+def test_validate_exits_only_with_documented_codes(tmp_path, sections):
+    lines = []
+    for name, body in sections.items():
+        lines.append(f"[{name}]")
+        lines.extend(f"{key} = {value}" for key, value in body.items() if value is not None)
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(cfg)])
+    assert code in (0, 1, 64, 65), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unwritable_out_exits_64(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 from starflow.spheregrid import (
     Grid,
     axisym_grid,
-    covariant_hessian,
+    derivatives,
     full_s2_grid,
-    grad,
     grad_norm_sq,
     pad_theta,
     read_field_csv,
@@ -80,7 +79,7 @@ def test_grad_converges_second_order():
     errs = []
     for m in (16, 32):
         g = axisym_grid(n=2, m_theta=m)
-        f_t, f_p = grad(g, np.cos(g.theta))
+        f_t, f_p = derivatives(g, np.cos(g.theta))[:2]
         errs.append(float(np.max(np.abs(f_t + np.sin(g.theta)))))
         assert np.all(f_p == 0.0)
     assert errs[1] < errs[0] / 3.5
@@ -89,7 +88,7 @@ def test_grad_converges_second_order():
     for m in (16, 32):
         g = full_s2_grid(m_theta=m, m_phi=2 * m)
         f = np.sin(g.theta)[:, None] * np.cos(g.phi)[None, :]
-        f_t, f_p = grad(g, f)
+        f_t, f_p = derivatives(g, f)[:2]
         want_t = np.cos(g.theta)[:, None] * np.cos(g.phi)[None, :]
         want_p = -np.sin(g.theta)[:, None] * np.sin(g.phi)[None, :]
         errs.append(
@@ -117,7 +116,7 @@ def test_covariant_hessian_axisym():
     for m in (16, 32):
         g = axisym_grid(n=2, m_theta=m)
         f = np.cos(g.theta)
-        h_tt, h_tp, h_pp = covariant_hessian(g, f)
+        h_tt, h_tp, h_pp = derivatives(g, f)[2:]
         assert np.all(h_tp == 0.0)
         errs.append(
             max(
@@ -133,7 +132,7 @@ def test_covariant_hessian_full_s2():
     for m in (16, 32):
         g = full_s2_grid(m_theta=m, m_phi=2 * m)
         f = np.sin(g.theta)[:, None] * np.cos(g.phi)[None, :]
-        h_tt, h_tp, h_pp = covariant_hessian(g, f)
+        h_tt, h_tp, h_pp = derivatives(g, f)[2:]
         s2 = np.sin(g.theta)[:, None] ** 2
         errs.append(
             max(
@@ -152,13 +151,13 @@ def test_axisym_and_full_s2_agree_on_symmetric_fields():
     prof = np.cos(2.0 * ax.theta) + 0.3 * np.sin(ax.theta)
     f2 = np.tile(prof[:, None], (1, 16))
 
-    t1, _ = grad(ax, prof)
-    t2, p2 = grad(s2, f2)
+    t1, _ = derivatives(ax, prof)[:2]
+    t2, p2 = derivatives(s2, f2)[:2]
     assert np.max(np.abs(t2 - t1[:, None])) < 1e-12
     assert np.max(np.abs(p2)) < 1e-12
 
-    a_tt, _, a_pp = covariant_hessian(ax, prof)
-    b_tt, b_tp, b_pp = covariant_hessian(s2, f2)
+    a_tt, _, a_pp = derivatives(ax, prof)[2:]
+    b_tt, b_tp, b_pp = derivatives(s2, f2)[2:]
     assert np.max(np.abs(b_tt - a_tt[:, None])) < 1e-12
     assert np.max(np.abs(b_pp - a_pp[:, None])) < 1e-12
     assert np.max(np.abs(b_tp)) < 1e-12
