@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Four subcommands:
+Three subcommands:
 
     starflow run CONFIG        evolve a profile to stationarity, write outputs
     starflow validate CONFIG   report barrier radii and exponent conditions
-    starflow selfcheck         re-run the randomized property suites
     starflow curvature F CONFIG  per-node curvature table for a stored field
 
 Run configurations are INI files with sections [flow], [F], [G], [grid],
@@ -14,7 +13,7 @@ annotated examples.
 Exit codes are part of the interface and nothing else is ever returned:
 
     0   success (run: converged)
-    1   validate: no admissible barrier radii; selfcheck: a suite failed
+    1   validate: no admissible barrier radii
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap
     64  usage or configuration parse error
@@ -29,13 +28,10 @@ import argparse
 import configparser
 import hashlib
 import json
-import os
 import re
 import sys
-import tempfile
 import traceback
 from dataclasses import asdict, dataclass, replace
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +40,11 @@ from . import __version__, diagnostics, flow, geometry, speed, spheregrid, symfu
 
 __all__ = [
     "ConfigError", "GateError", "RunSetup", "parse_config", "build_parser", "main",
-    "cmd_run", "cmd_validate", "cmd_selfcheck", "cmd_curvature",
+    "cmd_run", "cmd_validate", "cmd_curvature",
 ]
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 1  # validate: no admissible barriers; selfcheck: suite failed
+EXIT_CHECK_FAILED = 1  # validate: no admissible barrier radii
 EXIT_ABORTED = 2
 EXIT_TIME_CAP = 3
 EXIT_USAGE = 64
@@ -366,136 +362,6 @@ def cmd_validate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selfcheck
-
-
-def _suite_sympoly(rng) -> list[str]:
-    failures = []
-    for trial in range(200):
-        n = int(rng.integers(2, 7))
-        kappa = rng.uniform(0.05, 3.0, n)
-        for k in range(1, n + 1):
-            brute = sum(
-                float(np.prod(kappa[list(c)])) for c in combinations(range(n), k)
-            )
-            fast = float(symfunc.sigma(kappa, k))
-            if abs(fast - brute) > 1e-12 * max(1.0, abs(brute)):
-                failures.append(
-                    f"sigma recurrence vs enumeration: n={n} k={k} "
-                    f"fast={fast!r} brute={brute!r}"
-                )
-        k = int(rng.integers(1, n + 1))
-        total = float(np.sum(symfunc.sigma_grad(kappa, k)))
-        expect = (n - k + 1) * float(symfunc.sigma(kappa, k - 1))
-        if abs(total - expect) > 1e-10 * max(1.0, abs(expect)):
-            failures.append(f"grad row-sum identity: n={n} k={k}")
-        # degree-one homogeneity of each speed family
-        specs = [
-            symfunc.SigmaKRoot(k=min(2, n)),
-            symfunc.QuotientRoot(k=min(2, n), l=min(2, n) - 1),
-            symfunc.PowerMean(p=-1.5),
-        ]
-        for spec in specs:
-            f = float(symfunc.F_eval(spec, kappa))
-            euler = float(np.sum(kappa * symfunc.F_grad(spec, kappa)))
-            if abs(euler - f) > 1e-9 * max(1.0, abs(f)):
-                failures.append(f"Euler identity for {spec}: {euler} vs {f}")
-        if n >= 2:
-            m = int(rng.integers(2, n + 1))
-            margin = float(symfunc.newton_maclaurin_margin(kappa, m))
-            if margin < -1e-12:
-                failures.append(f"mean chain inverted: n={n} m={m} margin={margin}")
-    return failures
-
-
-# the linear harmonic ⟨ξ, v⟩ has covariant Hessian -⟨ξ, v⟩ e on the round
-# sphere; axisym grids take the polar axis v = e_z, and full_s2 grids v = e_x,
-# whose harmonic varies in φ
-_E_X, _E_Z = np.eye(3)[0], np.eye(3)[2]
-
-
-def _suite_grid(rng) -> list[str]:
-    failures = []
-    for v, grids in (
-        (_E_Z, [spheregrid.axisym_grid(n=2, m_theta=m) for m in (16, 32)]),
-        (_E_X, [spheregrid.full_s2_grid(m_theta=m, m_phi=2 * m) for m in (16, 32)]),
-    ):
-        errs = []
-        for grid in grids:
-            f = grid.xi @ v
-            _, _, h_tt, h_tp, h_pp = spheregrid.derivatives(grid, f)
-            errs.append(
-                max(
-                    float(np.max(np.abs(h_tt + f))),
-                    float(np.max(np.abs(h_pp + f * grid.sin_theta**2))),
-                    float(np.max(np.abs(h_tp))),
-                )
-            )
-        if errs[0] < 1e-13 and errs[1] < 1e-13:
-            pass  # exactly resolved mode
-        elif not errs[1] < errs[0] / 3.0:
-            failures.append(
-                f"{grid.mode} Hessian not second order: errors {errs[0]:.3e} -> {errs[1]:.3e}"
-            )
-    # round trip
-    grid = spheregrid.full_s2_grid(m_theta=8, m_phi=8)
-    values = rng.normal(size=grid.shape)
-    with tempfile.TemporaryDirectory() as tmp:
-        p = os.path.join(tmp, "f.csv")
-        spheregrid.write_field_csv(p, grid, values)
-        grid2, values2 = spheregrid.read_field_csv(p)
-        if grid != grid2 or not np.array_equal(values, values2):
-            failures.append("field CSV round trip is not exact")
-    return failures
-
-
-def _suite_geometry(rng) -> list[str]:
-    failures = []
-    for grid, v in (
-        (spheregrid.axisym_grid(n=3, m_theta=24), _E_Z),
-        (spheregrid.full_s2_grid(m_theta=24, m_phi=48), _E_X),
-    ):
-        R = float(rng.uniform(0.5, 2.0))
-        state = geometry.assemble(grid, np.full(grid.shape, np.log(R)))
-        if float(np.max(np.abs(state.kappa - 1.0 / R))) > 1e-12:
-            failures.append(f"{grid.mode}: sphere curvatures are not exactly 1/R")
-        if float(np.max(np.abs(state.u - R))) > 1e-12:
-            failures.append(f"{grid.mode}: sphere support is not exactly R")
-        amp = float(rng.uniform(0.05, 0.15))
-        state = geometry.assemble(grid, amp * (grid.xi @ v))
-        if np.any(state.u > state.rho + 1e-14):
-            failures.append(f"{grid.mode}: support value exceeded the radius somewhere")
-        # assemble's curvatures against the pencil (h, g) it built; on axisym
-        # grids the pencil holds the meridian and one parallel direction
-        g, h = geometry.fundamental_forms(state)
-        direct = np.sort(np.linalg.eigvals(np.linalg.solve(g, h)).real)[..., ::-1]
-        if float(np.max(np.abs(direct - state.kappa[..., [0, -1]]))) > 1e-8:
-            failures.append(f"{grid.mode}: curvatures disagree with the pencil eigensolve")
-    return failures
-
-
-_SUITES = {
-    "sympoly": _suite_sympoly,
-    "grid": _suite_grid,
-    "geometry": _suite_geometry,
-}
-
-
-def cmd_selfcheck(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    any_failed = False
-    for name in names:
-        rng = np.random.default_rng(args.seed)
-        failures = _SUITES[name](rng)
-        for failure in failures:
-            any_failed = True
-            print(json.dumps({"suite": name, "failure": failure}))
-        if not failures:
-            print(json.dumps({"suite": name, "ok": True}))
-    return EXIT_CHECK_FAILED if any_failed else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # curvature table
 
 
@@ -525,7 +391,7 @@ def cmd_curvature(args) -> int:
         # nodes outside the cone may hit fractional powers of negatives;
         # they are masked to nan afterwards, so silence the warnings
         with np.errstate(invalid="ignore", divide="ignore"):
-            f_all = symfunc.F_eval(cfg.F, geom.kappa, checked=False)
+            f_all = symfunc.F_eval(cfg.F, geom.kappa)
             g_all = speed.G_eval(cfg.G, geom.xi, geom.u, geom.rho)
             q_all = g_all * f_all ** (-cfg.beta)
         f_val = np.where(mask, f_all, np.nan)
@@ -569,15 +435,6 @@ def build_parser() -> _Parser:
     p_val = sub.add_parser("validate", help="report admissibility of a configuration")
     p_val.add_argument("config")
     p_val.set_defaults(fn=cmd_validate)
-
-    p_self = sub.add_parser("selfcheck", help="re-run randomized property suites")
-    p_self.add_argument(
-        "--suite",
-        choices=sorted(_SUITES) + ["all"],
-        default="all",
-    )
-    p_self.add_argument("--seed", type=int, default=0)
-    p_self.set_defaults(fn=cmd_selfcheck)
 
     p_curv = sub.add_parser(
         "curvature", help="write a per-node curvature table for a stored field"

@@ -135,6 +135,11 @@ class FlowConfig:
         for key in ("beta", "t_max", "tol_residual"):
             if not getattr(self, key) > 0.0:  # NaN fails too
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        # the scaling exponent of G / F^beta; the barrier radii divide by it
+        if not np.isfinite(self.G.a + self.G.b + self.beta):
+            raise ValueError(
+                f"a + b + beta must be finite, got {self.G.a} + {self.G.b} + {self.beta}"
+            )
         if self.psi_mode not in (PSI_IDENTITY, PSI_NEG_RECIPROCAL):
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if not 0.0 < self.dt_safety <= 1.0:

@@ -41,11 +41,9 @@ __all__ = [
     "WeightedProduct",
     "sigma",
     "sigma_all",
-    "sigma_grad",
     "in_cone",
     "cone_failure",
     "F_eval",
-    "F_grad",
     "F_fused",
     "natural_cone",
     "newton_maclaurin_margin",
@@ -94,22 +92,6 @@ def sigma_all(kappa, kmax: int) -> np.ndarray:
 def sigma(kappa, k: int):
     """σ_k(κ) for κ of shape (..., n); returns shape (...)."""
     return sigma_all(kappa, k)[..., k]
-
-
-def sigma_grad(kappa, k: int) -> np.ndarray:
-    """Gradient of σ_k: component i is σ_{k-1}(κ with entry i removed).
-
-    Shape (..., n) in, shape (..., n) out.  1 <= k <= n.
-    """
-    arr = _as_batch(kappa)
-    n = arr.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    out = np.empty_like(arr)
-    for i in range(n):
-        rest = np.delete(arr, i, axis=-1)
-        out[..., i] = sigma(rest, k - 1) if n > 1 else 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +228,6 @@ def natural_cone(spec) -> Cone:
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
 
-def _check_cone(spec, arr: np.ndarray) -> None:
-    failure = cone_failure(arr, natural_cone(spec))
-    if failure is not None:
-        raise ConeViolation(failure)
-
-
 def _sigma_order(spec) -> int:
     """Highest σ_j that F reads: k of a σ_k root or quotient, 0 for a power mean."""
     if isinstance(spec, WeightedProduct):
@@ -259,17 +235,14 @@ def _sigma_order(spec) -> int:
     return getattr(spec, "k", 0)
 
 
-def F_eval(spec, kappa, *, checked: bool = True):
+def F_eval(spec, kappa):
     """Evaluate the degree-one speed F at κ (vectorized over leading axes).
 
-    With ``checked=True`` (default) the natural cone is enforced first and a
-    ConeViolation raised on the first failure. Callers that have already
-    screened the field may pass ``checked=False``.
+    No cone test: off the natural cone the value means nothing (it may be
+    nan), so callers evaluate inside the cone or mask with in_cone.
     """
     arr = _as_batch(kappa)
     _validate_spec(spec, arr.shape[-1])
-    if checked:
-        _check_cone(spec, arr)
     return _F_eval_raw(spec, sigma_all(arr, _sigma_order(spec)), arr)
 
 
@@ -291,41 +264,30 @@ def _F_eval_raw(spec, e: np.ndarray, arr: np.ndarray):
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
 
-def F_grad(spec, kappa) -> np.ndarray:
-    """∂F/∂κ_i, shape (..., n); positive on the natural cone, ConeViolation off it."""
-    arr = _as_batch(kappa)
-    _validate_spec(spec, arr.shape[-1])
-    _check_cone(spec, arr)
-    e = sigma_all(arr, _sigma_order(spec))
-    return _F_grad_raw(spec, e, arr, slice(None), lambda k: sigma_grad(arr, k))
-
-
-def _F_grad_raw(spec, e: np.ndarray, arr: np.ndarray, cols, dsigma) -> np.ndarray:
-    """∂F/∂κ_i for the entries i in the slice cols, shape (..., len(cols)).
-
-    e[..., j] is σ_j(κ) and dsigma(k) returns ∂σ_k/∂κ_i for those entries.
-    """
+def _lam_max_raw(spec, e: np.ndarray, rest: np.ndarray, arr: np.ndarray):
+    """∂F/∂κ_n at κ = arr, with e[..., j] = σ_j(κ) and rest[..., j] = σ_j(κ
+    without κ_n), which is ∂σ_{j+1}/∂κ_n."""
     if isinstance(spec, SigmaKRoot):
         k = spec.k
-        return (1.0 / k) * e[..., k, None] ** (1.0 / k - 1.0) * dsigma(k)
+        return (1.0 / k) * e[..., k] ** (1.0 / k - 1.0) * rest[..., k - 1]
     if isinstance(spec, QuotientRoot):
         k, l = spec.k, spec.l
         f = _F_eval_raw(spec, e, arr)
-        term = dsigma(k) / e[..., k, None]
+        term = rest[..., k - 1] / e[..., k]
         if l > 0:
-            term = term - dsigma(l) / e[..., l, None]
-        return f[..., None] * term / (k - l)
+            term = term - rest[..., l - 1] / e[..., l]
+        return f * term / (k - l)
     if isinstance(spec, PowerMean):
         p = spec.p
         s = np.sum(arr ** p, axis=-1)
-        return s[..., None] ** (1.0 / p - 1.0) * arr[..., cols] ** (p - 1.0)
+        return s ** (1.0 / p - 1.0) * arr[..., -1] ** (p - 1.0)
     if isinstance(spec, WeightedProduct):
         f = _F_eval_raw(spec, e, arr)
         acc = 0.0
         for sub, w in spec.terms:
             fi = _F_eval_raw(sub, e, arr)
-            acc = acc + w * _F_grad_raw(sub, e, arr, cols, dsigma) / fi[..., None]
-        return f[..., None] * acc
+            acc = acc + w * _lam_max_raw(sub, e, rest, arr) / fi
+        return f * acc
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
 
@@ -336,7 +298,8 @@ def F_fused(spec, kappa):
     on its natural cone, so (∂_i F - ∂_j F)(κ_i - κ_j) <= 0 there: λ_max sits at
     the last entry κ_n.  One sweep over κ without κ_n yields σ_j(κ|n) =
     ∂σ_{j+1}/∂κ_n, one more recurrence step σ_j(κ).  Matches in_cone, F_eval
-    and max F_grad; F and λ_max mean nothing where the mask fails.
+    and the largest entry of the gradient ∂F/∂κ; F and λ_max mean nothing
+    where the mask fails.
     """
     arr = _as_batch(kappa)
     _validate_spec(spec, arr.shape[-1])
@@ -350,9 +313,7 @@ def F_fused(spec, kappa):
         ok = np.all(e[..., 1 : cone.k + 1] > 0.0, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = _F_eval_raw(spec, e, arr)
-        lam = _F_grad_raw(
-            spec, e, arr, slice(-1, None), lambda k: rest[..., k - 1, None]
-        )[..., 0]
+        lam = _lam_max_raw(spec, e, rest, arr)
     return ok, f, lam
 
 
@@ -367,8 +328,9 @@ def newton_maclaurin_margin(kappa, m: int):
     n = arr.shape[-1]
     if not 2 <= m <= n:
         raise ValueError(f"m must lie in [2, {n}], got {m}")
-    if not np.all(in_cone(arr, Cone(m))):
-        raise ConeViolation(f"newton_maclaurin_margin needs kappa in Gamma_{m}^+")
+    failure = cone_failure(arr, Cone(m))
+    if failure is not None:
+        raise ConeViolation(failure)
     e = sigma_all(arr, m)
     roots = np.empty(arr.shape[:-1] + (m,))
     for j in range(1, m + 1):

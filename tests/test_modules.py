@@ -1,7 +1,10 @@
-"""Each module's __all__ names exactly the functions and classes it defines."""
+"""Each module's __all__ names exactly the functions and classes it defines,
+and each of them serves the package, not only its own unit test."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -10,17 +13,40 @@ import starflow
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(starflow.__path__))
 
+# public names that neither the package nor the acceptance criteria read,
+# each with the reason it is kept
+UNUSED_ALLOWED = {
+    "diagnostics.read_history_csv": "the v1 reader of the history.csv that run writes",
+}
 
-@pytest.mark.parametrize("name", MODULES)
-def test_all_lists_exactly_the_public_functions_and_classes(name):
-    module = importlib.import_module(f"starflow.{name}")
-    defined = {
+
+def names_read(path):
+    """Every name the file reads as a variable or an attribute, leaving out
+    a top-level def's or class's reads of its own name."""
+    read = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
+                read.add(name)
+    return read
+
+
+def public_names(module):
+    """The functions and classes that the module defines without a leading _."""
+    return {
         attr
         for attr, obj in vars(module).items()
         if not attr.startswith("_")
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_exactly_the_public_functions_and_classes(name):
+    module = importlib.import_module(f"starflow.{name}")
     listed = set(module.__all__)
     assert len(module.__all__) == len(listed), "duplicate names in __all__"
     assert {attr for attr in listed if not hasattr(module, attr)} == set()
@@ -28,4 +54,16 @@ def test_all_lists_exactly_the_public_functions_and_classes(name):
         attr for attr in listed
         if inspect.isfunction(getattr(module, attr)) or inspect.isclass(getattr(module, attr))
     }
-    assert listed_callables == defined
+    assert listed_callables == public_names(module)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_function_and_class_is_used(name):
+    # a use is a read in the package source, or in the acceptance criteria;
+    # code that only its own unit test reaches is deleted
+    src = pathlib.Path(starflow.__file__).resolve().parent
+    acceptance = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
+    read = set().union(*map(names_read, [*sorted(src.glob("*.py")), acceptance]))
+    module = importlib.import_module(f"starflow.{name}")
+    unused = {f"{name}.{attr}" for attr in public_names(module) - read}
+    assert unused == {key for key in UNUSED_ALLOWED if key.startswith(f"{name}.")}

@@ -2,6 +2,8 @@
 
 Reference values are tiny hand computations or brute-force subset
 enumerations done inline; nothing is recycled from the module under test.
+The full gradients sigma_grad and F_grad live here, as the chain-rule
+references that F_fused's lambda_max is compared against.
 """
 
 from itertools import combinations
@@ -15,7 +17,6 @@ from starflow.symfunc import (
     ConeViolation,
     F_eval,
     F_fused,
-    F_grad,
     PowerMean,
     QuotientRoot,
     SigmaKRoot,
@@ -26,7 +27,6 @@ from starflow.symfunc import (
     newton_maclaurin_margin,
     sigma,
     sigma_all,
-    sigma_grad,
 )
 
 
@@ -36,6 +36,37 @@ def brute_sigma(kappa, k):
     if k == 0:
         return 1.0
     return sum(float(np.prod([kappa[i] for i in c])) for c in combinations(range(len(kappa)), k))
+
+
+def sigma_grad(kappa, k):
+    """Gradient of sigma_k: component i is sigma_{k-1}(kappa with entry i removed)."""
+    kappa = np.asarray(kappa, dtype=float)
+    n = kappa.shape[-1]
+    out = np.empty_like(kappa)
+    for i in range(n):
+        out[..., i] = sigma(np.delete(kappa, i, axis=-1), k - 1) if n > 1 else 1.0
+    return out
+
+
+def F_grad(spec, kappa):
+    """dF/dkappa_i, shape (..., n), by the chain rule through sigma_grad."""
+    kappa = np.asarray(kappa, dtype=float)
+    if isinstance(spec, SigmaKRoot):
+        k = spec.k
+        return (1.0 / k) * sigma(kappa, k)[..., None] ** (1.0 / k - 1.0) * sigma_grad(kappa, k)
+    if isinstance(spec, QuotientRoot):
+        k, l = spec.k, spec.l
+        term = sigma_grad(kappa, k) / sigma(kappa, k)[..., None]
+        if l > 0:
+            term = term - sigma_grad(kappa, l) / sigma(kappa, l)[..., None]
+        return F_eval(spec, kappa)[..., None] * term / (k - l)
+    if isinstance(spec, PowerMean):
+        p = spec.p
+        return np.sum(kappa**p, axis=-1)[..., None] ** (1.0 / p - 1.0) * kappa ** (p - 1.0)
+    if isinstance(spec, WeightedProduct):
+        acc = sum(w * F_grad(sub, kappa) / F_eval(sub, kappa)[..., None] for sub, w in spec.terms)
+        return F_eval(spec, kappa)[..., None] * acc
+    raise TypeError(spec)
 
 
 def test_sigma_hand_values():
@@ -177,6 +208,9 @@ def test_F_degree_one_homogeneous():
         QuotientRoot(k=3, l=1),
         PowerMean(p=-2.0),
         WeightedProduct(terms=((SigmaKRoot(k=2), 0.3), (QuotientRoot(k=2, l=1), 0.7))),
+        SigmaKRoot(k=2),
+        QuotientRoot(k=2, l=1),
+        PowerMean(p=-1.5),
     ]
     for spec in specs:
         for _ in range(40):
@@ -194,28 +228,31 @@ def test_F_degree_one_homogeneous():
 def test_F_grad_positive_in_cone():
     rng = np.random.default_rng(23)
     for spec in (SigmaKRoot(k=2), QuotientRoot(k=2, l=1), PowerMean(p=-1.5)):
-        for _ in range(60):
-            kappa = rng.uniform(0.05, 4.0, 3)
-            assert np.all(F_grad(spec, kappa) > 0.0)
+        kappa = -np.sort(-rng.uniform(0.05, 4.0, size=(60, 3)), axis=-1)
+        ok, _, lam = F_fused(spec, kappa)
+        assert np.all(ok) and np.all(lam > 0.0), spec
+        assert np.all(F_grad(spec, kappa) > 0.0), spec
 
 
 def test_F_checked_raises_outside_cone():
-    with pytest.raises(ConeViolation):
-        F_eval(SigmaKRoot(k=2), np.array([1.0, -1.0]))
+    # F_eval evaluates without a cone test; the first node outside the cone is
+    # named by cone_failure, and newton_maclaurin_margin raises with that name
     batch = np.ones((4, 2))
     batch[2] = [2.0, -1.0]
-    for evaluate in (F_eval, F_grad):
-        with pytest.raises(ConeViolation, match=r"at node \(2,\): sigma_2 = -2 <= 0"):
-            evaluate(SigmaKRoot(k=2), batch)
-    # unchecked evaluation is the caller's problem; it must not raise
+    message = "curvature left Gamma_2^+ at node (2,): sigma_2 = -2 <= 0"
+    assert cone_failure(batch, natural_cone(SigmaKRoot(k=2))) == message
+    with pytest.raises(ConeViolation, match=r"at node \(2,\): sigma_2 = -2 <= 0"):
+        newton_maclaurin_margin(batch, 2)
+    with pytest.raises(ConeViolation, match=r"^curvature left Gamma_2\^\+: sigma_2 = -3 <= 0"):
+        newton_maclaurin_margin(np.array([3.0, -1.0]), 2)
     with np.errstate(invalid="ignore"):
-        val = F_eval(SigmaKRoot(k=2), np.array([1.0, -1.0]), checked=False)
-    assert np.isnan(val) or isinstance(float(val), float)
+        val = F_eval(SigmaKRoot(k=2), batch)
+    assert np.isnan(val[2]) and np.all(val[[0, 1, 3]] == 1.0)
 
 
 def test_F_fused_matches_reference():
     # cone mask, F and lambda_max from one sigma sweep agree with in_cone,
-    # F_eval and the row maximum of F_grad for every variant
+    # F_eval and the row maximum of the reference F_grad for every variant
     rng = np.random.default_rng(31)
     for n in range(2, 7):
         specs = [SigmaKRoot(k=k) for k in range(1, n + 1)]

@@ -117,7 +117,7 @@ def reference_curvature_table(path, cfg, grid, gamma):
     geom = geometry.assemble(grid, gamma)
     mask = symfunc.in_cone(geom.kappa, cfg.guard)
     with np.errstate(invalid="ignore", divide="ignore"):
-        f_all = symfunc.F_eval(cfg.F, geom.kappa, checked=False)
+        f_all = symfunc.F_eval(cfg.F, geom.kappa)
         q_all = speed.G_eval(cfg.G, geom.xi, geom.u, geom.rho) * f_all ** (-cfg.beta)
     f_val = np.where(mask, f_all, np.nan).reshape(-1)
     q = np.where(mask, q_all, np.nan).reshape(-1)
