@@ -108,9 +108,10 @@ def psi_apply(mode: str, s):
 
 
 def psi_prime(mode: str, s):
-    """Ψ'(s); strictly positive on s > 0 for both modes."""
+    """Ψ'(s); strictly positive on s > 0 for both modes (the scalar 1.0 for
+    the identity, which broadcasts against s)."""
     if mode == PSI_IDENTITY:
-        return np.ones_like(np.asarray(s, dtype=float))
+        return 1.0
     if mode == PSI_NEG_RECIPROCAL:
         return 1.0 / (np.asarray(s, dtype=float) ** 2)
     raise ValueError(f"unknown psi mode {mode!r}")
@@ -163,6 +164,8 @@ class FlowState:
     gamma: np.ndarray
     # scaled error estimate of the step that produced this state; <= 1 passes
     error: float = 0.0
+    # flat index of the node where that estimate is largest
+    error_at: int = 0
 
 
 class FlowAbort(RuntimeError):
@@ -199,7 +202,7 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
     if failure is not None:
         raise FlowAbort(STATUS_STAR_SHAPE_LOST, failure)
     ok, f_val, lam = F_fused(config.F, geom.kappa)
-    if not np.all(ok):
+    if not ok.all():
         raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, config.guard))
     g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
     q = g * f_val ** (-config.beta)
@@ -221,11 +224,17 @@ def diffusivity(
 
 def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
     """First step dt_safety · min((ρΔθ)² / (2 n D)) for D = diff: the bound
-    an explicit scheme would obey in θ."""
+    an explicit scheme would obey in θ.  Raises FlowAbort naming the first
+    node whose bound is not a positive number when that minimum is not."""
     ds = geom.rho * config.grid.dtheta
-    dt = config.dt_safety * float(np.min(ds * ds / (2.0 * config.grid.n * diff)))
+    bound = ds * ds / (2.0 * config.grid.n * diff)
+    dt = config.dt_safety * float(bound.min())
     if not (np.isfinite(dt) and dt > 0.0):
-        raise FlowAbort(STATUS_DIVERGED, f"step-size bound degenerated to dt = {dt}")
+        bad = ~(np.isfinite(bound) & (bound > 0.0))
+        node = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bound.shape))
+        detail = f"step-size bound degenerated to dt = {dt} at node {node}: "
+        detail += f"D = {diff[node]:.6g}, rho = {geom.rho[node]:.6g}"
+        raise FlowAbort(STATUS_DIVERGED, detail)
     return dt
 
 
@@ -247,20 +256,21 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
     grid = config.grid
     speed, q, f_val, lam, geom = first if first is not None else speed_field(config, state.gamma)
     rows = grid.m_theta, -1
-    a = np.max((diffusivity(config, geom, q, f_val, lam) / geom.rho**2).reshape(rows), axis=1)
+    a = (diffusivity(config, geom, q, f_val, lam) / geom.rho**2).reshape(rows).max(axis=1)
     G = config.G
     dilation = psi_prime(config.psi_mode, q) * q * (G.a + G.b + config.beta)
-    z = np.minimum(np.mean(dilation.reshape(rows), axis=1), 0.0)
+    z = np.minimum(dilation.reshape(rows).mean(axis=1), 0.0)
     gh = ROS2_GAMMA * h
     solve = factor_shifted_laplacian(grid, gh * a, gh * z)
     k1 = solve(speed)
     k2 = solve(speed_field(config, state.gamma + h * k1)[0] - 2.0 * k1)
     gamma = state.gamma + h * (1.5 * k1 + 0.5 * k2)
     est = (0.5 * h) * np.abs(k1 + k2) / (ERR_TOL * (1.0 + np.abs(state.gamma)))
-    error = float(np.max(est))
+    at = int(est.argmax())  # the first NaN, when there is one
+    error = float(est.flat[at])
     if np.isnan(error):  # fails the error test like an infinite estimate
         error = float("inf")
-    return FlowState(t=state.t + h, step=state.step + 1, gamma=gamma, error=error)
+    return FlowState(t=state.t + h, step=state.step + 1, gamma=gamma, error=error, error_at=at)
 
 
 def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
@@ -308,7 +318,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 
     while current is not None:
         speed, q, f_val, lam, geom = current
-        residual = float(np.max(np.abs(speed)))
+        residual = float(np.abs(speed).max())
 
         if state.step % config.cadence == 0:
             record(geom, q, f_val, residual)
@@ -318,13 +328,13 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             record(geom, q, f_val, residual)
             break
         rho = geom.rho
-        if np.min(rho) < RHO_FLOOR or np.max(rho) > RHO_CEIL:
+        if rho.min() < RHO_FLOOR or rho.max() > RHO_CEIL:
             status = STATUS_DIVERGED
             outside = (rho < RHO_FLOOR) | (rho > RHO_CEIL)
             node = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), rho.shape))
             detail = (
                 f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] at node {node}: "
-                f"rho = {rho[node]:.3g} (range [{np.min(rho):.3g}, {np.max(rho):.3g}])"
+                f"rho = {rho[node]:.3g} (range [{rho.min():.3g}, {rho.max():.3g}])"
             )
             record(geom, q, f_val, residual)
             break
@@ -344,7 +354,9 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
                 if error <= 1.0:
                     current = speed_field(config, trial.gamma)
                 else:
-                    failure = STATUS_DIVERGED, f"error estimate {error:.3g} times the tolerance"
+                    node = tuple(map(int, np.unravel_index(trial.error_at, config.grid.shape)))
+                    reason = f"error estimate {error:.3g} times the tolerance at node {node}"
+                    failure = STATUS_DIVERGED, reason
             except FlowAbort as abort:
                 error, failure = float("inf"), (abort.status, abort.detail)
             h = h_try * _step_factor(error)

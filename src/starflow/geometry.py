@@ -100,14 +100,18 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
     rho = np.exp(gamma)
     u = rho / omega
 
+    # κ_i is filled as one contiguous plane each, which the σ sweeps read.
+    # It is allocated after its inputs: allocated first, at 64×128 it left
+    # the temporaries at the heap top, which each call paged in again.
     if grid.mode == "axisym":
         # principal directions are the meridian and the parallels
         b_t = g_t
         kappa_mer = (-h_cov_tt + b_t * b_t + 1.0) / (rho * omega**3)
         kappa_par = (1.0 - grid.cot_theta * b_t) / (rho * omega)
-        kappa = np.repeat(kappa_par[None], grid.n, axis=0)
-        kappa[0] = np.maximum(kappa_mer, kappa_par)
-        kappa[-1] = np.minimum(kappa_mer, kappa_par)
+        kappa = np.empty((grid.n,) + grid.shape)
+        kappa[1:-1] = kappa_par
+        np.maximum(kappa_mer, kappa_par, out=kappa[0])
+        np.minimum(kappa_mer, kappa_par, out=kappa[-1])
     else:
         rr = rho * rho
         g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
@@ -122,9 +126,11 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
         a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
         disc = np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0)
         root = np.sqrt(disc)
-        kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0])
-    # κ_i is stored as one contiguous plane each, which the σ sweeps read
-    kappa = np.moveaxis(kappa, 0, -1)
+        kappa = np.empty((grid.n,) + grid.shape)
+        np.divide(trace + root, 2.0, out=kappa[0])
+        np.divide(trace - root, 2.0, out=kappa[1])
+    # the caller sees the (..., n) view
+    kappa = kappa.transpose((*range(1, kappa.ndim), 0))
 
     return GeometryState(
         grid=grid,
@@ -143,7 +149,7 @@ def star_shape_failure(state: GeometryState) -> str | None:
     """None when every κ and u of the state is finite and u > 0; otherwise
     the first node that fails, as an index over grid.shape, with its u and κ."""
     kappa, u = state.kappa, state.u
-    if np.all(np.isfinite(kappa)) and np.min(u) > 0.0 and np.max(u) < np.inf:
+    if np.isfinite(kappa).all() and u.min() > 0.0 and u.max() < np.inf:
         return None
     ok = np.all(np.isfinite(kappa), axis=-1) & (u > 0.0) & (u < np.inf)
     node = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), u.shape))

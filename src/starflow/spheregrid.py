@@ -11,8 +11,11 @@ Two layouts are supported:
 
 Crossing a pole lands on the antipodal meridian, so θ-ghost rows are filled by
 the mirrored row shifted half a period in φ (for axisym profiles the shift is
-the identity).  With those ghosts every interior stencil is plain second-order
-central differencing; there are no one-sided formulas anywhere.
+the identity); on full_s2 one φ-ghost column on each side wraps periodically.
+Each grid keeps the flat gather index of that padding (Grid.pad_index), so a
+field is padded by one fancy-indexing read, and every stencil is a slice of
+the padded array: plain second-order central differencing, with no one-sided
+formulas anywhere.
 
 Covariant θφ-chart Hessians use the sphere Christoffels
 Γ^θ_{φφ} = -sinθ cosθ and Γ^φ_{θφ} = cotθ.
@@ -53,9 +56,10 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 
 @dataclass
 class Grid:
-    """Nodes, spacings, trig tables, Cartesian frames and the φ-mode stencil
-    of the Laplace–Beltrami operator; treat as immutable.  Two grids are
-    equal when mode, n, m_theta and m_phi are; the rest derives from them."""
+    """Nodes, spacings, trig tables, Cartesian frames, the ghost padding's
+    gather index, a read-only zero field and the φ-mode stencil of the
+    Laplace–Beltrami operator; treat as immutable.  Two grids are equal when
+    mode, n, m_theta and m_phi are; the rest derives from them."""
 
     mode: str
     n: int
@@ -93,6 +97,18 @@ class Grid:
         self.sin_theta = st
         self.cos_theta = ct
         self.cot_theta = ct / st
+        self.sin_cos = st * ct
+        self.zeros = np.zeros(self.shape)
+        self.zeros.flags.writeable = False
+        # flat gather index of pad_theta's padding: the pole rows mirrored
+        # half a period on in φ, and on full_s2 each row wrapped one column
+        rows = np.r_[0, np.arange(self.m_theta), self.m_theta - 1]
+        self.pad_index = rows
+        if self.mode == "full_s2":
+            mp = self.m_phi
+            shift = np.r_[mp // 2, np.zeros(self.m_theta, dtype=int), mp // 2]
+            cols = np.arange(-1, mp + 1) + shift[:, None]
+            self.pad_index = rows[:, None] * mp + cols % mp
         # Cartesian frames (..., 3): radial direction ξ and unit chart
         # directions ê_θ, ê_φ; axisym profiles lie in the xz-plane (φ = 0)
         phi = self.phi if self.mode == "full_s2" else np.zeros(1)
@@ -163,19 +179,16 @@ def _check_shape(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def pad_theta(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Append one ghost row beyond each pole.
+    """f, of the grid's shape, with one ghost row beyond each pole and, on
+    full_s2, one ghost column on each side in φ; one gather by grid.pad_index.
 
-    Row -1 mirrors row 0 across the north pole, row m_theta mirrors the last
-    row across the south pole; on full_s2 the mirrored rows are rolled by half
-    a period in φ, which is what stepping over a pole does to the meridian.
+    Row 0 mirrors f's first row across the north pole and row m_theta + 1 its
+    last row across the south pole; on full_s2 the mirrored rows are shifted
+    half a period in φ, which is what stepping over a pole does to the
+    meridian.  Column 0 repeats f's last column and column m_phi + 1 its
+    first, ghost rows included.
     """
-    f = _check_shape(grid, f)
-    if grid.mode == "axisym":
-        return np.concatenate(([f[0]], f, [f[-1]]))
-    half = grid.m_phi // 2
-    north = np.roll(f[0], half)[None, :]
-    south = np.roll(f[-1], half)[None, :]
-    return np.concatenate((north, f, south), axis=0)
+    return f.ravel()[grid.pad_index]
 
 
 def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -187,25 +200,30 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
         f_{;θφ} = ∂_θ∂_φ f - cotθ ∂_φ f
         f_{;φφ} = ∂²_φ f + sinθ cosθ ∂_θ f
 
-    On axisym grids every ∂_φ term is zero: ∂_φ f and f_{;θφ} are zero
-    arrays, and the φφ slot is sinθ cosθ ∂_θ f, the S² chart value shared by
-    every parallel direction.
+    each read as slices of pad_theta(grid, f).  On axisym grids every ∂_φ
+    term is zero: ∂_φ f and f_{;θφ} are the grid's shared read-only zeros,
+    and the φφ slot is sinθ cosθ ∂_θ f, the S² chart value shared by every
+    parallel direction.
     """
     f = _check_shape(grid, f)
     p = pad_theta(grid, f)
     dt = grid.dtheta
-    f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
-    f_t = (p[2:] - p[:-2]) / (2.0 * dt)
     if grid.mode == "axisym":
-        h_pp = grid.sin_theta * grid.cos_theta * f_t
-        return f_t, np.zeros_like(f), f_tt, np.zeros_like(f), h_pp
+        f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
+        f_t = (p[2:] - p[:-2]) / (2.0 * dt)
+        return f_t, grid.zeros, f_tt, grid.zeros, grid.sin_cos * f_t
     dp = grid.dphi
-    f_e, f_w = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
+    north, south = p[:-2], p[2:]
+    f_tt = (south[:, 1:-1] - 2.0 * f + north[:, 1:-1]) / (dt * dt)
+    # ∂_θ f on the φ-padded columns, so ∂_θ∂_φ f is a slice of it too
+    f_t_wide = (south - north) / (2.0 * dt)
+    f_t = f_t_wide[:, 1:-1]
+    f_e, f_w = p[1:-1, 2:], p[1:-1, :-2]
     f_p = (f_e - f_w) / (2.0 * dp)
     f_pp = (f_e - 2.0 * f + f_w) / (dp * dp)
-    f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp)
+    f_tp = (f_t_wide[:, 2:] - f_t_wide[:, :-2]) / (2.0 * dp)
     h_tp = f_tp - grid.cot_theta * f_p
-    h_pp = f_pp + grid.sin_theta * grid.cos_theta * f_t
+    h_pp = f_pp + grid.sin_cos * f_t
     return f_t, f_p, f_tt, h_tp, h_pp
 
 
@@ -234,18 +252,21 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
     up = (a * grid.lap_upper[:, None])[:-1]
     levels = []
     s = 1
-    while s < grid.m_theta:
+    while True:  # m_theta >= 8, so there are at least three levels
         # add alpha times row i - s and beta times row i + s to row i
         alpha = lo / diag[:-s]
         beta = up / diag[s:]
         diag[s:] -= alpha * up
         diag[:-s] -= beta * lo
         levels.append((s, alpha, beta))
+        if 2 * s >= grid.m_theta:
+            break  # a further level's couplings would never be read
         lo, up = alpha[s:] * lo[:-s], beta[:-s] * up[s:]
         s *= 2
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs = _check_shape(grid, rhs)
+        if rhs.shape != grid.shape:
+            raise ValueError(f"field shape {rhs.shape} does not match grid {grid.shape}")
         d = rhs[:, None] if grid.mode == "axisym" else np.fft.rfft(rhs, axis=1)
         for s, alpha, beta in levels:
             nxt = d.copy()

@@ -86,7 +86,7 @@ def sigma_all(kappa, kmax: int) -> np.ndarray:
         top = min(m + 1, kmax)
         for j in range(top, 0, -1):
             e[j] += x * e[j - 1]
-    return np.moveaxis(e, 0, -1)
+    return e.transpose((*range(1, e.ndim), 0))
 
 
 def sigma(kappa, k: int):
@@ -308,9 +308,9 @@ def F_fused(spec, kappa):
     e[..., 1:] += arr[..., -1:] * rest[..., :-1]
     cone = natural_cone(spec)
     if cone.k is None:
-        ok = np.all(arr > 0.0, axis=-1)
+        ok = (arr > 0.0).all(axis=-1)
     else:
-        ok = np.all(e[..., 1 : cone.k + 1] > 0.0, axis=-1)
+        ok = (e[..., 1 : cone.k + 1] > 0.0).all(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = _F_eval_raw(spec, e, arr)
         lam = _lam_max_raw(spec, e, rest, arr)

@@ -214,6 +214,20 @@ def test_run_diverges_under_growing_forcing():
     assert res.history[-1].rho_max > 1e3
 
 
+def test_run_whose_every_step_fails_the_error_test_names_a_node(monkeypatch):
+    # a tolerance no step can meet: each attempt is rejected on its error
+    # estimate alone until h falls below the floor
+    monkeypatch.setattr(flow, "ERR_TOL", 1e-300)
+    cfg = setup1(t_max=1.0)
+    res = run(cfg, initial_gamma(Perturbed(R=1.0, amplitude=0.1), cfg.grid))
+    assert res.status == STATUS_DIVERGED
+    assert res.steps == 0 and res.rejected_steps > 0
+    assert res.detail.startswith(f"step size fell below {flow.H_FLOOR:g} at t = 0: ")
+    assert "times the tolerance at node (" in res.detail
+    node = int(res.detail.split("at node (")[1].split(",")[0])
+    assert 0 <= node < cfg.grid.m_theta
+
+
 def test_run_time_cap():
     cfg = setup1(t_max=0.5)
     res = run(cfg, initial_gamma(Constant(R=1.3), cfg.grid))
@@ -313,6 +327,20 @@ def test_cfl_dt_scalings():
     assert dt16 > 0.0
     assert dt16 / dt32 == pytest.approx(4.0, rel=1e-12)  # ds^2 scaling
     assert dt_for(16, safety=0.25) == pytest.approx(0.5 * dt16, rel=1e-12)
+
+
+def test_cfl_dt_names_the_node_whose_bound_degenerates():
+    cfg = setup1(grid=full_s2_grid(m_theta=8, m_phi=16))
+    _, q, f_val, lam, geom = speed_field(cfg, initial_gamma(Constant(R=1.3), cfg.grid))
+    diff = diffusivity(cfg, geom, q, f_val, lam)
+    diff[2, 5] = np.nan
+    with pytest.raises(FlowAbort) as info:
+        cfl_dt(cfg, geom, diff)
+    assert info.value.status == STATUS_DIVERGED
+    assert info.value.detail == (
+        f"step-size bound degenerated to dt = nan at node (2, 5): "
+        f"D = nan, rho = {1.3:.6g}"
+    )
 
 
 def test_axisym_and_full_s2_integrate_identically():

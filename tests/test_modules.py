@@ -1,5 +1,6 @@
 """Each module's __all__ names exactly the functions and classes it defines,
-and each of them serves the package, not only its own unit test."""
+and each of them serves the package, not only its own unit test.  No module
+calls np.roll or np.moveaxis, whose per-call cost the step path dropped."""
 
 import ast
 import importlib
@@ -67,3 +68,18 @@ def test_every_public_function_and_class_is_used(name):
     module = importlib.import_module(f"starflow.{name}")
     unused = {f"{name}.{attr}" for attr in public_names(module) - read}
     assert unused == {key for key in UNUSED_ALLOWED if key.startswith(f"{name}.")}
+
+
+# numpy calls whose cost per call the step path no longer pays, each with
+# what replaces it
+BANNED_CALLS = {
+    "roll": "pad the field once by grid.pad_index and slice the padding",
+    "moveaxis": "return a transposed view, array.transpose(...)",
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_roll_or_moveaxis_in_the_package(name):
+    path = pathlib.Path(starflow.__file__).resolve().parent / f"{name}.py"
+    found = {call: BANNED_CALLS[call] for call in BANNED_CALLS.keys() & names_read(path)}
+    assert found == {}, f"starflow.{name} reads numpy's {found}"

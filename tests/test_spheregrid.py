@@ -1,5 +1,7 @@
 """Grid construction, pole-aware stencils, and the field CSV round trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,22 @@ def test_grid_equality():
     # the spacings and nodes derive from the counts; they are not arguments
     with pytest.raises(TypeError):
         Grid(mode="axisym", n=2, m_theta=16, m_phi=0, dtheta=5.0)
+    # nor compared: the tables built from them, the pad index among them,
+    # take no part in equality
+    compared = [f.name for f in dataclasses.fields(Grid) if f.compare]
+    assert compared == ["mode", "n", "m_theta", "m_phi"]
+    assert {"pad_index", "sin_cos", "zeros"}.isdisjoint(f.name for f in dataclasses.fields(Grid))
+
+
+def test_grid_zeros_are_shared_and_read_only():
+    for g in (axisym_grid(n=3, m_theta=16), full_s2_grid(m_theta=8, m_phi=16)):
+        assert g.zeros.shape == g.shape and not g.zeros.any()
+        with pytest.raises(ValueError):
+            g.zeros[0] = 1.0
+    # axisym stencils hand out the shared zeros for the phi slots
+    g = axisym_grid(n=3, m_theta=16)
+    _, f_p, _, h_tp, _ = derivatives(g, np.cos(g.theta))
+    assert f_p is g.zeros and h_tp is g.zeros
 
 
 def test_pad_theta_axisym_mirror():
@@ -63,16 +81,31 @@ def test_pad_theta_axisym_mirror():
     p = pad_theta(g, f)
     assert p.shape == (18,)
     assert p[0] == f[0] and p[-1] == f[-1]
+    assert np.array_equal(p[1:-1], f)
 
 
 def test_pad_theta_full_s2_rolls_half_period():
     g = full_s2_grid(m_theta=8, m_phi=16)
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=g.shape)
+    p = pad_theta(g, f)
+    assert p.shape == (10, 18)
+    assert np.array_equal(p[1:-1, 1:-1], f)
+    # crossing a pole lands on the opposite meridian: the ghost rows are the
+    # pole rows half a period on in phi
+    assert np.array_equal(p[0, 1:-1], np.roll(f[0], 8))
+    assert np.array_equal(p[-1, 1:-1], np.roll(f[-1], 8))
+    # the phi ghost columns wrap, in the ghost rows too, so the corners are
+    # the pole rows' nodes half a period on from the wrapped column
+    assert np.array_equal(p[:, 0], p[:, -2])
+    assert np.array_equal(p[:, -1], p[:, 1])
+    assert p[0, 0] == f[0, 7] and p[0, -1] == f[0, 8]
+    assert p[-1, 0] == f[-1, 7] and p[-1, -1] == f[-1, 8]
+    # so the ghost row of sin(theta) cos(phi) is its own negative
     f = np.sin(g.theta)[:, None] * np.cos(g.phi)[None, :]
     p = pad_theta(g, f)
-    # crossing the north pole lands on the opposite meridian, so the ghost
-    # row of sin(theta) cos(phi) must be its own negative
-    assert np.allclose(p[0], -f[0], atol=1e-15)
-    assert np.allclose(p[-1], -f[-1], atol=1e-15)
+    assert np.allclose(p[0, 1:-1], -f[0], atol=1e-15)
+    assert np.allclose(p[-1, 1:-1], -f[-1], atol=1e-15)
 
 
 def test_grad_converges_second_order():

@@ -1,0 +1,109 @@
+"""Bitwise equality of the gathered stencils and κ assembly with the rolled ones.
+
+The references below are the straightforward forms: θ-ghost rows built by
+np.roll of the pole rows and a concatenate, φ neighbours and the mixed
+derivative by np.roll along φ, and κ stacked or repeated per node and moved
+to the last axis.  spheregrid.derivatives reads every stencil as a slice of
+one gathered padding, and geometry.assemble fills κ in place; both perform
+the same floating-point operations in the same order, so every output must
+be equal bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from starflow.geometry import _frame_forms, assemble
+from starflow.spheregrid import axisym_grid, derivatives, full_s2_grid, grad_norm_sq, pad_theta
+
+GRIDS = [axisym_grid(n=n, m_theta=m) for n, m in ((2, 16), (3, 24), (4, 32))] + [
+    full_s2_grid(m_theta=m, m_phi=2 * m) for m in (8, 24, 64)
+]
+
+
+def reference_pad_theta(grid, f):
+    """One ghost row beyond each pole; on full_s2 the mirrored rows rolled by
+    half a period in φ."""
+    if grid.mode == "axisym":
+        return np.concatenate(([f[0]], f, [f[-1]]))
+    half = grid.m_phi // 2
+    north = np.roll(f[0], half)[None, :]
+    south = np.roll(f[-1], half)[None, :]
+    return np.concatenate((north, f, south), axis=0)
+
+
+def reference_derivatives(grid, f):
+    """(∂_θ f, ∂_φ f, f_{;θθ}, f_{;θφ}, f_{;φφ}) with φ neighbours by np.roll."""
+    p = reference_pad_theta(grid, f)
+    dt = grid.dtheta
+    f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
+    f_t = (p[2:] - p[:-2]) / (2.0 * dt)
+    if grid.mode == "axisym":
+        h_pp = grid.sin_theta * grid.cos_theta * f_t
+        return f_t, np.zeros_like(f), f_tt, np.zeros_like(f), h_pp
+    dp = grid.dphi
+    f_e, f_w = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
+    f_p = (f_e - f_w) / (2.0 * dp)
+    f_pp = (f_e - 2.0 * f + f_w) / (dp * dp)
+    f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp)
+    h_tp = f_tp - grid.cot_theta * f_p
+    h_pp = f_pp + grid.sin_theta * grid.cos_theta * f_t
+    return f_t, f_p, f_tt, h_tp, h_pp
+
+
+def reference_assemble(grid, gamma):
+    """(κ, u, ρ, ω) of the graph ρ = e^γ, κ built per direction by np.repeat
+    or np.stack and moved to the last axis."""
+    g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp = reference_derivatives(grid, gamma)
+    gsq = grad_norm_sq(grid, g_t, g_p)
+    omega = np.sqrt(1.0 + gsq)
+    rho = np.exp(gamma)
+    u = rho / omega
+    if grid.mode == "axisym":
+        kappa_mer = (-h_cov_tt + g_t * g_t + 1.0) / (rho * omega**3)
+        kappa_par = (1.0 - grid.cot_theta * g_t) / (rho * omega)
+        kappa = np.repeat(kappa_par[None], grid.n, axis=0)
+        kappa[0] = np.maximum(kappa_mer, kappa_par)
+        kappa[-1] = np.minimum(kappa_mer, kappa_par)
+    else:
+        rr = rho * rho
+        g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
+            grid, rr, u, g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp
+        )
+        det_g = rr * rr * omega * omega
+        trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
+        a_diff = (g_pp * h_tt - g_tt * h_pp) / det_g
+        a_tp = (g_pp * h_tp - g_tp * h_pp) / det_g
+        a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
+        root = np.sqrt(np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0))
+        kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0])
+    return np.moveaxis(kappa, 0, -1), u, rho, omega
+
+
+def smooth_field(grid, seed):
+    """A seeded random polynomial in ξ of degree 3: smooth across the poles."""
+    rng = np.random.default_rng(seed)
+    xi = grid.xi
+    gamma = np.full(grid.shape, rng.uniform(-0.5, 0.5))
+    for degree in (1, 2, 3):
+        v = rng.normal(size=3) if grid.mode == "full_s2" else np.array([0.0, 0.0, 1.0])
+        gamma = gamma + rng.uniform(-0.2, 0.2) * (xi @ v) ** degree
+    return gamma
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.mode}-{g.n}-{g.m_theta}x{g.m_phi}")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stencils_and_kappa_equal_the_rolled_reference_bitwise(grid, seed):
+    gamma = smooth_field(grid, seed)
+    padded = pad_theta(grid, gamma)
+    if grid.mode == "full_s2":
+        padded = padded[:, 1:-1]
+    assert np.array_equal(padded, reference_pad_theta(grid, gamma))
+    for got, want in zip(derivatives(grid, gamma), reference_derivatives(grid, gamma), strict=True):
+        assert np.array_equal(got, want)
+    state = assemble(grid, gamma)
+    kappa, u, rho, omega = reference_assemble(grid, gamma)
+    assert np.all(np.isfinite(kappa))
+    assert np.array_equal(state.kappa, kappa)
+    assert np.array_equal(state.u, u)
+    assert np.array_equal(state.rho, rho)
+    assert np.array_equal(state.omega, omega)
