@@ -384,18 +384,15 @@ def cmd_curvature(args) -> int:
     if failure is not None:
         raise GateError(f"stored field is {failure}")
 
-    mask = symfunc.in_cone(geom.kappa, cfg.guard)
-    f_val = np.full(grid.shape, np.nan)
-    q = np.full(grid.shape, np.nan)
-    if np.any(mask):
-        # nodes outside the cone may hit fractional powers of negatives;
-        # they are masked to nan afterwards, so silence the warnings
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f_all = symfunc.F_eval(cfg.F, geom.kappa)
-            g_all = speed.G_eval(cfg.G, geom.xi, geom.u, geom.rho)
-            q_all = g_all * f_all ** (-cfg.beta)
-        f_val = np.where(mask, f_all, np.nan)
-        q = np.where(mask, q_all, np.nan)
+    # the run's own pass; F_fused needs κ finite (the gate) and sorted
+    # (assemble).  Nodes outside the cone may hit fractional powers of
+    # negatives and are masked to nan below; an overflowing forcing reads inf.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mask, f_all, _ = symfunc.F_fused(cfg.F, geom.kappa)
+        g_all = speed.G_from_table(cfg.G, cfg.G_table, geom.u, geom.rho)
+        q_all = g_all * f_all ** (-cfg.beta)
+    f_val = np.where(mask, f_all, np.nan)
+    q = np.where(mask, q_all, np.nan)
 
     out = Path(args.out) if args.out else Path("curvature.csv")
     columns = {"rho": geom.rho, "u": geom.u}

@@ -276,13 +276,15 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
 def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     """Drive the flow from gamma0 until one of the five terminal states.
 
-    The history receives one record at step 0, one every config.cadence
-    accepted steps, and one for the final state.  Every abort (cone exit,
-    star shape loss, a step size below H_FLOOR) reports the last accepted
-    state, or the initial data when none was accepted; a state that failed a
-    guard is never returned.  on_record, when given, is called as
-    on_record(state, record, geometry) right after each history row is
-    appended; it must not mutate anything it is handed.
+    Each accepted state is tested for convergence, then for a radius outside
+    [RHO_FLOOR, RHO_CEIL], then for the time cap.  The history holds one row
+    for every step that is a multiple of config.cadence and one for a state
+    that ends the run this way, each step at most once.  An abort (cone
+    exit, star shape loss, a step size below H_FLOOR) reports the last
+    accepted state, or the initial data when none was accepted, and records
+    nothing more; a state that failed a guard is never returned.  on_record,
+    when given, is called as on_record(state, record, geometry) right after
+    each history row is appended; it must not mutate anything it is handed.
     """
     gamma0 = np.asarray(gamma0, dtype=float)
     if gamma0.shape != config.grid.shape:
@@ -292,20 +294,9 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     t_start = time.perf_counter()
     state = FlowState(t=0.0, step=0, gamma=gamma0)
     history: list = []
-    last_recorded = -1
     residual = float("inf")
     rejected = 0
-    detail = ""
-
-    def record(geom, q, f_val, res):
-        nonlocal last_recorded
-        if state.step != last_recorded:
-            history.append(
-                diagnostics.snapshot(state.step, state.t, geom, q, f_val, res)
-            )
-            last_recorded = state.step
-            if on_record is not None:
-                on_record(state, history[-1], geom)
+    status, detail = None, ""
 
     try:
         # the speed at the current state: its guard check and the next
@@ -314,21 +305,15 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         speed, q, f_val, lam, geom = current
         h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam))
     except FlowAbort as abort:
-        current, status, detail = None, abort.status, abort.detail
+        status, detail = abort.status, abort.detail
 
-    while current is not None:
+    while status is None:
         speed, q, f_val, lam, geom = current
         residual = float(np.abs(speed).max())
-
-        if state.step % config.cadence == 0:
-            record(geom, q, f_val, residual)
-
+        rho = geom.rho
         if residual <= config.tol_residual:
             status = STATUS_CONVERGED
-            record(geom, q, f_val, residual)
-            break
-        rho = geom.rho
-        if rho.min() < RHO_FLOOR or rho.max() > RHO_CEIL:
+        elif rho.min() < RHO_FLOOR or rho.max() > RHO_CEIL:
             status = STATUS_DIVERGED
             outside = (rho < RHO_FLOOR) | (rho > RHO_CEIL)
             node = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), rho.shape))
@@ -336,11 +321,13 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
                 f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] at node {node}: "
                 f"rho = {rho[node]:.3g} (range [{rho.min():.3g}, {rho.max():.3g}])"
             )
-            record(geom, q, f_val, residual)
-            break
-        if state.t >= config.t_max:
+        elif state.t >= config.t_max:
             status = STATUS_TIME_CAP
-            record(geom, q, f_val, residual)
+        if status is not None or state.step % config.cadence == 0:
+            history.append(diagnostics.snapshot(state.step, state.t, geom, q, f_val, residual))
+            if on_record is not None:
+                on_record(state, history[-1], geom)
+        if status is not None:
             break
 
         # attempt steps from state until one passes the error test and the
@@ -368,8 +355,8 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         if error > 1.0:
             status = failure[0]
             detail = f"step size fell below {H_FLOOR:g} at t = {state.t:.6g}: {failure[1]}"
-            break
-        state = replace(trial, t=config.t_max) if last else trial
+        else:
+            state = replace(trial, t=config.t_max) if last else trial
 
     wall = time.perf_counter() - t_start
     return RunResult(

@@ -37,7 +37,6 @@ __all__ = [
     "SpeedSpec",
     "psi_eval",
     "psi_extrema",
-    "G_eval",
     "G_from_table",
     "BarrierRadii",
     "barrier_radii",
@@ -122,17 +121,6 @@ def psi_extrema(spec: SpeedSpec) -> tuple[float, float]:
     """(min, max) of ψ over unit directions: e^{∓|w|}, taken at ξ = ∓w/|w|."""
     size = float(np.linalg.norm(spec.w))
     return float(np.exp(-size)), float(np.exp(size))
-
-
-def G_eval(spec: SpeedSpec, xi: np.ndarray, u: np.ndarray, rho: np.ndarray):
-    """Evaluate G at nodes with radial direction ξ, support u, radius ρ."""
-    u = np.asarray(u, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
-        raise ValueError("support function must be positive and finite")
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
-        raise ValueError("radius must be positive and finite")
-    return G_from_table(spec, spec.c * psi_eval(spec, xi), u, rho)
 
 
 def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndarray):

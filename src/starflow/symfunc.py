@@ -251,9 +251,7 @@ def _F_eval_raw(spec, e: np.ndarray, arr: np.ndarray):
     if isinstance(spec, SigmaKRoot):
         return e[..., spec.k] ** (1.0 / spec.k)
     if isinstance(spec, QuotientRoot):
-        num = e[..., spec.k]
-        den = e[..., spec.l] if spec.l > 0 else 1.0
-        return (num / den) ** (1.0 / (spec.k - spec.l))
+        return (e[..., spec.k] / e[..., spec.l]) ** (1.0 / (spec.k - spec.l))
     if isinstance(spec, PowerMean):
         return np.sum(arr ** spec.p, axis=-1) ** (1.0 / spec.p)
     if isinstance(spec, WeightedProduct):

@@ -16,11 +16,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from starflow import cli
 from starflow.diagnostics import read_history_csv
+from starflow.spheregrid import axisym_grid, write_field_csv
+from test_text_formats import wavy_gamma
 
 BASE_SECTIONS = {
     "flow": {
@@ -358,34 +360,71 @@ _INI_LITERALS = {
 }
 
 
-@st.composite
-def ini_sections(draw):
-    """The all-valid INI with a few keys redrawn from their literal lists."""
-    sections = {
+def valid_sections():
+    """The INI whose every key holds the first entry of its literal list."""
+    return {
         name: {key: values[0] for key, values in keys.items()}
         for name, keys in _INI_LITERALS.items()
     }
+
+
+@st.composite
+def ini_sections(draw):
+    """The all-valid INI with a few keys redrawn from their literal lists."""
+    sections = valid_sections()
     keys = [(name, key) for name, body in _INI_LITERALS.items() for key in body]
     for name, key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         sections[name][key] = draw(st.sampled_from(_INI_LITERALS[name][key]))
     return sections
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(ini_sections())
-def test_validate_exits_only_with_documented_codes(tmp_path, sections):
+def write_sections(path, sections):
     lines = []
     for name, body in sections.items():
         lines.append(f"[{name}]")
         lines.extend(f"{key} = {value}" for key, value in body.items() if value is not None)
-    cfg = tmp_path / "h.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def main_quietly(argv):
+    """cli.main(argv) with stdout dropped; returns (exit code, stderr)."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["validate", str(cfg)])
-    assert code in (0, 1, 64, 65), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ini_sections())
+def test_validate_exits_only_with_documented_codes(tmp_path, sections):
+    cfg = write_sections(tmp_path / "h.cfg", sections)
+    code, err = main_quietly(["validate", str(cfg)])
+    assert code in (0, 1, 64, 65), err
+    assert "Traceback" not in err
+
+
+# u^a overflows a double at every node with u > 1
+HUGE_SUPPORT_EXPONENT = valid_sections()
+HUGE_SUPPORT_EXPONENT["G"]["a"] = "1e308"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(HUGE_SUPPORT_EXPONENT)
+@given(ini_sections())
+def test_curvature_exits_only_with_documented_codes(tmp_path, sections):
+    cfg = write_sections(tmp_path / "h.cfg", sections)
+    try:
+        grid = cli.parse_config(cfg).config.grid
+    except cli.ConfigError:
+        grid = axisym_grid(n=2, m_theta=16)
+    field = tmp_path / "field.csv"
+    write_field_csv(field, grid, wavy_gamma(grid))
+    code, err = main_quietly(["curvature", str(field), str(cfg), "--out", str(tmp_path / "t.csv")])
+    assert code in (0, 64, 65), err
+    assert "Traceback" not in err
 
 
 def test_unwritable_out_exits_64(tmp_path, capsys):

@@ -235,6 +235,58 @@ def test_run_time_cap():
     assert res.state.t == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "status, overrides, radius",
+    [
+        (STATUS_CONVERGED, {}, 1.3),
+        # 30 steps: the final state is also a cadence step
+        (STATUS_TIME_CAP, {"t_max": 0.3}, 1.3),
+        # Q = R^2 on spheres, stopped by a radius ceiling of 2
+        (STATUS_DIVERGED, {"G": SpeedSpec(c=1.0, a=0.0, b=1.0)}, 1.1),
+    ],
+    ids=["converged", "time_cap", "diverged"],
+)
+def test_history_holds_each_cadence_step_and_the_final_one_once(
+    monkeypatch, status, overrides, radius
+):
+    monkeypatch.setattr(flow, "RHO_CEIL", 2.0)
+    cfg = setup1(cadence=3, **overrides)
+    calls = []
+    res = run(
+        cfg,
+        initial_gamma(Constant(R=radius), cfg.grid),
+        on_record=lambda state, rec, geom: calls.append((state.step, rec)),
+    )
+    assert res.status == status
+    assert (res.steps % 3 == 0) == (status == STATUS_TIME_CAP)
+    steps = [rec.step for rec in res.history]
+    assert steps == sorted(set(range(0, res.steps + 1, 3)) | {res.steps})
+    assert [step for step, _ in calls] == steps
+    assert all(rec is row for (_, rec), row in zip(calls, res.history))
+    assert res.history[-1].residual == res.residual
+
+
+def test_aborts_record_no_failing_state(monkeypatch):
+    cfg = setup1(cadence=3)
+    calls = []
+
+    def on_record(state, rec, geom):
+        calls.append(rec)
+
+    # the step size falls below its floor before a step is accepted: the
+    # initial state is the only row
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "ERR_TOL", 1e-300)
+        res = run(cfg, initial_gamma(Perturbed(R=1.0, amplitude=0.1), cfg.grid), on_record)
+    assert res.status == STATUS_DIVERGED and res.rejected_steps > 0
+    assert [rec.step for rec in res.history] == [0] and calls == res.history
+    # initial data outside the cone: no row at all
+    calls.clear()
+    res = run(cfg, initial_gamma(Perturbed(R=1.0, amplitude=10.0), cfg.grid), on_record)
+    assert res.status == STATUS_CONE_EXIT and res.history == [] and calls == []
+    assert res.residual == float("inf")
+
+
 def test_perturbed_with_huge_amplitude_aborts_at_once():
     # the graph itself is still star-shaped (u = rho/omega > 0 for any finite
     # field), so construction succeeds; the run dies on the cone guard instead

@@ -5,7 +5,7 @@ import pytest
 
 from starflow.speed import (
     BarrierRadii,
-    G_eval,
+    G_from_table,
     PsiTerm,
     SpeedSpec,
     barrier_radii,
@@ -126,20 +126,25 @@ def test_psi_extrema_are_attained_and_never_exceeded():
     assert lo <= np.min(vals) and np.max(vals) <= hi
 
 
-def test_G_eval_values():
+def G_at(spec, xi, u, rho):
+    """G at one node through the run's table form, table = c ψ(ξ)."""
+    return G_from_table(spec, spec.c * psi_eval(spec, xi), u, rho)
+
+
+def test_G_from_table_values():
     xi = np.array([0.0, 0.0, 1.0])
     # pure radius power
     spec = SpeedSpec(c=1.0, a=0.0, b=-2.0)
-    assert G_eval(spec, xi, 1.3, 1.3) == pytest.approx(1.3**-2, rel=1e-14)
+    assert G_at(spec, xi, 1.3, 1.3) == pytest.approx(1.3**-2, rel=1e-14)
     # split exponents with amplitude
     spec = SpeedSpec(c=2.0, a=-0.5, b=-1.5)
-    assert G_eval(spec, xi, 4.0, 4.0) == pytest.approx(2.0 / 16.0, rel=1e-14)
+    assert G_at(spec, xi, 4.0, 4.0) == pytest.approx(2.0 / 16.0, rel=1e-14)
     # anisotropy multiplies in at the north pole
     spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),))
-    assert G_eval(spec, xi, 1.0, 1.0) == pytest.approx(np.exp(0.2), rel=1e-14)
+    assert G_at(spec, xi, 1.0, 1.0) == pytest.approx(np.exp(0.2), rel=1e-14)
 
 
-def test_G_eval_homogeneity():
+def test_G_from_table_homogeneity():
     rng = np.random.default_rng(6)
     spec = SpeedSpec(c=1.7, a=-0.5, b=-1.5)
     for _ in range(30):
@@ -148,18 +153,9 @@ def test_G_eval_homogeneity():
         u = float(rng.uniform(0.2, 2.0))
         rho = u * float(rng.uniform(1.0, 1.5))
         lam = float(rng.uniform(0.5, 3.0))
-        base = float(G_eval(spec, xi, u, rho))
-        scaled = float(G_eval(spec, xi, lam * u, lam * rho))
+        base = float(G_at(spec, xi, u, rho))
+        scaled = float(G_at(spec, xi, lam * u, lam * rho))
         assert scaled == pytest.approx(lam ** (spec.a + spec.b) * base, rel=1e-12)
-
-
-def test_G_eval_rejects_bad_support():
-    spec = SpeedSpec(c=1.0, a=-1.0, b=0.0)
-    xi = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        G_eval(spec, xi, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        G_eval(spec, xi, 1.0, -1.0)
 
 
 def test_barrier_radii_isotropic_pinch():

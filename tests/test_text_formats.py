@@ -116,9 +116,11 @@ def reference_obj(path, state):
 def reference_curvature_table(path, cfg, grid, gamma):
     geom = geometry.assemble(grid, gamma)
     mask = symfunc.in_cone(geom.kappa, cfg.guard)
+    G = cfg.G
     with np.errstate(invalid="ignore", divide="ignore"):
         f_all = symfunc.F_eval(cfg.F, geom.kappa)
-        q_all = speed.G_eval(cfg.G, geom.xi, geom.u, geom.rho) * f_all ** (-cfg.beta)
+        g_all = G.c * speed.psi_eval(G, geom.xi) * geom.u**G.a * geom.rho**G.b
+        q_all = g_all * f_all ** (-cfg.beta)
     f_val = np.where(mask, f_all, np.nan).reshape(-1)
     q = np.where(mask, q_all, np.nan).reshape(-1)
     n = grid.n
@@ -183,7 +185,22 @@ def test_obj_bytes_match_the_reference_writer(tmp_path):
     assert new.count(b"\nf ") == (grid.m_theta - 1) * grid.m_phi
 
 
-@pytest.mark.parametrize("text", [AXISYM_CFG, FULL_S2_CFG], ids=["axisym", "full_s2"])
+SIGMA_2 = "variant = sigma_k_root\nk = 2"
+CURVATURE_CFGS = {
+    "axisym": AXISYM_CFG,
+    "full_s2": FULL_S2_CFG,
+    "quotient_root": AXISYM_CFG.replace(SIGMA_2, "variant = quotient_root\nk = 2\nl = 1"),
+    "power_mean": FULL_S2_CFG.replace(SIGMA_2, "variant = power_mean\np = -1"),
+    "product": AXISYM_CFG.replace(
+        SIGMA_2, "variant = product\nterms = 0.7*sigma_k_root(3), 0.3*power_mean(-1)"
+    ),
+    "support_and_psi": FULL_S2_CFG.replace("a = 0.0", "a = -0.5").replace(
+        "psi = 0.2 0 0 1", "psi = 0.2 0 0 1; 0.3 0.6 0 0.8"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", CURVATURE_CFGS.values(), ids=CURVATURE_CFGS.keys())
 def test_curvature_table_bytes_match_the_reference_writer(tmp_path, capsys, text):
     config = tmp_path / "c.cfg"
     config.write_text(text)
