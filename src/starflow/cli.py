@@ -7,8 +7,8 @@ Three subcommands:
     starflow curvature F CONFIG  per-node curvature table for a stored field
 
 Run configurations are INI files with sections [flow], [F], [G], [grid],
-[initial], and optionally [output]; see the bundled configs/ directory for
-annotated examples.
+[initial], and optionally [output]; a section or key that nothing reads is a
+configuration error.  The bundled configs/ directory holds annotated examples.
 
 Exit codes are part of the interface and nothing else is ever returned:
 
@@ -89,11 +89,12 @@ class RunSetup:
 
 
 def _get(cp, section: str, key: str, conv, default=None, required: bool = False):
+    """[section] key, converted and consumed: parse_config refuses what is left."""
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing key {key!r} in section [{section}]")
         return default
-    raw = cp.get(section, key)
+    raw = cp[section].pop(key)
     try:
         return conv(raw)
     except (TypeError, ValueError) as exc:
@@ -184,10 +185,17 @@ def _parse_initial(cp) -> object:
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
+# the optional [flow] keys; FlowConfig holds their defaults
+_FLOW_KEYS = {"psi_mode": str.lower, "t_max": float, "tol_residual": float, "cadence": int}
+
+
 def parse_config(path) -> RunSetup:
     """Read an INI run configuration; raise ConfigError on any problem."""
-    # values are taken literally: no % interpolation
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # values are taken literally: no % interpolation.  No section is named "",
+    # so [DEFAULT] is an unknown section, not keys lent to every section.
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"configuration file not found: {path}")
@@ -196,9 +204,13 @@ def parse_config(path) -> RunSetup:
             cp.read_file(fh)
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    for section in cp.sections():
+        if section not in ("flow", "F", "G", "grid", "initial", "output"):
+            raise ConfigError(f"unknown section [{section}]")
     for section in ("flow", "F", "G", "grid", "initial"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
+    raw = {s: dict(cp.items(s)) for s in cp.sections()}
 
     grid = _wrap_value_errors(lambda: _parse_grid(cp))
     f_spec = _parse_f_spec(cp)
@@ -210,25 +222,22 @@ def parse_config(path) -> RunSetup:
             psi=_parse_psi_terms(_get(cp, "G", "psi", str, default="")),
         )
     )
-
-    psi_mode = _get(cp, "flow", "psi_mode", str, default=flow.PSI_IDENTITY).strip().lower()
+    given = {key: _get(cp, "flow", key, conv) for key, conv in _FLOW_KEYS.items()}
     cfg = _wrap_value_errors(
         lambda: flow.FlowConfig(
             grid=grid,
             F=f_spec,
             G=g_spec,
             beta=_get(cp, "flow", "beta", float, required=True),
-            psi_mode=psi_mode,
-            dt_safety=_get(cp, "flow", "dt_safety", float, default=0.2),
-            t_max=_get(cp, "flow", "t_max", float, default=50.0),
-            tol_residual=_get(cp, "flow", "tol_residual", float, default=1e-6),
-            cadence=_get(cp, "flow", "cadence", int, default=50),
+            **{key: value for key, value in given.items() if value is not None},
         )
     )
     initial = _wrap_value_errors(lambda: _parse_initial(cp))
-    obj_every = _get(cp, "output", "obj_every", int, default=0) if cp.has_section("output") else 0
+    obj_every = _get(cp, "output", "obj_every", int, default=0)
 
-    raw = {s: dict(cp.items(s)) for s in cp.sections()}
+    for section in cp.sections():
+        for key in cp[section]:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return RunSetup(
         config=cfg, initial=initial, obj_every=obj_every, config_hash=_hash_raw(raw), raw=raw
     )
@@ -345,8 +354,7 @@ def cmd_validate(args) -> int:
     else:
         print(f"no admissible barrier radii: {radii.reason}")
 
-    report = speed.monotonicity_report(cfg.G, cfg.beta)
-    for name, margin in report.margins.items():
+    for name, margin in speed.monotonicity_report(cfg.G, cfg.beta).items():
         state = "holds" if margin > 0 else ("boundary" if margin == 0 else "fails")
         print(f"condition {name}: margin = {margin:.6g} ({state})")
 

@@ -30,17 +30,17 @@ Stationary states are exact: 𝓕 = 0 gives k1 = k2 = 0.
 
 The step size h follows the local error estimate (h/2)(k1 + k2), measured as
 max |est| / (ERR_TOL · (1 + |γ|)) and controlled as in Hairer & Wanner,
-Solving ODEs II.  dt_safety only sets the first step, a fraction of the
-explicit parabolic bound min over nodes of (ρΔθ)² / (2 n D).  A guard
-failure at a trial stage or at γ⁺ (geometry.star_shape_failure, then
-symfunc.cone_failure once F_fused's cone mask fails) is not a state of the
-flow: the step is rejected like one whose error is too large, and h shrinks.
-Only when h falls below H_FLOOR does the run abort, with the status and
-detail of the guard that fired last (or diverged, when the error estimate
-alone forced h down).  Guard and radius details name the first failing node.
-γ is never filtered or clamped; clipping Z changes only W, which a W-method
-leaves free.  A run therefore ends in exactly one of five states: converged,
-diverged, cone_exit, star_shape_lost, or time_cap.
+Solving ODEs II.  The first step is half of the explicit parabolic bound
+min over nodes of (ρΔθ)² / (2 n D).  A guard failure at a trial stage or at
+γ⁺ (geometry.star_shape_failure, then symfunc.cone_failure once F_fused's
+cone mask fails) is not a state of the flow: the step is rejected like one
+whose error is too large, and h shrinks.  Only when h falls below H_FLOOR
+does the run abort, with the status and detail of the guard that fired last
+(or diverged, when the error estimate alone forced h down).  Guard and radius
+details name the first failing node.  γ is never filtered or clamped;
+clipping Z changes only W, which a W-method leaves free.  A run therefore
+ends in exactly one of five states: converged, diverged, cone_exit,
+star_shape_lost, or time_cap.
 
 run() is deterministic: identical configs and initial data reproduce
 identical histories bit for bit.
@@ -96,25 +96,23 @@ ERR_TOL = 2e-5
 H_FLOOR = 1e-12
 # ROS2's γ; L-stable for W equal to the Jacobian
 ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
+# the first step, as a fraction of the explicit bound
+FIRST_STEP_FRACTION = 0.5
 
 
 def psi_apply(mode: str, s):
     """Ψ(s): identity, or -1/s for the contracting normalization."""
-    if mode == PSI_IDENTITY:
-        return s
     if mode == PSI_NEG_RECIPROCAL:
         return -1.0 / s
-    raise ValueError(f"unknown psi mode {mode!r}")
+    return s
 
 
 def psi_prime(mode: str, s):
     """Ψ'(s); strictly positive on s > 0 for both modes (the scalar 1.0 for
     the identity, which broadcasts against s)."""
-    if mode == PSI_IDENTITY:
-        return 1.0
     if mode == PSI_NEG_RECIPROCAL:
         return 1.0 / (np.asarray(s, dtype=float) ** 2)
-    raise ValueError(f"unknown psi mode {mode!r}")
+    return 1.0
 
 
 @dataclass
@@ -126,7 +124,6 @@ class FlowConfig:
     G: SpeedSpec
     beta: float
     psi_mode: str = PSI_IDENTITY
-    dt_safety: float = 0.2  # first step, as a fraction of the explicit bound
     t_max: float = 50.0
     tol_residual: float = 1e-6
     cadence: int = 50
@@ -143,8 +140,6 @@ class FlowConfig:
             )
         if self.psi_mode not in (PSI_IDENTITY, PSI_NEG_RECIPROCAL):
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ValueError("dt_safety must lie in (0, 1]")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
         _validate_spec(self.F, self.grid.n)
@@ -223,12 +218,12 @@ def diffusivity(
 
 
 def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
-    """First step dt_safety · min((ρΔθ)² / (2 n D)) for D = diff: the bound
-    an explicit scheme would obey in θ.  Raises FlowAbort naming the first
-    node whose bound is not a positive number when that minimum is not."""
+    """First step FIRST_STEP_FRACTION · min((ρΔθ)² / (2 n D)) for D = diff, of
+    the bound an explicit scheme would obey in θ.  Raises FlowAbort naming the
+    first node whose bound is not a positive number when that minimum is not."""
     ds = geom.rho * config.grid.dtheta
     bound = ds * ds / (2.0 * config.grid.n * diff)
-    dt = config.dt_safety * float(bound.min())
+    dt = FIRST_STEP_FRACTION * float(bound.min())
     if not (np.isfinite(dt) and dt > 0.0):
         bad = ~(np.isfinite(bound) & (bound > 0.0))
         node = tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bound.shape))
@@ -299,11 +294,13 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     status, detail = None, ""
 
     try:
-        # the speed at the current state: its guard check and the next
-        # step's first stage
-        current = speed_field(config, gamma0)
-        speed, q, f_val, lam, geom = current
-        h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam))
+        # the speed at the current state (its guard check and the next step's
+        # first stage); a forcing that overflows or underflows makes D inf,
+        # NaN or 0, and cfl_dt reports the bound that degenerates with it
+        with np.errstate(all="ignore"):
+            current = speed_field(config, gamma0)
+            speed, q, f_val, lam, geom = current
+            h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam))
     except FlowAbort as abort:
         status, detail = abort.status, abort.detail
 

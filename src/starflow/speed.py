@@ -40,7 +40,6 @@ __all__ = [
     "G_from_table",
     "BarrierRadii",
     "barrier_radii",
-    "MonotonicityReport",
     "monotonicity_report",
     "radius_root",
 ]
@@ -201,9 +200,9 @@ def _sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float) -> 
     return float(np.exp(log_r))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Closed-form exponent conditions; margin > 0 means strictly satisfied.
+def monotonicity_report(spec: SpeedSpec, beta: float) -> dict:
+    """Margins for every exponent condition the convergence theory leans on,
+    by name; margin > 0 means strictly satisfied.
 
     radial_scaling        a + b + β <= 0   flow-ordered sphere barriers
     support_negative      a < 0            support exponent strictly negative
@@ -212,12 +211,6 @@ class MonotonicityReport:
     support_free          a = 0, b + 1 <= 0  support-free forcing variant
     support_nonzero       |a| > 0          nondegenerate support dependence
     """
-
-    margins: dict = field(default_factory=dict)
-
-
-def monotonicity_report(spec: SpeedSpec, beta: float) -> MonotonicityReport:
-    """Margins for every exponent condition the convergence theory leans on."""
     margins = {
         "radial_scaling": -(spec.a + spec.b + beta),
         "support_negative": -spec.a,
@@ -226,7 +219,7 @@ def monotonicity_report(spec: SpeedSpec, beta: float) -> MonotonicityReport:
         "support_nonzero": abs(spec.a),
     }
     # adding 0.0 turns a signed zero into +0.0, so no margin reads -0
-    return MonotonicityReport(margins={name: m + 0.0 for name, m in margins.items()})
+    return {name: m + 0.0 for name, m in margins.items()}
 
 
 def radius_root(spec: SpeedSpec, F_spec, n: int, beta: float) -> float:

@@ -182,9 +182,6 @@ class WeightedProduct:
     terms: tuple
 
 
-FSpec = SigmaKRoot | QuotientRoot | PowerMean | WeightedProduct
-
-
 def _validate_spec(spec, n: int) -> None:
     if isinstance(spec, SigmaKRoot):
         if not 1 <= spec.k <= n:

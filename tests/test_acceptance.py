@@ -67,7 +67,6 @@ def setup1(m_theta=32, **overrides):
         F=SigmaKRoot(k=2),
         G=SpeedSpec(c=1.0, a=0.0, b=-2.0),
         beta=1.0,
-        dt_safety=0.5,
         t_max=50.0,
         tol_residual=1e-6,
     )
@@ -81,7 +80,6 @@ def setup3(m_theta, m_phi, psi=ANISO, **overrides):
         F=SigmaKRoot(k=2),
         G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
         beta=1.0,
-        dt_safety=0.5,
         t_max=50.0,
         tol_residual=1e-6,
     )
@@ -155,7 +153,6 @@ def test_criterion_02_contracting_sphere_oracle():
         G=SpeedSpec(c=1.0, a=0.0, b=-3.0),
         beta=2.0,
         psi_mode=PSI_NEG_RECIPROCAL,
-        dt_safety=0.5,
         t_max=50.0,
         tol_residual=1e-6,
     )
@@ -376,7 +373,6 @@ def test_criterion_10_homogeneous_case_coverage():
         F=SigmaKRoot(k=2),
         G=SpeedSpec(c=1.0, a=-0.5, b=-1.5, psi=ANISO),
         beta=1.0,
-        dt_safety=0.5,
         t_max=50.0,
         tol_residual=1e-6,
     )

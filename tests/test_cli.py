@@ -28,7 +28,6 @@ BASE_SECTIONS = {
     "flow": {
         "beta": "1.0",
         "psi_mode": "identity",
-        "dt_safety": "0.5",
         "t_max": "50.0",
         "tol_residual": "1e-6",
         "cadence": "50",
@@ -145,8 +144,10 @@ def test_config_errors_exit_64(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert cli.main(["run", str(missing), "--out", str(tmp_path / "o")]) == 64
 
-    bad_dt = make_cfg(tmp_path / "a.cfg", flow__dt_safety="0.0")
-    assert cli.main(["run", str(bad_dt), "--out", str(tmp_path / "o")]) == 64
+    # the first step is no longer a knob: a config that sets it is refused
+    stale = make_cfg(tmp_path / "a.cfg", flow__dt_safety="0.5")
+    assert cli.main(["run", str(stale), "--out", str(tmp_path / "o")]) == 64
+    assert "unknown key 'dt_safety' in section [flow]" in capsys.readouterr().err
 
     no_section = make_cfg(tmp_path / "b.cfg")
     no_section.write_text(no_section.read_text().replace("[initial]", "[whatever]"))
@@ -318,7 +319,6 @@ _INI_LITERALS = {
     "flow": {
         "beta": ["1.0", "0.5", "0", "-1", "nan", "inf", "one", None],
         "psi_mode": ["identity", "neg_reciprocal", "bogus", None],
-        "dt_safety": ["0.5", "1.5", "0", "x", None],
         "t_max": ["50", "1e-3", "-1", "nan", "50%", None],
         "tol_residual": ["1e-6", "0", "inf", "?", None],
         "cadence": ["50", "0", "2.5", None],
@@ -360,22 +360,72 @@ _INI_LITERALS = {
 }
 
 
-def valid_sections():
-    """The INI whose every key holds the first entry of its literal list."""
-    return {
-        name: {key: values[0] for key, values in keys.items()}
+# the keys that each choice of variant, grid mode and initial kind reads
+_CHOICE_READS = {
+    ("F", "variant"): {
+        "sigma_k_root": ("k",),
+        "quotient_root": ("k", "l"),
+        "power_mean": ("p",),
+        "product": ("terms",),
+    },
+    ("grid", "mode"): {"axisym": ("n", "m_theta"), "full_s2": ("m_theta", "m_phi")},
+    ("initial", "kind"): {
+        "constant": ("radius",),
+        "spheroid": ("a_axis", "b_axis"),
+        "perturbed": ("radius", "amplitude"),
+    },
+}
+
+
+def valid_sections(choices=None):
+    """The INI of the given choices (the first of each by default) that sets
+    each key they read, and every other key, to the first entry of its
+    literal list."""
+    choices = choices or {at: next(iter(reads)) for at, reads in _CHOICE_READS.items()}
+    chosen = {key for at, reads in _CHOICE_READS.items() for key in reads[choices[at]]}
+    dependent = {key for reads in _CHOICE_READS.values() for keys in reads.values() for key in keys}
+    sections = {
+        name: {
+            key: values[0]
+            for key, values in keys.items()
+            if key in chosen or key not in dependent
+        }
         for name, keys in _INI_LITERALS.items()
     }
+    for (name, key), choice in choices.items():
+        sections[name][key] = choice
+    return sections
+
+
+# stray text a config may carry: a misspelled or an unknown key, a section
+# that no reader knows, and a [DEFAULT] section, whose keys configparser would
+# otherwise lend to every section
+_STRAYS = st.sampled_from(["misspelled", "unknown-key", "unknown-section", "default-section"])
 
 
 @st.composite
 def ini_sections(draw):
-    """The all-valid INI with a few keys redrawn from their literal lists."""
-    sections = valid_sections()
+    """(sections, stray): the valid INI of some choices with a few keys
+    redrawn from their literal lists, and maybe one stray; a config with a
+    stray must exit 64."""
+    choices = {at: draw(st.sampled_from(sorted(reads))) for at, reads in _CHOICE_READS.items()}
+    sections = valid_sections(choices)
     keys = [(name, key) for name, body in _INI_LITERALS.items() for key in body]
     for name, key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         sections[name][key] = draw(st.sampled_from(_INI_LITERALS[name][key]))
-    return sections
+    stray = draw(st.one_of(st.none(), _STRAYS))
+    if stray == "misspelled":
+        present = [(name, key) for name, body in sections.items() for key, v in body.items() if v]
+        name, key = draw(st.sampled_from(present))
+        typo = key.replace("_", "", 1) if "_" in key else key + "s"
+        sections[name][typo] = sections[name].pop(key)
+    elif stray == "unknown-key":
+        sections[draw(st.sampled_from(sorted(sections)))]["dt_safety"] = "0.5"
+    elif stray == "unknown-section":
+        sections[draw(st.sampled_from(["Flow", "flw", "extra"]))] = {"beta": "1.0"}
+    elif stray == "default-section":
+        sections["DEFAULT"] = {"t_max": "50"}
+    return sections, stray is not None
 
 
 def write_sections(path, sections):
@@ -395,14 +445,18 @@ def main_quietly(argv):
     return code, err.getvalue()
 
 
+def assert_exit(code, err, codes, stray):
+    assert code in ((64,) if stray else codes), err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ini_sections())
-def test_validate_exits_only_with_documented_codes(tmp_path, sections):
+def test_validate_exits_only_with_documented_codes(tmp_path, drawn):
+    sections, stray = drawn
     cfg = write_sections(tmp_path / "h.cfg", sections)
-    code, err = main_quietly(["validate", str(cfg)])
-    assert code in (0, 1, 64, 65), err
-    assert "Traceback" not in err
+    assert_exit(*main_quietly(["validate", str(cfg)]), (0, 1, 64, 65), stray)
 
 
 # u^a overflows a double at every node with u > 1
@@ -412,9 +466,10 @@ HUGE_SUPPORT_EXPONENT["G"]["a"] = "1e308"
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(HUGE_SUPPORT_EXPONENT)
+@example((HUGE_SUPPORT_EXPONENT, False))
 @given(ini_sections())
-def test_curvature_exits_only_with_documented_codes(tmp_path, sections):
+def test_curvature_exits_only_with_documented_codes(tmp_path, drawn):
+    sections, stray = drawn
     cfg = write_sections(tmp_path / "h.cfg", sections)
     try:
         grid = cli.parse_config(cfg).config.grid
@@ -422,9 +477,64 @@ def test_curvature_exits_only_with_documented_codes(tmp_path, sections):
         grid = axisym_grid(n=2, m_theta=16)
     field = tmp_path / "field.csv"
     write_field_csv(field, grid, wavy_gamma(grid))
-    code, err = main_quietly(["curvature", str(field), str(cfg), "--out", str(tmp_path / "t.csv")])
-    assert code in (0, 64, 65), err
-    assert "Traceback" not in err
+    argv = ["curvature", str(field), str(cfg), "--out", str(tmp_path / "t.csv")]
+    assert_exit(*main_quietly(argv), (0, 64, 65), stray)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((HUGE_SUPPORT_EXPONENT, False))
+@given(ini_sections())
+def test_run_exits_only_with_documented_codes(tmp_path, drawn):
+    sections, stray = drawn
+    cfg = write_sections(tmp_path / "h.cfg", sections)
+    argv = ["run", str(cfg), "--out", str(tmp_path / "out"), "--t-max", "1e-3"]
+    assert_exit(*main_quietly(argv), (0, 2, 3, 64, 65), stray)
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # a typo would otherwise run with the default tolerance and exit 0
+        pytest.param(
+            {"flow__tol_residul": "1e-9"}, "unknown key 'tol_residul' in section [flow]",
+            id="misspelled-key",
+        ),
+        pytest.param({"extra__t_max": "1e-3"}, "unknown section [extra]", id="unknown-section"),
+        pytest.param({"Flow__t_max": "1e-3"}, "unknown section [Flow]", id="capitalised-section"),
+        # configparser would lend [DEFAULT]'s keys to every section
+        pytest.param(
+            {"DEFAULT__t_max": "1e-3"}, "unknown section [DEFAULT]", id="default-section"
+        ),
+    ],
+)
+def test_stray_key_or_section_exits_64(tmp_path, capsys, edits, message):
+    cfg = make_cfg(tmp_path / "s.cfg", **edits)
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert cli.main(argv) == 64, argv[0]
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "psi_mode, bound",
+    [
+        pytest.param("identity", "dt = 0.0 at node (0,): D = inf", id="identity"),
+        # Psi'(Q) Q = Q / Q^2 is 0 * inf at Q = inf
+        pytest.param("neg_reciprocal", "dt = nan at node (0,): D = nan", id="neg_reciprocal"),
+    ],
+)
+def test_forcing_that_overflows_at_step_0_diverges(tmp_path, capsys, psi_mode, bound):
+    # u^a = 1.3^1e308 overflows, so Q = inf: the first step's bound
+    # degenerates and the run ends diverged, with no RuntimeWarning on the way
+    cfg = make_cfg(tmp_path / "o.cfg", G__a="1e308", flow__psi_mode=psi_mode)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged" and summary["steps"] == 0
+    assert summary["detail"] == f"step-size bound degenerated to {bound}, rho = 1.3"
+    capsys.readouterr()
 
 
 def test_unwritable_out_exits_64(tmp_path, capsys):
@@ -536,7 +646,7 @@ def test_config_hash_ignores_formatting_not_values(tmp_path):
         "[G]\nb = -2.0  # inverse square\na = 0.0\nc = 1.0\n\n"
         "[F]\nk = 2\nvariant = sigma_k_root\n\n"
         "[flow]\ncadence = 50\ntol_residual = 1e-6\nt_max = 50.0\n"
-        "dt_safety = 0.5\npsi_mode = identity\nbeta = 1.0\n"
+        "psi_mode = identity\nbeta = 1.0\n"
     )
     h1 = cli.parse_config(plain).config_hash
     h2 = cli.parse_config(shuffled).config_hash

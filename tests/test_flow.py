@@ -21,6 +21,7 @@ from starflow.flow import (
     STATUS_DIVERGED,
     STATUS_STAR_SHAPE_LOST,
     STATUS_TIME_CAP,
+    FIRST_STEP_FRACTION,
     ROS2_GAMMA,
     Constant,
     FlowAbort,
@@ -55,7 +56,6 @@ def setup1(m_theta=16, **overrides):
         F=SigmaKRoot(k=2),
         G=SpeedSpec(c=1.0, a=0.0, b=-2.0),
         beta=1.0,
-        dt_safety=0.5,
         t_max=50.0,
     )
     base.update(overrides)
@@ -65,10 +65,6 @@ def setup1(m_theta=16, **overrides):
 def test_config_validation():
     with pytest.raises(ValueError):
         setup1(beta=0.0)
-    with pytest.raises(ValueError):
-        setup1(dt_safety=0.0)
-    with pytest.raises(ValueError):
-        setup1(dt_safety=1.5)
     with pytest.raises(ValueError):
         setup1(cadence=0)
     with pytest.raises(ValueError):
@@ -368,8 +364,8 @@ def test_run_is_deterministic():
 
 
 def test_cfl_dt_scalings():
-    def dt_for(m, safety=0.5):
-        cfg = setup1(m_theta=m, dt_safety=safety)
+    def dt_for(m):
+        cfg = setup1(m_theta=m)
         gamma = np.full(m, np.log(1.3))
         _, q, f_val, lam, geom = speed_field(cfg, gamma)
         return cfl_dt(cfg, geom, diffusivity(cfg, geom, q, f_val, lam))
@@ -378,7 +374,9 @@ def test_cfl_dt_scalings():
     dt32 = dt_for(32)
     assert dt16 > 0.0
     assert dt16 / dt32 == pytest.approx(4.0, rel=1e-12)  # ds^2 scaling
-    assert dt_for(16, safety=0.25) == pytest.approx(0.5 * dt16, rel=1e-12)
+    # on a round sphere of radius R, D = R/2, so the bound is R dtheta^2 / 2
+    dtheta = axisym_grid(n=2, m_theta=16).dtheta
+    assert dt16 == pytest.approx(FIRST_STEP_FRACTION * 1.3 * dtheta**2 / 2.0, rel=1e-12)
 
 
 def test_cfl_dt_names_the_node_whose_bound_degenerates():
@@ -404,8 +402,7 @@ def test_axisym_and_full_s2_integrate_identically():
             F=SigmaKRoot(k=2),
             G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
             beta=1.0,
-            dt_safety=0.5,
-        )
+            )
         for grid in (axisym_grid(n=2, m_theta=16), full_s2_grid(m_theta=16, m_phi=16))
     ]
     ax, s2 = (run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid)) for cfg in configs)
@@ -463,7 +460,6 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
         F=SigmaKRoot(k=2),
         G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),)),
         beta=1.0,
-        dt_safety=0.5,
         t_max=0.02,
         cadence=1,
     )
@@ -473,7 +469,7 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
     # the explicit bound set by the pole rows' phi spacing rho sin(theta) dphi
     ds = np.minimum(geom.rho * grid.dtheta, geom.rho * grid.sin_theta * grid.dphi)
     diff = diffusivity(cfg, geom, q, f_val, lam)
-    pole_dt = cfg.dt_safety * float(np.min(ds * ds / (2.0 * grid.n * diff)))
+    pole_dt = FIRST_STEP_FRACTION * float(np.min(ds * ds / (2.0 * grid.n * diff)))
 
     res = run(cfg, gamma)
     assert res.status == STATUS_TIME_CAP

@@ -1,6 +1,7 @@
 """Each module's __all__ names exactly the functions and classes it defines,
-and each of them serves the package, not only its own unit test.  No module
-calls np.roll or np.moveaxis, whose per-call cost the step path dropped."""
+and each of them, like each public constant and alias, serves the package,
+not only its own unit test.  No module calls np.roll or np.moveaxis, whose
+per-call cost the step path dropped."""
 
 import ast
 import importlib
@@ -23,15 +24,32 @@ UNUSED_ALLOWED = {
 
 def names_read(path):
     """Every name the file reads as a variable or an attribute, leaving out
-    a top-level def's or class's reads of its own name."""
+    a top-level def's or class's reads of its own name; an assignment is not
+    a read."""
     read = set()
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         own = getattr(node, "name", None)
         for sub in ast.walk(node):
+            if not isinstance(sub, (ast.Name, ast.Attribute)) or isinstance(sub.ctx, ast.Store):
+                continue
             name = getattr(sub, "id", None) or getattr(sub, "attr", None)
-            if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
+            if name != own:
                 read.add(name)
     return read
+
+
+def public_constants(path):
+    """The names the file assigns at module level without a leading _: its
+    constants and type aliases."""
+    assigned = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned.update(
+                sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)
+            )
+    return {name for name in assigned if not name.startswith("_")}
 
 
 def public_names(module):
@@ -66,7 +84,8 @@ def test_every_public_function_and_class_is_used(name):
     acceptance = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
     read = set().union(*map(names_read, [*sorted(src.glob("*.py")), acceptance]))
     module = importlib.import_module(f"starflow.{name}")
-    unused = {f"{name}.{attr}" for attr in public_names(module) - read}
+    public = public_names(module) | public_constants(src / f"{name}.py")
+    unused = {f"{name}.{attr}" for attr in public - read}
     assert unused == {key for key in UNUSED_ALLOWED if key.startswith(f"{name}.")}
 
 

@@ -184,19 +184,19 @@ def test_barrier_radii_wrong_scaling():
 
 
 def test_monotonicity_report():
-    rep = monotonicity_report(SpeedSpec(c=1.0, a=0.0, b=-2.0), 1.0)
-    assert rep.margins["radial_scaling"] == pytest.approx(1.0)
-    assert rep.margins["radial_contraction"] == pytest.approx(1.0)
-    assert rep.margins["support_free"] == pytest.approx(1.0)
-    assert rep.margins["radial_scaling"] > 0
-    assert not rep.margins["support_nonzero"] > 0
-    assert rep.margins["support_negative"] >= 0
+    margins = monotonicity_report(SpeedSpec(c=1.0, a=0.0, b=-2.0), 1.0)
+    assert margins["radial_scaling"] == pytest.approx(1.0)
+    assert margins["radial_contraction"] == pytest.approx(1.0)
+    assert margins["support_free"] == pytest.approx(1.0)
+    assert margins["radial_scaling"] > 0
+    assert not margins["support_nonzero"] > 0
+    assert margins["support_negative"] >= 0
 
-    rep = monotonicity_report(SpeedSpec(c=1.0, a=-0.5, b=-1.5), 1.0)
-    assert rep.margins["radial_scaling"] == pytest.approx(1.0)
-    assert rep.margins["support_negative"] == pytest.approx(0.5)
-    assert rep.margins["support_free"] == float("-inf")
-    assert rep.margins["support_nonzero"] == pytest.approx(0.5)
+    margins = monotonicity_report(SpeedSpec(c=1.0, a=-0.5, b=-1.5), 1.0)
+    assert margins["radial_scaling"] == pytest.approx(1.0)
+    assert margins["support_negative"] == pytest.approx(0.5)
+    assert margins["support_free"] == float("-inf")
+    assert margins["support_nonzero"] == pytest.approx(0.5)
 
 
 def test_radius_root_identity_mode():
