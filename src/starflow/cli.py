@@ -17,8 +17,8 @@ Exit codes are part of the interface and nothing else is ever returned:
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap
     64  usage or configuration parse error
-    65  gate failure: --strict validation failed, initial data or a stored
-        field not star-shaped, or a stored field not on the configured grid
+    65  gate failure: initial data or a stored field not star-shaped, or a
+        stored field not on the configured grid
     70  internal error (a bug; please report the traceback)
 """
 
@@ -212,27 +212,26 @@ def parse_config(path) -> RunSetup:
             raise ConfigError(f"missing required section [{section}]")
     raw = {s: dict(cp.items(s)) for s in cp.sections()}
 
-    grid = _wrap_value_errors(lambda: _parse_grid(cp))
-    f_spec = _parse_f_spec(cp)
-    g_spec = _wrap_value_errors(
-        lambda: speed.SpeedSpec(
+    try:
+        grid = _parse_grid(cp)
+        f_spec = _parse_f_spec(cp)
+        g_spec = speed.SpeedSpec(
             c=_get(cp, "G", "c", float, default=1.0),
             a=_get(cp, "G", "a", float, required=True),
             b=_get(cp, "G", "b", float, required=True),
             psi=_parse_psi_terms(_get(cp, "G", "psi", str, default="")),
         )
-    )
-    given = {key: _get(cp, "flow", key, conv) for key, conv in _FLOW_KEYS.items()}
-    cfg = _wrap_value_errors(
-        lambda: flow.FlowConfig(
+        given = {key: _get(cp, "flow", key, conv) for key, conv in _FLOW_KEYS.items()}
+        cfg = flow.FlowConfig(
             grid=grid,
             F=f_spec,
             G=g_spec,
             beta=_get(cp, "flow", "beta", float, required=True),
             **{key: value for key, value in given.items() if value is not None},
         )
-    )
-    initial = _wrap_value_errors(lambda: _parse_initial(cp))
+        initial = _parse_initial(cp)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     obj_every = _get(cp, "output", "obj_every", int, default=0)
 
     for section in cp.sections():
@@ -249,13 +248,6 @@ def _hash_raw(raw: dict) -> str:
     ).hexdigest()
 
 
-def _wrap_value_errors(builder):
-    try:
-        return builder()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # run
 
@@ -265,17 +257,14 @@ def cmd_run(args) -> int:
     overrides = {"t_max": args.t_max, "tol_residual": args.tol_residual}
     overrides = {key: value for key, value in overrides.items() if value is not None}
     # FlowConfig validates the overrides like the file's own values
-    cfg = setup.config = _wrap_value_errors(lambda: replace(setup.config, **overrides))
+    try:
+        cfg = setup.config = replace(setup.config, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # overrides enter the hashed [flow] entries too, so the hash names the
     # problem that actually ran
     setup.raw["flow"].update((key, repr(value)) for key, value in overrides.items())
     setup.config_hash = _hash_raw(setup.raw)
-
-    if args.strict:
-        # barrier radii exist only when a + b + beta < 0, the scaling condition
-        radii = speed.barrier_radii(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
-        if not radii.ok:
-            raise GateError(f"barrier validation failed: {radii.reason}")
 
     try:
         gamma0 = flow.initial_gamma(setup.initial, cfg.grid)
@@ -429,11 +418,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--t-max", type=float, default=None, help="override [flow] t_max")
     p_run.add_argument(
         "--tol-residual", type=float, default=None, help="override [flow] tol_residual"
-    )
-    p_run.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse to run when no barrier radii exist",
     )
     p_run.set_defaults(fn=cmd_run)
 

@@ -110,11 +110,6 @@ class CheckResult:
 
     passed: bool | None
     message: str
-    first_violation: int | None = None
-
-    @property
-    def skipped(self) -> bool:
-        return self.passed is None
 
 
 def check_barriers(history, r1: float, r2: float, tol: float) -> CheckResult:
@@ -140,7 +135,6 @@ def check_barriers(history, r1: float, r2: float, tol: float) -> CheckResult:
                 f"record {idx} (t = {rec.t:.6g}) left the barriers: "
                 f"[{rec.rho_min:.6g}, {rec.rho_max:.6g}] vs "
                 f"[{r1:.6g} - {tol:.2g}, {r2:.6g} + {tol:.2g}]",
-                first_violation=idx,
             )
     return CheckResult(True, f"{len(history)} records inside barriers")
 
@@ -163,7 +157,6 @@ def check_sign_preservation(history, tol: float) -> CheckResult:
                     False,
                     f"record {idx}: Q - 1 dropped to {rec.q_min - 1.0:.3g} "
                     f"after starting positive",
-                    first_violation=idx,
                 )
         return CheckResult(True, f"Q - 1 stayed >= -{tol:g} over {len(history)} records")
     if hi0 < 0.0:
@@ -173,7 +166,6 @@ def check_sign_preservation(history, tol: float) -> CheckResult:
                     False,
                     f"record {idx}: Q - 1 rose to {rec.q_max - 1.0:.3g} "
                     f"after starting negative",
-                    first_violation=idx,
                 )
         return CheckResult(True, f"Q - 1 stayed <= {tol:g} over {len(history)} records")
     return CheckResult(
@@ -216,8 +208,6 @@ class DecayFit:
 
     rate: float
     r_squared: float
-    n_records: int
-    t_start: float
     machine_converged: bool = False
 
 
@@ -246,8 +236,6 @@ def decay_fit(history, tail_fraction: float = 0.5) -> DecayFit:
         return DecayFit(
             rate=float("inf"),
             r_squared=1.0,
-            n_records=len(window),
-            t_start=float(t[0]),
             machine_converged=True,
         )
     y = np.log(g)
@@ -259,8 +247,6 @@ def decay_fit(history, tail_fraction: float = 0.5) -> DecayFit:
     return DecayFit(
         rate=float(-slope),
         r_squared=float(r2),
-        n_records=len(window),
-        t_start=float(t[0]),
     )
 
 

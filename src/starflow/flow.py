@@ -55,7 +55,7 @@ import numpy as np
 
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_failure
-from .speed import G_from_table, SpeedSpec, psi_eval
+from .speed import RHO_CEIL, RHO_FLOOR, G_from_table, SpeedSpec, psi_eval
 from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import Cone, F_fused, _validate_spec, cone_failure, natural_cone
 
@@ -88,8 +88,6 @@ STATUS_CONE_EXIT = "cone_exit"
 STATUS_STAR_SHAPE_LOST = "star_shape_lost"
 STATUS_TIME_CAP = "time_cap"
 
-# a run diverges once some radius leaves [RHO_FLOOR, RHO_CEIL]
-RHO_FLOOR, RHO_CEIL = 1e-6, 1e6
 # local error tolerance of a step, relative to 1 + |γ|
 ERR_TOL = 2e-5
 # a run whose step size falls below this aborts
@@ -293,67 +291,69 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     rejected = 0
     status, detail = None, ""
 
-    try:
-        # the speed at the current state (its guard check and the next step's
-        # first stage); a forcing that overflows or underflows makes D inf,
-        # NaN or 0, and cfl_dt reports the bound that degenerates with it
-        with np.errstate(all="ignore"):
+    # a forcing that overflows or underflows makes D inf, NaN or 0 at any
+    # state: cfl_dt reports the step-0 bound that degenerates with it, and
+    # after step 0 the guards and the error test reject such a step
+    with np.errstate(all="ignore"):
+        try:
+            # the speed at the current state: its guard check and the next
+            # step's first stage
             current = speed_field(config, gamma0)
             speed, q, f_val, lam, geom = current
             h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam))
-    except FlowAbort as abort:
-        status, detail = abort.status, abort.detail
+        except FlowAbort as abort:
+            status, detail = abort.status, abort.detail
 
-    while status is None:
-        speed, q, f_val, lam, geom = current
-        residual = float(np.abs(speed).max())
-        rho = geom.rho
-        if residual <= config.tol_residual:
-            status = STATUS_CONVERGED
-        elif rho.min() < RHO_FLOOR or rho.max() > RHO_CEIL:
-            status = STATUS_DIVERGED
-            outside = (rho < RHO_FLOOR) | (rho > RHO_CEIL)
-            node = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), rho.shape))
-            detail = (
-                f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] at node {node}: "
-                f"rho = {rho[node]:.3g} (range [{rho.min():.3g}, {rho.max():.3g}])"
-            )
-        elif state.t >= config.t_max:
-            status = STATUS_TIME_CAP
-        if status is not None or state.step % config.cadence == 0:
-            history.append(diagnostics.snapshot(state.step, state.t, geom, q, f_val, residual))
-            if on_record is not None:
-                on_record(state, history[-1], geom)
-        if status is not None:
-            break
+        while status is None:
+            speed, q, f_val, lam, geom = current
+            residual = float(np.abs(speed).max())
+            rho = geom.rho
+            if residual <= config.tol_residual:
+                status = STATUS_CONVERGED
+            elif rho.min() < RHO_FLOOR or rho.max() > RHO_CEIL:
+                status = STATUS_DIVERGED
+                outside = (rho < RHO_FLOOR) | (rho > RHO_CEIL)
+                node = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), rho.shape))
+                detail = (
+                    f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] at node {node}: "
+                    f"rho = {rho[node]:.3g} (range [{rho.min():.3g}, {rho.max():.3g}])"
+                )
+            elif state.t >= config.t_max:
+                status = STATUS_TIME_CAP
+            if status is not None or state.step % config.cadence == 0:
+                history.append(diagnostics.snapshot(state.step, state.t, geom, q, f_val, residual))
+                if on_record is not None:
+                    on_record(state, history[-1], geom)
+            if status is not None:
+                break
 
-        # attempt steps from state until one passes the error test and the
-        # guards at γ⁺, whose speed is then the next step's first stage
-        while True:
-            last = h >= config.t_max - state.t
-            h_try = config.t_max - state.t if last else h
-            try:
-                trial = step(config, state, h_try, current)
-                error = trial.error
+            # attempt steps from state until one passes the error test and the
+            # guards at γ⁺, whose speed is then the next step's first stage
+            while True:
+                last = h >= config.t_max - state.t
+                h_try = config.t_max - state.t if last else h
+                try:
+                    trial = step(config, state, h_try, current)
+                    error = trial.error
+                    if error <= 1.0:
+                        current = speed_field(config, trial.gamma)
+                    else:
+                        node = tuple(map(int, np.unravel_index(trial.error_at, config.grid.shape)))
+                        reason = f"error estimate {error:.3g} times the tolerance at node {node}"
+                        failure = STATUS_DIVERGED, reason
+                except FlowAbort as abort:
+                    error, failure = float("inf"), (abort.status, abort.detail)
+                h = h_try * _step_factor(error)
                 if error <= 1.0:
-                    current = speed_field(config, trial.gamma)
-                else:
-                    node = tuple(map(int, np.unravel_index(trial.error_at, config.grid.shape)))
-                    reason = f"error estimate {error:.3g} times the tolerance at node {node}"
-                    failure = STATUS_DIVERGED, reason
-            except FlowAbort as abort:
-                error, failure = float("inf"), (abort.status, abort.detail)
-            h = h_try * _step_factor(error)
-            if error <= 1.0:
-                break
-            rejected += 1
-            if h < H_FLOOR:
-                break
-        if error > 1.0:
-            status = failure[0]
-            detail = f"step size fell below {H_FLOOR:g} at t = {state.t:.6g}: {failure[1]}"
-        else:
-            state = replace(trial, t=config.t_max) if last else trial
+                    break
+                rejected += 1
+                if h < H_FLOOR:
+                    break
+            if error > 1.0:
+                status = failure[0]
+                detail = f"step size fell below {H_FLOOR:g} at t = {state.t:.6g}: {failure[1]}"
+            else:
+                state = replace(trial, t=config.t_max) if last else trial
 
     wall = time.perf_counter() - t_start
     return RunResult(

@@ -22,7 +22,7 @@ entirely because the meridian and parallel directions are already principal:
 the parallel value carrying multiplicity n-1.
 
 Axisym states embed the meridian half-plane into the Cartesian xz-plane, so X
-and ν are 3-vectors in both modes.  X, ν, g and h are computed on demand
+is a 3-vector in both modes.  X, g and h are computed on demand
 (fundamental_forms() for g and h), since the flow itself never reads them.
 All functions are pure; a GeometryState is a plain bundle of arrays that is
 never mutated after construction.  assemble() builds a state without judging
@@ -66,22 +66,9 @@ class GeometryState:
     kappa: np.ndarray            # (..., n), sorted descending per node
 
     @property
-    def xi(self) -> np.ndarray:
-        """Radial unit direction X/ρ, the grid's node direction."""
-        return self.grid.xi
-
-    @property
     def X(self) -> np.ndarray:
         """Cartesian position ρξ, shape (..., 3); computed on demand."""
         return self.rho[..., None] * self.grid.xi
-
-    @property
-    def nu(self) -> np.ndarray:
-        """Outward unit normal (ξ - γ_θ ê_θ - (γ_φ/sinθ) ê_φ)/ω, on demand."""
-        grid = self.grid
-        b_t = self.gamma_t[..., None]
-        b_p = (self.gamma_p / grid.sin_theta)[..., None]
-        return (grid.xi - b_t * grid.e_theta - b_p * grid.e_phi) / self.omega[..., None]
 
 
 def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:

@@ -21,7 +21,7 @@ F(1, ..., 1), at ψ = e^{-|w|}, e^{|w|} and 1; that power law has its root in
 closed form in log r.
 
 Validators are report-only: nothing here mutates a flow, and the run loop
-never calls them unless asked to gate on them.
+never calls them.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ __all__ = [
     "radius_root",
 ]
 
-_R_LO, _R_HI = 1e-6, 1e6
+# the radii a run may reach: a run diverges once some radius leaves
+# [RHO_FLOOR, RHO_CEIL], and a barrier or stationary sphere outside it is refused
+RHO_FLOOR, RHO_CEIL = 1e-6, 1e6
 # -log of the smallest normal double, just below log of the largest double
 _LOG_MAX = -float(np.log(np.finfo(float).tiny))
 
@@ -193,9 +195,10 @@ def _sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float) -> 
     f_unit = float(F_eval(F_spec, np.ones(n)))
     # a float quotient: a tiny slope sends log r to inf without a warning
     log_r = float(np.log(f_unit) - np.log(spec.c * psi) / beta) / slope
-    if not np.log(_R_LO) < log_r < np.log(_R_HI):
+    if not np.log(RHO_FLOOR) < log_r < np.log(RHO_CEIL):
         raise ValueError(
-            f"no sphere radius inside [{_R_LO:g}, {_R_HI:g}] (root at log r = {log_r:.3g})"
+            f"no sphere radius inside [{RHO_FLOOR:g}, {RHO_CEIL:g}] "
+            f"(root at log r = {log_r:.3g})"
         )
     return float(np.exp(log_r))
 

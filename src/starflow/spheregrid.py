@@ -56,9 +56,9 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 
 @dataclass
 class Grid:
-    """Nodes, spacings, trig tables, Cartesian frames, the ghost padding's
-    gather index, a read-only zero field and the φ-mode stencil of the
-    Laplace–Beltrami operator; treat as immutable.  Two grids are equal when
+    """Nodes, spacings, trig tables, the Cartesian node directions ξ, the
+    ghost padding's gather index, a read-only zero field and the φ-mode
+    stencil of the Laplace–Beltrami operator; treat as immutable.  Two grids are equal when
     mode, n, m_theta and m_phi are; the rest derives from them."""
 
     mode: str
@@ -109,17 +109,11 @@ class Grid:
             shift = np.r_[mp // 2, np.zeros(self.m_theta, dtype=int), mp // 2]
             cols = np.arange(-1, mp + 1) + shift[:, None]
             self.pad_index = rows[:, None] * mp + cols % mp
-        # Cartesian frames (..., 3): radial direction ξ and unit chart
-        # directions ê_θ, ê_φ; axisym profiles lie in the xz-plane (φ = 0)
+        # Cartesian node directions ξ (..., 3); axisym profiles lie in the
+        # xz-plane (φ = 0)
         phi = self.phi if self.mode == "full_s2" else np.zeros(1)
-        sp, cp = np.sin(phi), np.cos(phi)
-
-        def frame(*cols):
-            return np.stack([np.broadcast_to(c, self.shape) for c in cols], axis=-1)
-
-        self.xi = frame(st * cp, st * sp, ct)
-        self.e_theta = frame(ct * cp, ct * sp, -st)
-        self.e_phi = frame(-sp, cp, 0.0)
+        cols = st * np.cos(phi), st * np.sin(phi), ct
+        self.xi = np.stack([np.broadcast_to(c, self.shape) for c in cols], axis=-1)
         self._laplacian_modes()
 
     def _laplacian_modes(self):

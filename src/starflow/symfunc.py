@@ -294,10 +294,10 @@ def F_fused(spec, kappa):
     the last entry κ_n.  One sweep over κ without κ_n yields σ_j(κ|n) =
     ∂σ_{j+1}/∂κ_n, one more recurrence step σ_j(κ).  Matches in_cone, F_eval
     and the largest entry of the gradient ∂F/∂κ; F and λ_max mean nothing
-    where the mask fails.
+    where the mask fails.  Unlike F_eval it does not check spec against n:
+    its callers pass FlowConfig.F, which FlowConfig already checked.
     """
     arr = _as_batch(kappa)
-    _validate_spec(spec, arr.shape[-1])
     rest = sigma_all(arr[..., :-1], _sigma_order(spec))
     e = rest.copy(order="K")
     e[..., 1:] += arr[..., -1:] * rest[..., :-1]

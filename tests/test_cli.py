@@ -72,7 +72,7 @@ def read_curvature(path):
 def test_run_converged_writes_everything(tmp_path):
     cfg = make_cfg(tmp_path / "run.cfg")
     out = tmp_path / "out"
-    code = cli.main(["run", str(cfg), "--out", str(out), "--strict"])
+    code = cli.main(["run", str(cfg), "--out", str(out)])
     assert code == 0
 
     summary = json.loads((out / "summary.json").read_text())
@@ -130,14 +130,6 @@ def test_run_time_cap_exit_3(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "time_cap"
     assert summary["t_final"] == pytest.approx(0.01, abs=1e-12)
-
-
-def test_run_strict_gate_refuses_bad_scaling(tmp_path):
-    cfg = make_cfg(tmp_path / "bad.cfg", G__b="1.0")
-    out = tmp_path / "out"
-    code = cli.main(["run", str(cfg), "--out", str(out), "--strict"])
-    assert code == 65
-    assert not out.exists()  # refused before writing anything
 
 
 def test_config_errors_exit_64(tmp_path, capsys):
@@ -463,6 +455,14 @@ def test_validate_exits_only_with_documented_codes(tmp_path, drawn):
 HUGE_SUPPORT_EXPONENT = valid_sections()
 HUGE_SUPPORT_EXPONENT["G"]["a"] = "1e308"
 
+# σ_1 on full_s2 8x16 from the radius-1.3 sphere with c = 1e300, b = -1.000001:
+# step 0 passes and D overflows in a later step, which must end the run
+# (star_shape_lost, exit 2) without a RuntimeWarning
+OVERFLOWS_AFTER_STEP_0 = valid_sections({
+    ("F", "variant"): "sigma_k_root", ("grid", "mode"): "full_s2", ("initial", "kind"): "constant",
+})
+OVERFLOWS_AFTER_STEP_0["G"].update(c="1e300", b="-1.000001")
+
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -484,6 +484,7 @@ def test_curvature_exits_only_with_documented_codes(tmp_path, drawn):
 @settings(max_examples=50, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example((HUGE_SUPPORT_EXPONENT, False))
+@example((OVERFLOWS_AFTER_STEP_0, False))
 @given(ini_sections())
 def test_run_exits_only_with_documented_codes(tmp_path, drawn):
     sections, stray = drawn
@@ -554,7 +555,7 @@ def test_unwritable_out_exits_64(tmp_path, capsys):
     assert err.startswith("configuration error:") and str(table) in err
 
 
-def test_usage_errors_exit_64():
+def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["run"])  # missing config argument
     assert info.value.code == 64
@@ -564,6 +565,10 @@ def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 64
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "x.cfg", "--strict"])  # `validate CONFIG` is the gate
+    assert info.value.code == 64
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -76,12 +76,11 @@ def test_snapshot_reduces_a_round_sphere():
 def test_check_barriers_pass_fail_skip():
     inside = [rec(t, rho_min=0.9, rho_max=1.1) for t in np.linspace(0.0, 1.0, 5)]
     res = check_barriers(inside, 0.8, 1.2, tol=1e-6)
-    assert res.passed is True and not res.skipped
+    assert res.passed is True
 
     escaped = inside + [rec(2.0, rho_min=0.9, rho_max=1.3)]
     res = check_barriers(escaped, 0.8, 1.2, tol=1e-6)
     assert res.passed is False
-    assert res.first_violation == 5
     assert "record 5" in res.message
 
     # a tol-sized excursion is absorbed
@@ -90,8 +89,8 @@ def test_check_barriers_pass_fail_skip():
 
     # initial data outside the barriers: hypothesis fails, check skipped
     res = check_barriers([rec(0.0, rho_min=0.5, rho_max=1.1)], 0.8, 1.2, tol=1e-6)
-    assert res.skipped and res.passed is None
-    assert check_barriers([], 0.8, 1.2, tol=1e-6).skipped
+    assert res.passed is None
+    assert check_barriers([], 0.8, 1.2, tol=1e-6).passed is None
 
 
 def test_check_sign_preservation():
@@ -100,7 +99,7 @@ def test_check_sign_preservation():
 
     flipped = pos + [rec(2.0, q_min=0.7, q_max=1.5)]
     res = check_sign_preservation(flipped, tol=1e-8)
-    assert res.passed is False and res.first_violation == 5
+    assert res.passed is False and "record 5" in res.message
 
     neg = [rec(t, q_min=0.5, q_max=0.9) for t in np.linspace(0.0, 1.0, 5)]
     assert check_sign_preservation(neg, tol=1e-8).passed is True
@@ -112,8 +111,8 @@ def test_check_sign_preservation():
     assert check_sign_preservation(settling, tol=1e-8).passed is True
 
     mixed = [rec(0.0, q_min=0.9, q_max=1.1)]
-    assert check_sign_preservation(mixed, tol=1e-8).skipped
-    assert check_sign_preservation([], tol=1e-8).skipped
+    assert check_sign_preservation(mixed, tol=1e-8).passed is None
+    assert check_sign_preservation([], tol=1e-8).passed is None
 
 
 def test_decay_fit_recovers_synthetic_rate():
@@ -123,9 +122,11 @@ def test_decay_fit_recovers_synthetic_rate():
     assert fit.rate == pytest.approx(2.0, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert not fit.machine_converged
-    assert fit.n_records >= 20
-    # the window is the trailing half by default
-    assert fit.t_start >= 2.4
+    # the window is the trailing half by default: a head decaying at rate 1
+    # up to t = 2.4 stays out of the fit of a tail decaying at rate 2
+    kinked = [rec(t, grad=0.5 * np.exp(-t - max(t - 2.4, 0.0))) for t in ts]
+    assert decay_fit(kinked).rate == pytest.approx(2.0, rel=1e-10)
+    assert 1.0 < decay_fit(kinked, tail_fraction=1.0).rate < 1.9
 
 
 def test_decay_fit_edge_cases():

@@ -1,7 +1,7 @@
 """Each module's __all__ names exactly the functions and classes it defines,
-and each of them, like each public constant and alias, serves the package,
-not only its own unit test.  No module calls np.roll or np.moveaxis, whose
-per-call cost the step path dropped."""
+and each of them, like each public constant and alias and each member of a
+class, serves the package, not only its own unit test.  No module calls
+np.roll or np.moveaxis, whose per-call cost the step path dropped."""
 
 import ast
 import importlib
@@ -36,6 +36,38 @@ def names_read(path):
             if name != own:
                 read.add(name)
     return read
+
+
+def attributes_read(path):
+    """Every attribute name the file reads, as in obj.name; an assignment is
+    not a read."""
+    return {
+        sub.attr
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store)
+    }
+
+
+def class_members(path):
+    """(class, member) for each class the file defines at module level: its
+    annotated fields, its methods and properties other than dunders, and each
+    attribute its methods assign to self."""
+    members = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                members.add((node.name, item.target.id))
+            elif isinstance(item, ast.FunctionDef):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    members.add((node.name, item.name))
+                members.update(
+                    (node.name, sub.attr) for sub in ast.walk(item)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                )
+    return members
 
 
 def public_constants(path):
@@ -87,6 +119,29 @@ def test_every_public_function_and_class_is_used(name):
     public = public_names(module) | public_constants(src / f"{name}.py")
     unused = {f"{name}.{attr}" for attr in public - read}
     assert unused == {key for key in UNUSED_ALLOWED if key.startswith(f"{name}.")}
+
+
+# classes whose members may go unread as attributes, each with the reason
+MEMBERS_ALLOWED = {
+    "diagnostics.DiagnosticsRecord": "its fields reach history.csv and summary.json's "
+    "final_record through dataclasses.fields and asdict",
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_class_member_is_read(name):
+    # a member is used when the package source or the acceptance criteria
+    # read an attribute of its name; one that only its own unit test reads
+    # is deleted
+    src = pathlib.Path(starflow.__file__).resolve().parent
+    acceptance = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
+    read = set().union(*map(attributes_read, [*sorted(src.glob("*.py")), acceptance]))
+    unused = {
+        f"{cls}.{member}"
+        for cls, member in class_members(src / f"{name}.py")
+        if member not in read and f"{name}.{cls}" not in MEMBERS_ALLOWED
+    }
+    assert unused == set()
 
 
 # numpy calls whose cost per call the step path no longer pays, each with
