@@ -14,6 +14,10 @@ import pytest
 import starflow
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(starflow.__path__))
+SRC = pathlib.Path(starflow.__file__).resolve().parent
+# the files whose reads count as uses: the package source and the acceptance
+# criteria
+READERS = [*sorted(SRC.glob("*.py")), pathlib.Path(__file__).with_name("test_acceptance.py")]
 
 # public names that neither the package nor the acceptance criteria read,
 # each with the reason it is kept
@@ -112,11 +116,9 @@ def test_all_lists_exactly_the_public_functions_and_classes(name):
 def test_every_public_function_and_class_is_used(name):
     # a use is a read in the package source, or in the acceptance criteria;
     # code that only its own unit test reaches is deleted
-    src = pathlib.Path(starflow.__file__).resolve().parent
-    acceptance = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
-    read = set().union(*map(names_read, [*sorted(src.glob("*.py")), acceptance]))
+    read = set().union(*map(names_read, READERS))
     module = importlib.import_module(f"starflow.{name}")
-    public = public_names(module) | public_constants(src / f"{name}.py")
+    public = public_names(module) | public_constants(SRC / f"{name}.py")
     unused = {f"{name}.{attr}" for attr in public - read}
     assert unused == {key for key in UNUSED_ALLOWED if key.startswith(f"{name}.")}
 
@@ -133,12 +135,10 @@ def test_every_class_member_is_read(name):
     # a member is used when the package source or the acceptance criteria
     # read an attribute of its name; one that only its own unit test reads
     # is deleted
-    src = pathlib.Path(starflow.__file__).resolve().parent
-    acceptance = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
-    read = set().union(*map(attributes_read, [*sorted(src.glob("*.py")), acceptance]))
+    read = set().union(*map(attributes_read, READERS))
     unused = {
         f"{cls}.{member}"
-        for cls, member in class_members(src / f"{name}.py")
+        for cls, member in class_members(SRC / f"{name}.py")
         if member not in read and f"{name}.{cls}" not in MEMBERS_ALLOWED
     }
     assert unused == set()
