@@ -336,12 +336,15 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     setup = parse_config(args.config)
     cfg = setup.config
-    radii = speed.barrier_radii(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
-    if radii.ok:
-        tag = " (coincident: forcing pins a single sphere)" if radii.equality else ""
-        print(f"barrier radii: r1 = {radii.r1:.12g}, r2 = {radii.r2:.12g}{tag}")
+    try:
+        r1, r2 = speed.barrier_radii(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
+    except ValueError as exc:
+        print(f"no admissible barrier radii: {exc}")
+        code = EXIT_CHECK_FAILED
     else:
-        print(f"no admissible barrier radii: {radii.reason}")
+        tag = " (coincident: forcing pins a single sphere)" if abs(r1 - r2) < 1e-12 else ""
+        print(f"barrier radii: r1 = {r1:.12g}, r2 = {r2:.12g}{tag}")
+        code = EXIT_OK
 
     for name, margin in speed.monotonicity_report(cfg.G, cfg.beta).items():
         state = "holds" if margin > 0 else ("boundary" if margin == 0 else "fails")
@@ -349,13 +352,13 @@ def cmd_validate(args) -> int:
 
     if cfg.G.isotropic:
         try:
-            r = speed.radius_root(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
+            r = speed.sphere_radius(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
         except ValueError as exc:
             print(f"no stationary sphere radius: {exc}")
         else:
             print(f"stationary sphere radius: R = {r:.12g}")
 
-    return EXIT_OK if radii.ok else EXIT_CHECK_FAILED
+    return code
 
 
 # ---------------------------------------------------------------------------

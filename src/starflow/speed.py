@@ -11,14 +11,11 @@ of a (G, F, β) triple is decided here:
 
 - barrier_radii: the largest sphere pinched from inside and the smallest
   pinching from outside, at the extrema e^{∓|w|} of ψ.
+- sphere_radius: the one sphere on which (c ψ)^{1/β} r^{(a+b+β)/β} meets
+  F(1, ..., 1), in closed form in log r; at ψ = 1 it is the stationary sphere
+  of isotropic G, η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.
 - monotonicity_report: the closed-form exponent conditions that the various
   convergence and uniqueness arguments need, each with its margin.
-- radius_root: for isotropic G, the radius of the stationary sphere solving
-  η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.
-
-All three radii are the one sphere on which (c ψ)^{1/β} r^{(a+b+β)/β} meets
-F(1, ..., 1), at ψ = e^{-|w|}, e^{|w|} and 1; that power law has its root in
-closed form in log r.
 
 Validators are report-only: nothing here mutates a flow, and the run loop
 never calls them.
@@ -36,12 +33,10 @@ __all__ = [
     "PsiTerm",
     "SpeedSpec",
     "psi_eval",
-    "psi_extrema",
     "G_from_table",
-    "BarrierRadii",
     "barrier_radii",
+    "sphere_radius",
     "monotonicity_report",
-    "radius_root",
 ]
 
 # the radii a run may reach: a run diverges once some radius leaves
@@ -118,12 +113,6 @@ def psi_eval(spec: SpeedSpec, xi: np.ndarray) -> np.ndarray:
     return np.exp(xi @ spec.w)
 
 
-def psi_extrema(spec: SpeedSpec) -> tuple[float, float]:
-    """(min, max) of ψ over unit directions: e^{∓|w|}, taken at ξ = ∓w/|w|."""
-    size = float(np.linalg.norm(spec.w))
-    return float(np.exp(-size)), float(np.exp(size))
-
-
 def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndarray):
     """G = table · u^a · ρ^b, where table holds c ψ(ξ) at the nodes."""
     out = table
@@ -138,56 +127,35 @@ def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndar
 # admissibility
 
 
-@dataclass(frozen=True)
-class BarrierRadii:
-    """Result of the sphere-barrier search."""
-
-    ok: bool
-    r1: float = float("nan")
-    r2: float = float("nan")
-    equality: bool = False
-    reason: str = ""
-
-
-def barrier_radii(
-    spec: SpeedSpec,
-    F_spec,
-    n: int,
-    beta: float,
-) -> BarrierRadii:
-    """Inner and outer sphere barriers for the triple (G, F, β).
+def barrier_radii(spec: SpeedSpec, F_spec, n: int, beta: float) -> tuple[float, float]:
+    """Inner and outer sphere barriers (r₁, r₂) for the triple (G, F, β).
 
     A sphere of radius r pinches the flow from inside when
     G^{1/β}(rξ, ξ) · r >= F(1, ..., 1) for every direction ξ, and from outside
     under the reversed inequality.  On spheres u = ρ = r, so each side is a
-    power law in r and the critical radii follow in closed form from the
-    extrema of ψ.  They exist exactly when a + b + β < 0; the scale
-    of r₁ uses ψ_min, that of r₂ uses ψ_max, hence r₁ <= r₂.
+    power law in r and the critical radii are sphere_radius at the extrema
+    e^{∓|w|} of ψ, taken at ξ = ∓w/|w|.  They exist exactly when
+    a + b + β < 0; r₁ uses ψ_min, r₂ uses ψ_max, hence r₁ <= r₂.  Raises
+    ValueError naming why no pair exists.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     if spec.a + spec.b + beta > 0.0:
-        return BarrierRadii(
-            ok=False,
-            reason=(
-                "a + b + beta > 0: sphere comparison runs the wrong way, no "
-                "inner/outer pair exists"
-            ),
+        raise ValueError(
+            "a + b + beta > 0: sphere comparison runs the wrong way, no "
+            "inner/outer pair exists"
         )
-    psi_min, psi_max = psi_extrema(spec)
-    try:
-        r1 = _sphere_radius(spec, F_spec, n, beta, psi_min)
-        r2 = _sphere_radius(spec, F_spec, n, beta, psi_max)
-    except ValueError as exc:
-        return BarrierRadii(ok=False, reason=str(exc))
-    return BarrierRadii(ok=True, r1=r1, r2=r2, equality=bool(abs(r1 - r2) < 1e-12))
+    size = float(np.linalg.norm(spec.w))
+    return (
+        sphere_radius(spec, F_spec, n, beta, float(np.exp(-size))),
+        sphere_radius(spec, F_spec, n, beta, float(np.exp(size))),
+    )
 
 
-def _sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float) -> float:
+def sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float = 1.0) -> float:
     """Radius r where G = F^β on the sphere of radius r, with ψ taken as psi.
 
     On that sphere u = ρ = r, so r solves (c ψ)^{1/β} r^{(a+b+β)/β} = F(1, ..., 1)
-    in closed form in log r; the root must lie in (1e-6, 1e6).
+    in closed form in log r; raises ValueError when a + b + β = 0 or the root
+    lies outside (RHO_FLOOR, RHO_CEIL).
     """
     slope = (spec.a + spec.b + beta) / beta
     if slope == 0.0:
@@ -223,17 +191,3 @@ def monotonicity_report(spec: SpeedSpec, beta: float) -> dict:
     }
     # adding 0.0 turns a signed zero into +0.0, so no margin reads -0
     return {name: m + 0.0 for name, m in margins.items()}
-
-
-def radius_root(spec: SpeedSpec, F_spec, n: int, beta: float) -> float:
-    """Radius of the stationary sphere for isotropic forcing.
-
-    The barrier edge at ψ = 1: η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.
-    Requires ψ ≡ 1 and a nonzero net exponent; raises ValueError when the
-    root falls outside (1e-6, 1e6).
-    """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not spec.isotropic:
-        raise ValueError("radius_root needs isotropic forcing (w = 0)")
-    return _sphere_radius(spec, F_spec, n, beta, 1.0)

@@ -324,13 +324,9 @@ def read_field_csv(path) -> tuple[Grid, np.ndarray]:
         missing = [k for k in ("mode", "n", "m_theta", "m_phi") if k not in meta]
         if missing:
             raise ValueError(f"header of {path} lacks {', '.join(missing)}")
-        grid = Grid(
-            mode=meta["mode"],
-            n=int(meta["n"]),
-            m_theta=int(meta["m_theta"]),
-            m_phi=int(meta["m_phi"]),
-        )
-        expect_cols = 2 if grid.mode == "axisym" else 3
+        mode = meta["mode"]
+        n, m_theta, m_phi = (int(meta[k]) for k in ("n", "m_theta", "m_phi"))
+        expect_cols = 2 if mode == "axisym" else 3
         next((row for row in fh if row != "\n"), None)  # column header
         values = []
         for row in fh:
@@ -340,8 +336,10 @@ def read_field_csv(path) -> tuple[Grid, np.ndarray]:
                     continue
                 raise ValueError(f"malformed row {row.rstrip()!r}")
             values.append(float(cells[-1]))
-    if len(values) != grid.node_count:
-        raise ValueError(
-            f"expected {grid.node_count} rows, found {len(values)} in {path}"
-        )
+    # the rows read bound the header's node count before a Grid allocates
+    # tables of that size
+    node_count = m_theta * (m_phi if mode == "full_s2" else 1)
+    if len(values) != node_count:
+        raise ValueError(f"expected {node_count} rows, found {len(values)} in {path}")
+    grid = Grid(mode=mode, n=n, m_theta=m_theta, m_phi=m_phi)
     return grid, np.reshape(values, grid.shape)

@@ -32,7 +32,6 @@ from math import comb
 import numpy as np
 
 __all__ = [
-    "ConeViolation",
     "Cone",
     "GAMMA_PLUS",
     "SigmaKRoot",
@@ -48,10 +47,6 @@ __all__ = [
     "natural_cone",
     "newton_maclaurin_margin",
 ]
-
-
-class ConeViolation(ValueError):
-    """Raised when a curvature vector leaves the admissibility cone of a speed."""
 
 
 def _as_batch(kappa) -> np.ndarray:
@@ -325,7 +320,7 @@ def newton_maclaurin_margin(kappa, m: int):
         raise ValueError(f"m must lie in [2, {n}], got {m}")
     failure = cone_failure(arr, Cone(m))
     if failure is not None:
-        raise ConeViolation(failure)
+        raise ValueError(failure)
     e = sigma_all(arr, m)
     roots = np.empty(arr.shape[:-1] + (m,))
     for j in range(1, m + 1):

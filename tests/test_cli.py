@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starflow import cli
+from starflow import cli, spheregrid
 from starflow.diagnostics import read_history_csv
 from starflow.spheregrid import axisym_grid, write_field_csv
 from test_text_formats import wavy_gamma
@@ -620,14 +620,70 @@ def test_bundled_configs_parse_and_validate(capsys):
     capsys.readouterr()
 
 
-def test_validate_prints_the_exact_barrier_radii(capsys):
-    # psi = exp(0.2 <xi, e_z>) ranges over [e^-0.2, e^0.2]; with F(1, 1) = 1,
-    # beta = 1 and G = psi rho^-2 the barrier radii are those extrema
-    cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "aniso_s2.cfg"
-    assert cli.main(["validate", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert f"r1 = {np.exp(-0.2):.12g}, r2 = {np.exp(0.2):.12g}" in out
-    assert "r1 = 0.818730753078, r2 = 1.22140275816" in out
+MARGINS_A0 = (  # the five conditions at a = 0, by radial margin -(a + b + beta)
+    "condition radial_scaling: margin = {m} ({s})\n"
+    "condition support_negative: margin = 0 (boundary)\n"
+    "condition radial_contraction: margin = {c} ({t})\n"
+    "condition support_free: margin = {c} ({t})\n"
+    "condition support_nonzero: margin = 0 (boundary)\n"
+)
+WRONG_WAY = (
+    "no admissible barrier radii: a + b + beta > 0: sphere comparison runs the "
+    "wrong way, no inner/outer pair exists\n"
+)
+SCALE_INVARIANT = "a + b + beta = 0: forcing is scale-invariant, radii are not pinned\n"
+OUT_OF_RANGE = "no sphere radius inside [1e-06, 1e+06] (root at log r = {})\n"
+ANISO = {"G__psi": "0.2 0 0 1"}
+
+
+@pytest.mark.parametrize(
+    "config, edits, code, stdout",
+    [
+        # psi = exp(0.2 <xi, e_z>) ranges over [e^-0.2, e^0.2]; with F(1, 1) = 1,
+        # beta = 1 and G = psi rho^-2 the barrier radii are those extrema
+        ("aniso_s2.cfg", {}, 0,
+         f"barrier radii: r1 = {np.exp(-0.2):.12g}, r2 = {np.exp(0.2):.12g}\n"
+         + MARGINS_A0.format(m=1, s="holds", c=1, t="holds")),
+        ("sphere_contract.cfg", {}, 0,
+         "barrier radii: r1 = 0.333333333333, r2 = 0.333333333333 "
+         "(coincident: forcing pins a single sphere)\n"
+         + MARGINS_A0.format(m=1, s="holds", c=2, t="holds")
+         + "stationary sphere radius: R = 0.333333333333\n"),
+        ("sphere_expand.cfg", {}, 0,
+         "barrier radii: r1 = 1, r2 = 1 (coincident: forcing pins a single sphere)\n"
+         + MARGINS_A0.format(m=1, s="holds", c=1, t="holds")
+         + "stationary sphere radius: R = 1\n"),
+        (None, {**ANISO, "G__b": "1.0"}, 1,
+         WRONG_WAY + MARGINS_A0.format(m=-2, s="fails", c=-2, t="fails")),
+        (None, {"G__b": "-1.0"}, 1,
+         "no admissible barrier radii: " + SCALE_INVARIANT
+         + MARGINS_A0.format(m=0, s="boundary", c=0, t="boundary")
+         + "no stationary sphere radius: " + SCALE_INVARIANT),
+        (None, {"G__c": "1e-30"}, 1,
+         "no admissible barrier radii: " + OUT_OF_RANGE.format(-69.1)
+         + MARGINS_A0.format(m=1, s="holds", c=1, t="holds")
+         + "no stationary sphere radius: " + OUT_OF_RANGE.format(-69.1)),
+        (None, {**ANISO, "G__c": "1e-30"}, 1,
+         "no admissible barrier radii: " + OUT_OF_RANGE.format(-69.3)
+         + MARGINS_A0.format(m=1, s="holds", c=1, t="holds")),
+        # the stationary sphere exists whatever the sign of a + b + beta
+        (None, {"G__b": "0.5"}, 1,
+         WRONG_WAY + MARGINS_A0.format(m=-1.5, s="fails", c=-1.5, t="fails")
+         + "stationary sphere radius: R = 1\n"),
+    ],
+    ids=[
+        "aniso_s2", "sphere_contract", "sphere_expand", "wrong_way",
+        "scale_invariant", "out_of_range_isotropic", "out_of_range_anisotropic",
+        "wrong_way_isotropic",
+    ],
+)
+def test_validate_prints_the_exact_barrier_radii(tmp_path, capsys, config, edits, code, stdout):
+    if config is None:
+        path = make_cfg(tmp_path / "v.cfg", **edits)
+    else:
+        path = CONFIGS / config
+    assert cli.main(["validate", str(path)]) == code
+    assert capsys.readouterr().out == stdout
 
 
 def test_bundled_sphere_expand_runs_to_convergence(tmp_path, capsys):
@@ -741,6 +797,30 @@ def test_curvature_gates(tmp_path, capsys):
         bad.write_text("\n".join(lines[:middle] + [row] + lines[middle + 1 :]) + "\n")
         assert cli.main(["curvature", str(bad), str(cfg)]) == 65, name
     capsys.readouterr()
+
+
+def test_curvature_refuses_a_field_header_larger_than_its_rows(tmp_path, capsys, monkeypatch):
+    # a 100-byte file whose header asks for 2e10 nodes: the rows read refuse
+    # it before any Grid builds tables of that size
+    build = spheregrid.Grid.__post_init__
+
+    def bounded(grid):
+        nodes = grid.m_theta * max(grid.m_phi, 1)
+        assert nodes <= 10**6, f"Grid asked for {nodes} nodes"
+        build(grid)
+
+    monkeypatch.setattr(spheregrid.Grid, "__post_init__", bounded)
+    field = tmp_path / "huge.csv"
+    field.write_text(
+        "# starflow-field-v1 mode=full_s2 n=2 m_theta=100000 m_phi=200000\n"
+        "theta,phi,value\n0.1,0.2,0.0\n"
+    )
+    with pytest.raises(ValueError, match=r"^expected 20000000000 rows, found 1 in "):
+        spheregrid.read_field_csv(field)
+    cfg = make_cfg(tmp_path / "h.cfg")
+    assert cli.main(["curvature", str(field), str(cfg)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("gate failure: cannot read field file: expected 20000000000 rows")
 
 
 # e^gamma underflows to 0 (u = 0) or overflows to inf (u = inf, kappa = 0)

@@ -37,7 +37,7 @@ from starflow.flow import (
     step,
 )
 from starflow.diagnostics import check_barriers
-from starflow.speed import PsiTerm, SpeedSpec, barrier_radii, radius_root
+from starflow.speed import PsiTerm, SpeedSpec, barrier_radii, sphere_radius
 from starflow.spheregrid import (
     axisym_grid,
     derivatives,
@@ -97,7 +97,7 @@ def test_speed_field_psi_contrast():
 
 def test_speed_field_zero_at_stationary_radius():
     cfg = setup1()
-    r_star = radius_root(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
+    r_star = sphere_radius(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
     speed = speed_field(cfg, np.full(16, np.log(r_star)))[0]
     assert np.max(np.abs(speed)) <= 1e-10
 
@@ -158,23 +158,22 @@ def test_first_step_sign_at_barrier_radii():
         G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),)),
         beta=1.0,
     )
-    radii = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
-    assert radii.ok
-    speed_lo, *_ = speed_field(cfg, np.full(grid.shape, np.log(radii.r1)))
-    speed_hi, *_ = speed_field(cfg, np.full(grid.shape, np.log(radii.r2)))
+    r1, r2 = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
+    speed_lo, *_ = speed_field(cfg, np.full(grid.shape, np.log(r1)))
+    speed_hi, *_ = speed_field(cfg, np.full(grid.shape, np.log(r2)))
     assert float(np.min(speed_lo)) >= 0.0
     assert float(np.max(speed_hi)) <= 0.0
     # strictly inside the gap both signs appear
-    mid = np.sqrt(radii.r1 * radii.r2)
+    mid = np.sqrt(r1 * r2)
     speed_mid, *_ = speed_field(cfg, np.full(grid.shape, np.log(mid)))
     assert float(np.min(speed_mid)) < 0.0 < float(np.max(speed_mid))
 
 
 def test_isotropic_barriers_pin_stationary_sphere():
     cfg = setup1()
-    radii = barrier_radii(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
-    assert radii.ok and radii.equality
-    speed = speed_field(cfg, np.full(16, np.log(radii.r1)))[0]
+    r1, r2 = barrier_radii(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
+    assert r1 == r2
+    speed = speed_field(cfg, np.full(16, np.log(r1)))[0]
     assert np.max(np.abs(speed)) <= 1e-12
 
 
@@ -476,8 +475,8 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
     times = [rec.t for rec in res.history]
     assert len(times) == res.steps + 1
     assert min(np.diff(times)[:-1]) >= 100.0 * pole_dt
-    radii = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
-    assert check_barriers(res.history, radii.r1, radii.r2, 0.0).passed is True
+    r1, r2 = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
+    assert check_barriers(res.history, r1, r2, 0.0).passed is True
     assert np.ptp(res.state.gamma[grid.m_theta // 2]) > 0.05  # still phi-dependent
 
 

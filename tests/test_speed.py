@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from starflow.speed import (
-    BarrierRadii,
     G_from_table,
     PsiTerm,
     SpeedSpec,
     barrier_radii,
     monotonicity_report,
     psi_eval,
-    psi_extrema,
-    radius_root,
+    sphere_radius,
 )
 from starflow.symfunc import SigmaKRoot
 
@@ -52,7 +50,6 @@ def test_speed_spec_validation():
     ):
         spec = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=psi)
         assert spec.isotropic and spec.axis_aligned()
-        assert psi_extrema(spec) == (1.0, 1.0)
     # off-axis parts that cancel leave an axis-aligned, anisotropic w
     spec = SpeedSpec(
         c=1.0, a=0.0, b=0.0,
@@ -77,8 +74,8 @@ def test_speed_spec_refuses_forcing_outside_double_range(c, s, ok):
     psi = (PsiTerm(s=s, v=EZ),)
     if ok:
         spec = SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
-        lo, hi = psi_extrema(spec)
-        assert 0.0 < c * lo and c * hi < np.inf
+        size = np.linalg.norm(spec.w)
+        assert 0.0 < c * np.exp(-size) and c * np.exp(size) < np.inf
     else:
         with pytest.raises(ValueError, match="overflows a double"):
             SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
@@ -102,28 +99,26 @@ def test_psi_eval_pointwise():
     assert psi_eval(two, xi) == pytest.approx(want, rel=1e-14)
 
 
-def test_psi_extrema_single_axis():
-    spec = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.2, v=EZ),))
-    lo, hi = psi_extrema(spec)
-    assert lo == pytest.approx(np.exp(-0.2), rel=1e-15)
-    assert hi == pytest.approx(np.exp(0.2), rel=1e-15)
-    assert psi_extrema(SpeedSpec(c=1.0, a=0.0, b=0.0)) == (1.0, 1.0)
-
-
-def test_psi_extrema_are_attained_and_never_exceeded():
-    # two factors combine into exp<xi, w> with w = 0.3 e_z + 0.1 e_y
+def test_sphere_radius_between_the_barriers_for_every_direction():
+    # two factors combine into exp<xi, w> with w = 0.3 e_z + 0.1 e_y; with
+    # F(1, 1) = 1, beta = 1 and b = -2 the sphere radius at psi is psi itself,
+    # so r1 and r2 are the extrema of psi, attained at xi = -+w/|w|
     spec = SpeedSpec(
-        c=1.0, a=0.0, b=0.0,
+        c=1.0, a=0.0, b=-2.0,
         psi=(PsiTerm(s=0.3, v=EZ), PsiTerm(s=0.1, v=(0.0, 1.0, 0.0))),
     )
-    lo, hi = psi_extrema(spec)
+    r1, r2 = barrier_radii(spec, SigmaKRoot(k=2), 2, 1.0)
+
+    def radius(xi):
+        return sphere_radius(spec, SigmaKRoot(k=2), 2, 1.0, float(psi_eval(spec, xi)))
+
     w = np.array([0.0, 0.1, 0.3])
     w_hat = w / np.linalg.norm(w)
-    assert hi == pytest.approx(float(psi_eval(spec, w_hat)), rel=1e-15)
-    assert lo == pytest.approx(float(psi_eval(spec, -w_hat)), rel=1e-15)
+    assert r1 == pytest.approx(radius(-w_hat), rel=1e-15)
+    assert r2 == pytest.approx(radius(w_hat), rel=1e-15)
     dirs = np.random.default_rng(4).normal(size=(2000, 3))
-    vals = psi_eval(spec, dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
-    assert lo <= np.min(vals) and np.max(vals) <= hi
+    radii = [radius(xi) for xi in dirs / np.linalg.norm(dirs, axis=1, keepdims=True)]
+    assert r1 <= min(radii) and max(radii) <= r2
 
 
 def G_at(spec, xi, u, rho):
@@ -159,28 +154,25 @@ def test_G_from_table_homogeneity():
 
 
 def test_barrier_radii_isotropic_pinch():
-    radii = barrier_radii(SpeedSpec(c=1.0, a=0.0, b=-2.0), SigmaKRoot(k=2), 2, 1.0)
-    assert radii.ok and radii.equality
-    assert radii.r1 == pytest.approx(1.0, rel=1e-10)
-    assert radii.r2 == pytest.approx(1.0, rel=1e-10)
+    r1, r2 = barrier_radii(SpeedSpec(c=1.0, a=0.0, b=-2.0), SigmaKRoot(k=2), 2, 1.0)
+    assert r1 == r2 == pytest.approx(1.0, rel=1e-10)
 
 
 def test_barrier_radii_anisotropic():
+    # the sphere radius at psi is psi here, so the radii are e^{-+|w|}
     spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),))
-    radii = barrier_radii(spec, SigmaKRoot(k=2), 2, 1.0)
-    assert radii.ok and not radii.equality
-    assert radii.r1 == pytest.approx(np.exp(-0.2), rel=1e-3)
-    assert radii.r2 == pytest.approx(np.exp(0.2), rel=1e-3)
-    assert radii.r1 < radii.r2
+    r1, r2 = barrier_radii(spec, SigmaKRoot(k=2), 2, 1.0)
+    assert r1 == pytest.approx(np.exp(-0.2), rel=1e-15)
+    assert r2 == pytest.approx(np.exp(0.2), rel=1e-15)
+    assert r1 < r2
 
 
 def test_barrier_radii_wrong_scaling():
-    radii = barrier_radii(SpeedSpec(c=1.0, a=1.0, b=0.0), SigmaKRoot(k=2), 2, 1.0)
-    assert not radii.ok
-    assert "a + b + beta" in radii.reason or "wrong way" in radii.reason
-    radii = barrier_radii(SpeedSpec(c=1.0, a=0.0, b=-1.0), SigmaKRoot(k=2), 2, 1.0)
-    assert not radii.ok  # scale-invariant: no isolated comparison spheres
-    assert isinstance(radii, BarrierRadii)
+    with pytest.raises(ValueError, match=r"^a \+ b \+ beta > 0: sphere comparison runs the wrong"):
+        barrier_radii(SpeedSpec(c=1.0, a=1.0, b=0.0), SigmaKRoot(k=2), 2, 1.0)
+    # scale-invariant: no isolated comparison spheres
+    with pytest.raises(ValueError, match=r"^a \+ b \+ beta = 0: forcing is scale-invariant"):
+        barrier_radii(SpeedSpec(c=1.0, a=0.0, b=-1.0), SigmaKRoot(k=2), 2, 1.0)
 
 
 def test_monotonicity_report():
@@ -199,7 +191,7 @@ def test_monotonicity_report():
     assert margins["support_nonzero"] == pytest.approx(0.5)
 
 
-def test_radius_root_identity_mode():
+def test_sphere_radius_identity_mode():
     cancelling = (PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)), PsiTerm(s=0.2, v=(-1.0, 0.0, 0.0)))
     for c, psi, k, n, want in (
         # eta = 1 for sigma_2^{1/2} on S^2, so c R^{a+b+beta} = 1
@@ -210,18 +202,17 @@ def test_radius_root_identity_mode():
         (1.0, (), 1, 3, 1.0 / 3.0),
     ):
         spec = SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
-        r = radius_root(spec, SigmaKRoot(k=k), n, 1.0)
+        r = sphere_radius(spec, SigmaKRoot(k=k), n, 1.0)
         assert r == pytest.approx(want, rel=1e-10)
         # isotropic barriers coincide with the stationary sphere exactly
-        radii = barrier_radii(spec, SigmaKRoot(k=k), n, 1.0)
-        assert radii.ok and radii.equality and radii.r1 == radii.r2 == r
+        assert barrier_radii(spec, SigmaKRoot(k=k), n, 1.0) == (r, r)
 
 
-def test_radius_root_rejections():
-    with pytest.raises(ValueError):
-        radius_root(SpeedSpec(c=1.0, a=0.0, b=-1.0), SigmaKRoot(k=2), 2, 1.0)
-    with pytest.raises(ValueError):
-        radius_root(
-            SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.1, v=EZ),)),
-            SigmaKRoot(k=2), 2, 1.0,
-        )
+def test_sphere_radius_rejections():
+    with pytest.raises(ValueError, match="scale-invariant"):
+        sphere_radius(SpeedSpec(c=1.0, a=0.0, b=-1.0), SigmaKRoot(k=2), 2, 1.0)
+    # R = c here: roots at log R = -+69.1 lie outside [1e-6, 1e6]
+    for c, log_r in ((1e-30, "-69.1"), (1e30, "69.1")):
+        message = rf"inside \[1e-06, 1e\+06\] \(root at log r = {log_r}\)"
+        with pytest.raises(ValueError, match=message):
+            sphere_radius(SpeedSpec(c=c, a=0.0, b=-2.0), SigmaKRoot(k=2), 2, 1.0)
