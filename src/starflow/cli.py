@@ -254,17 +254,17 @@ def _hash_raw(raw: dict) -> str:
 
 def cmd_run(args) -> int:
     setup = parse_config(args.config)
-    overrides = {"t_max": args.t_max, "tol_residual": args.tol_residual}
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    # FlowConfig validates the overrides like the file's own values
-    try:
-        cfg = setup.config = replace(setup.config, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # overrides enter the hashed [flow] entries too, so the hash names the
-    # problem that actually ran
-    setup.raw["flow"].update((key, repr(value)) for key, value in overrides.items())
-    setup.config_hash = _hash_raw(setup.raw)
+    cfg = setup.config
+    if args.t_max is not None:
+        # FlowConfig validates the override like the file's own value
+        try:
+            cfg = replace(cfg, t_max=args.t_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # the override enters the hashed [flow] entries too, so the hash names
+        # the problem that actually ran
+        setup.raw["flow"]["t_max"] = repr(args.t_max)
+        setup.config_hash = _hash_raw(setup.raw)
 
     try:
         gamma0 = flow.initial_gamma(setup.initial, cfg.grid)
@@ -366,18 +366,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    cfg = parse_config(args.config).config
+    grid = cfg.grid
     try:
-        grid, gamma = spheregrid.read_field_csv(args.field)
+        gamma = spheregrid.read_field_csv(args.field, grid)
     except (OSError, ValueError) as exc:
         raise GateError(f"cannot read field file: {exc}") from exc
-    setup = parse_config(args.config)
-    cfg = setup.config
-    if grid != cfg.grid:
-        raise GateError(
-            f"field grid ({grid.mode} {grid.m_theta}x{grid.m_phi or 1}, n={grid.n}) "
-            f"does not match configured grid ({cfg.grid.mode} "
-            f"{cfg.grid.m_theta}x{cfg.grid.m_phi or 1}, n={cfg.grid.n})"
-        )
     with np.errstate(all="ignore"):  # the gate below reports a degenerate field
         geom = geometry.assemble(grid, gamma)
     failure = geometry.star_shape_failure(geom)
@@ -419,9 +413,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("config", help="INI run configuration")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
     p_run.add_argument("--t-max", type=float, default=None, help="override [flow] t_max")
-    p_run.add_argument(
-        "--tol-residual", type=float, default=None, help="override [flow] tol_residual"
-    )
     p_run.set_defaults(fn=cmd_run)
 
     p_val = sub.add_parser("validate", help="report admissibility of a configuration")

@@ -49,7 +49,7 @@ identical histories bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_failure
 from .speed import RHO_CEIL, RHO_FLOOR, G_from_table, SpeedSpec, psi_eval
 from .spheregrid import Grid, factor_shifted_laplacian
-from .symfunc import Cone, F_fused, _validate_spec, cone_failure, natural_cone
+from .symfunc import F_fused, _validate_spec, cone_failure, natural_cone
 
 __all__ = [
     "PSI_IDENTITY",
@@ -125,7 +125,6 @@ class FlowConfig:
     t_max: float = 50.0
     tol_residual: float = 1e-6
     cadence: int = 50
-    guard: Cone = field(init=False)  # always natural_cone(F)
 
     def __post_init__(self):
         for key in ("beta", "t_max", "tol_residual"):
@@ -141,7 +140,6 @@ class FlowConfig:
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
         _validate_spec(self.F, self.grid.n)
-        self.guard = natural_cone(self.F)
         # c ψ(ξ) at the grid nodes: the part of G that no step changes
         self.G_table = self.G.c * psi_eval(self.G, self.grid.xi)
         if self.grid.mode == "axisym" and not self.G.axis_aligned():
@@ -196,7 +194,7 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
         raise FlowAbort(STATUS_STAR_SHAPE_LOST, failure)
     ok, f_val, lam = F_fused(config.F, geom.kappa)
     if not ok.all():
-        raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, config.guard))
+        raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, natural_cone(config.F)))
     g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
     q = g * f_val ** (-config.beta)
     speed = psi_apply(config.psi_mode, q) - psi_apply(config.psi_mode, 1.0)

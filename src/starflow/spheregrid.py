@@ -29,7 +29,8 @@ I - a L - z with one coefficient pair per latitude row.
 
 Per-node text tables live here too: write_node_table formats a table one
 latitude row at a time (the field CSV and `starflow curvature`'s table use
-it), and write_field_csv / read_field_csv round-trip a field exactly.
+it), and write_field_csv / read_field_csv round-trip a field exactly, read
+on a grid the caller already has, whose version line the file must carry.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 FIELD_CSV_MAGIC = "starflow-field-v1"
+# checked before any table is allocated; 512 times the 64x128 benchmark grid
+MAX_NODES = 2**22
 
 
 @dataclass
@@ -77,6 +80,8 @@ class Grid:
             raise ValueError("m_theta must be at least 8")
         if self.n < 2:
             raise ValueError("hypersurface dimension n must be at least 2")
+        if self.node_count > MAX_NODES:
+            raise ValueError(f"grid of {self.node_count} nodes exceeds MAX_NODES = {MAX_NODES}")
         self.dtheta = np.pi / self.m_theta
         self.theta = (np.arange(self.m_theta) + 0.5) * self.dtheta
         if self.mode == "full_s2":
@@ -152,7 +157,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return self.m_theta * (self.m_phi if self.mode == "full_s2" else 1)
 
 
 def axisym_grid(n: int, m_theta: int) -> Grid:
@@ -279,6 +284,11 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
 # per-node CSV tables and the field CSV round trip
 
 
+def _version_line(grid: Grid, magic: str) -> str:
+    """The first line of a node table on grid, without its LF."""
+    return f"# {magic} mode={grid.mode} n={grid.n} m_theta={grid.m_theta} m_phi={grid.m_phi}"
+
+
 def write_node_table(path, grid: Grid, magic: str, columns: dict) -> None:
     """Write one CSV row per node: θ (and φ on full_s2), then each column
     (name → array of the grid's shape) in order.
@@ -299,10 +309,7 @@ def write_node_table(path, grid: Grid, magic: str, columns: dict) -> None:
         names, blocks = ["theta", "phi"], ([[t] * grid.m_phi, phi] for t in theta)
         planes = [np.reshape(c, grid.shape) for c in columns.values()]
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# {magic} mode={grid.mode} n={grid.n}"
-            f" m_theta={grid.m_theta} m_phi={grid.m_phi}\n"
-        )
+        fh.write(_version_line(grid, magic) + "\n")
         fh.write(",".join(names + list(columns)) + "\r\n")
         for i, angles in enumerate(blocks):
             cells = angles + [map(repr, c[i].tolist()) for c in planes]
@@ -314,19 +321,18 @@ def write_field_csv(path, grid: Grid, values: np.ndarray) -> None:
     write_node_table(path, grid, FIELD_CSV_MAGIC, {"value": _check_shape(grid, values)})
 
 
-def read_field_csv(path) -> tuple[Grid, np.ndarray]:
-    """Rebuild (grid, values) from a file written by write_field_csv."""
+def read_field_csv(path, grid: Grid) -> np.ndarray:
+    """The values of a field that write_field_csv wrote on grid.
+
+    The file's first line must be exactly the version line write_field_csv
+    writes for grid, and one row must follow the column header per node.
+    """
+    expected = _version_line(grid, FIELD_CSV_MAGIC)
+    expect_cols = 2 if grid.mode == "axisym" else 3
     with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(f"# {FIELD_CSV_MAGIC}"):
-            raise ValueError(f"not a {FIELD_CSV_MAGIC} file: {path}")
-        meta = dict(tok.split("=") for tok in header.split()[2:])
-        missing = [k for k in ("mode", "n", "m_theta", "m_phi") if k not in meta]
-        if missing:
-            raise ValueError(f"header of {path} lacks {', '.join(missing)}")
-        mode = meta["mode"]
-        n, m_theta, m_phi = (int(meta[k]) for k in ("n", "m_theta", "m_phi"))
-        expect_cols = 2 if mode == "axisym" else 3
+        header = fh.readline().rstrip("\n")
+        if header != expected:
+            raise ValueError(f"{path} begins {header!r}; a field on this grid begins {expected!r}")
         next((row for row in fh if row != "\n"), None)  # column header
         values = []
         for row in fh:
@@ -336,10 +342,6 @@ def read_field_csv(path) -> tuple[Grid, np.ndarray]:
                     continue
                 raise ValueError(f"malformed row {row.rstrip()!r}")
             values.append(float(cells[-1]))
-    # the rows read bound the header's node count before a Grid allocates
-    # tables of that size
-    node_count = m_theta * (m_phi if mode == "full_s2" else 1)
-    if len(values) != node_count:
-        raise ValueError(f"expected {node_count} rows, found {len(values)} in {path}")
-    grid = Grid(mode=mode, n=n, m_theta=m_theta, m_phi=m_phi)
-    return grid, np.reshape(values, grid.shape)
+    if len(values) != grid.node_count:
+        raise ValueError(f"expected {grid.node_count} rows, found {len(values)} in {path}")
+    return np.reshape(values, grid.shape)

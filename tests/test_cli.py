@@ -96,9 +96,9 @@ def test_run_converged_writes_everything(tmp_path):
 
 
 def test_run_tol_override_stops_early(tmp_path):
-    cfg = make_cfg(tmp_path / "run.cfg")
+    cfg = make_cfg(tmp_path / "run.cfg", flow__tol_residual="1e-2")
     out = tmp_path / "loose"
-    assert cli.main(["run", str(cfg), "--out", str(out), "--tol-residual", "1e-2"]) == 0
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_residual"] <= 1e-2
     tight = json.loads(
@@ -193,7 +193,6 @@ def test_invalid_F_exits_64(tmp_path, capsys, F):
         ),
         pytest.param({}, ["--t-max", "nan"], id="override-t-max-nan"),
         pytest.param({}, ["--t-max", "-1"], id="override-t-max-negative"),
-        pytest.param({}, ["--tol-residual", "-1"], id="override-tol-residual-negative"),
         # each exponent is finite, their sum is not
         pytest.param({"G__a": "-1e308", "G__b": "-1e308"}, [], id="a-plus-b-plus-beta-infinite"),
     ],
@@ -569,6 +568,10 @@ def test_usage_errors_exit_64(capsys):
         cli.main(["run", "x.cfg", "--strict"])  # `validate CONFIG` is the gate
     assert info.value.code == 64
     assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "x.cfg", "--tol-residual", "1e-2"])  # [flow] tol_residual is its one source
+    assert info.value.code == 64
+    assert "unrecognized arguments: --tol-residual" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -784,6 +787,8 @@ def test_curvature_gates(tmp_path, capsys):
     foreign = tmp_path / "foreign.csv"
     foreign.write_text("x,y\n1,2\n")
     assert cli.main(["curvature", str(foreign), str(cfg)]) == 65
+    # the config is read first: a broken config exits 64 whatever the field
+    assert cli.main(["curvature", str(foreign), str(tmp_path / "missing.cfg")]) == 64
 
     # a row in the middle with a missing or an extra column, or a value that
     # is not a number: refuse
@@ -800,8 +805,8 @@ def test_curvature_gates(tmp_path, capsys):
 
 
 def test_curvature_refuses_a_field_header_larger_than_its_rows(tmp_path, capsys, monkeypatch):
-    # a 100-byte file whose header asks for 2e10 nodes: the rows read refuse
-    # it before any Grid builds tables of that size
+    # a 100-byte file whose header asks for 2e10 nodes: it is read on the
+    # configured grid, and no Grid is built from its header
     build = spheregrid.Grid.__post_init__
 
     def bounded(grid):
@@ -811,16 +816,48 @@ def test_curvature_refuses_a_field_header_larger_than_its_rows(tmp_path, capsys,
 
     monkeypatch.setattr(spheregrid.Grid, "__post_init__", bounded)
     field = tmp_path / "huge.csv"
-    field.write_text(
-        "# starflow-field-v1 mode=full_s2 n=2 m_theta=100000 m_phi=200000\n"
-        "theta,phi,value\n0.1,0.2,0.0\n"
-    )
-    with pytest.raises(ValueError, match=r"^expected 20000000000 rows, found 1 in "):
-        spheregrid.read_field_csv(field)
+    header = "# starflow-field-v1 mode=full_s2 n=2 m_theta=100000 m_phi=200000"
+    field.write_text(header + "\ntheta,phi,value\n0.1,0.2,0.0\n")
     cfg = make_cfg(tmp_path / "h.cfg")
+    expected = "# starflow-field-v1 mode=axisym n=2 m_theta=16 m_phi=0"
+    message = f"{field} begins {header!r}; a field on this grid begins {expected!r}"
+    with pytest.raises(ValueError) as info:
+        spheregrid.read_field_csv(field, axisym_grid(n=2, m_theta=16))
+    assert str(info.value) == message
     assert cli.main(["curvature", str(field), str(cfg)]) == 65
-    err = capsys.readouterr().err
-    assert err.startswith("gate failure: cannot read field file: expected 20000000000 rows")
+    assert capsys.readouterr().err == f"gate failure: cannot read field file: {message}\n"
+
+
+def test_config_asking_for_more_than_max_nodes_exits_64(tmp_path):
+    # validate and run refuse the grid before allocating it: under a 2 GiB
+    # address-space limit, building its 2e10-node tables fails with a
+    # MemoryError (exit 70) instead
+    huge = make_cfg(
+        tmp_path / "huge.cfg",
+        grid__mode="full_s2",
+        grid__n=None,
+        grid__m_theta="100000",
+        grid__m_phi="200000",
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import resource, sys\n"
+        "from starflow import cli\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    for argv in (["validate", str(huge)], ["run", str(huge), "--out", str(out)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 64, (argv[0], proc.stderr)
+        assert proc.stderr == (
+            "configuration error: grid of 20000000000 nodes exceeds MAX_NODES = 4194304\n"
+        )
+    assert not out.exists()
 
 
 # e^gamma underflows to 0 (u = 0) or overflows to inf (u = inf, kappa = 0)
@@ -843,21 +880,42 @@ def test_curvature_refuses_a_field_that_is_not_star_shaped(tmp_path, capsys, val
     assert not table.exists()
 
 
-@pytest.mark.parametrize("key", ["mode", "n", "m_theta", "m_phi"])
-def test_curvature_refuses_a_field_header_without_a_key(tmp_path, capsys, key):
+def assert_curvature_refuses_header(tmp_path, capsys, edit):
+    """curvature exits 65, quoting both lines, on the run's final field with
+    its version line replaced by edit(version line)."""
     cfg = make_cfg(tmp_path / "k.cfg")
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "0.01"]) == 3
     capsys.readouterr()
     lines = (out / "final_field.csv").read_text().splitlines()
-    header = " ".join(t for t in lines[0].split() if not t.startswith(key + "="))
+    header = edit(lines[0])
     assert header != lines[0]
     field = tmp_path / "field.csv"
     field.write_text("\n".join([header] + lines[1:]) + "\n")
     assert cli.main(["curvature", str(field), str(cfg)]) == 65
     err = capsys.readouterr().err
-    assert "gate failure" in err and f"lacks {key}" in err
-    assert "Traceback" not in err
+    assert err == (
+        f"gate failure: cannot read field file: {field} begins {header!r};"
+        f" a field on this grid begins {lines[0]!r}\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["mode", "n", "m_theta", "m_phi"])
+def test_curvature_refuses_a_field_header_without_a_key(tmp_path, capsys, key):
+    assert_curvature_refuses_header(
+        tmp_path, capsys, lambda line: " ".join(t for t in line.split() if not t.startswith(key + "="))
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda line: line.replace("m_theta=16", "m_theta=32"), id="another-grid"),
+        pytest.param(lambda line: line + " junk", id="trailing-token"),
+    ],
+)
+def test_curvature_refuses_a_field_header_of_another_grid(tmp_path, capsys, edit):
+    assert_curvature_refuses_header(tmp_path, capsys, edit)
 
 
 def test_full_s2_run_emits_meshes(tmp_path, capsys):
@@ -903,8 +961,11 @@ def test_config_hash_covers_cli_overrides(tmp_path, capsys):
     # without overrides the hash is the file's own
     assert run_hash("none") == file_hash
     # an override changes the problem, and the hash with it
-    assert run_hash("loose", "--tol-residual", "1e-2") != file_hash
-    assert run_hash("short", "--t-max", "0.01") != run_hash("long", "--t-max", "0.02")
+    short = run_hash("short", "--t-max", "0.01")
+    assert short != file_hash and short != run_hash("long", "--t-max", "0.02")
+    # so does an edit of the file's own tol_residual
+    loose = make_cfg(tmp_path / "loose.cfg", flow__tol_residual="1e-2")
+    assert cli.parse_config(loose).config_hash != file_hash
     capsys.readouterr()
 
 

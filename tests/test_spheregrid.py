@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from starflow import spheregrid
 from starflow.spheregrid import (
+    MAX_NODES,
     Grid,
     axisym_grid,
     derivatives,
@@ -46,6 +48,12 @@ def test_grid_rejects_bad_parameters():
         Grid(mode="full_s2", n=3, m_theta=8, m_phi=8)
     with pytest.raises(ValueError):
         Grid(mode="polar", n=2, m_theta=8, m_phi=0)
+    # refused before any table is allocated, so these cost nothing
+    assert MAX_NODES == 2**22
+    with pytest.raises(ValueError, match=r"^grid of 20000000000 nodes exceeds MAX_NODES = 4194304$"):
+        full_s2_grid(m_theta=100000, m_phi=200000)
+    with pytest.raises(ValueError, match=r"^grid of 4194305 nodes exceeds MAX_NODES = 4194304$"):
+        axisym_grid(n=2, m_theta=MAX_NODES + 1)
 
 
 def test_grid_equality():
@@ -203,9 +211,9 @@ def test_field_csv_round_trip_is_exact(tmp_path):
         values = rng.normal(scale=1e3, size=g.shape) * 10.0 ** rng.integers(-12, 12, g.shape)
         path = tmp_path / f"field_{g.mode}.csv"
         write_field_csv(path, g, values)
-        g2, v2 = read_field_csv(path)
-        assert g == g2
+        v2 = read_field_csv(path, g)
         assert np.array_equal(values, v2)
+        assert np.array_equal(np.signbit(values), np.signbit(v2))
 
     # the benchmark size, with signed zeros, a subnormal, the float extremes
     # and integers among the values
@@ -215,17 +223,53 @@ def test_field_csv_round_trip_is_exact(tmp_path):
     values.flat[: len(special)] = special
     path = tmp_path / "field_fine.csv"
     write_field_csv(path, g, values)
-    g2, v2 = read_field_csv(path)
-    assert g == g2
+    v2 = read_field_csv(path, g)
     assert np.array_equal(values, v2)
     assert np.array_equal(np.signbit(values), np.signbit(v2))
+
+
+def version_line(g):
+    return f"# starflow-field-v1 mode={g.mode} n={g.n} m_theta={g.m_theta} m_phi={g.m_phi}"
+
+
+@pytest.mark.parametrize(
+    "written, other",
+    [
+        (axisym_grid(n=2, m_theta=8), full_s2_grid(m_theta=8, m_phi=16)),
+        (axisym_grid(n=2, m_theta=8), axisym_grid(n=3, m_theta=8)),
+        (axisym_grid(n=2, m_theta=8), axisym_grid(n=2, m_theta=10)),
+        (full_s2_grid(m_theta=8, m_phi=16), full_s2_grid(m_theta=8, m_phi=18)),
+    ],
+    ids=["mode", "n", "m_theta", "m_phi"],
+)
+def test_field_csv_read_on_another_grid_quotes_both_lines(tmp_path, written, other):
+    path = tmp_path / "field.csv"
+    write_field_csv(path, written, np.zeros(written.shape))
+    found, want = version_line(written), version_line(other)
+    assert found != want
+    with pytest.raises(ValueError) as info:
+        read_field_csv(path, other)
+    assert str(info.value) == f"{path} begins {found!r}; a field on this grid begins {want!r}"
+
+
+def test_field_csv_read_builds_no_grid(tmp_path, monkeypatch):
+    g = full_s2_grid(m_theta=8, m_phi=16)
+    values = np.arange(g.node_count, dtype=float).reshape(g.shape)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, g, values)
+
+    def refuse(grid):
+        raise AssertionError("read_field_csv built a Grid")
+
+    monkeypatch.setattr(spheregrid.Grid, "__post_init__", refuse)
+    assert np.array_equal(read_field_csv(path, g), values)
 
 
 def test_field_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("theta,value\n0.1,0.2\n")
     with pytest.raises(ValueError):
-        read_field_csv(path)
+        read_field_csv(path, axisym_grid(n=2, m_theta=8))
 
 
 def test_field_csv_rejects_truncation(tmp_path):
@@ -235,11 +279,11 @@ def test_field_csv_rejects_truncation(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5]) + "\n")
     with pytest.raises(ValueError):
-        read_field_csv(path)
+        read_field_csv(path, g)
 
     # a row in the middle with a missing or an extra column, or a value that
     # is not a number
     for row in ("0.7", "0.7,0.0,0.0", "0.7,abc"):
         path.write_text("\n".join(lines[:5] + [row] + lines[6:]) + "\n")
         with pytest.raises(ValueError):
-            read_field_csv(path)
+            read_field_csv(path, g)

@@ -115,7 +115,7 @@ def reference_obj(path, state):
 
 def reference_curvature_table(path, cfg, grid, gamma):
     geom = geometry.assemble(grid, gamma)
-    mask = symfunc.in_cone(geom.kappa, cfg.guard)
+    mask = symfunc.in_cone(geom.kappa, symfunc.natural_cone(cfg.F))
     G = cfg.G
     with np.errstate(invalid="ignore", divide="ignore"):
         f_all = symfunc.F_eval(cfg.F, geom.kappa)
