@@ -141,7 +141,8 @@ def _parse_product_factor(chunk: str) -> tuple:
 
 
 def _parse_psi_terms(text: str) -> tuple:
-    terms = []
+    """w = Σ s v over the ';'-separated factors 's vx vy vz', in file order."""
+    w = np.zeros(3)
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -151,9 +152,25 @@ def _parse_psi_terms(text: str) -> tuple:
             raise ConfigError(
                 f"bad psi term {chunk!r}; expected 's vx vy vz' separated by spaces"
             )
-        s, vx, vy, vz = (float(p) for p in parts)
-        terms.append(speed.PsiTerm(s=s, v=(vx, vy, vz)))
-    return tuple(terms)
+        s, *v = (float(p) for p in parts)
+        if not np.isfinite(s):
+            raise ConfigError(f"psi strength s must be finite, got {s}")
+        v = np.array(v)
+        if not np.all(np.isfinite(v)):
+            raise ConfigError("psi direction must be a finite 3-vector")
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > 1e-8:
+            raise ConfigError(f"psi direction must be unit length, |v| = {norm:.6g}")
+        with np.errstate(over="ignore"):  # SpeedSpec refuses an infinite |w|
+            w = w + s * v
+    return tuple(w.tolist())
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be a count >= 0")
+    return value
 
 
 def _parse_grid(cp) -> spheregrid.Grid:
@@ -191,10 +208,11 @@ _FLOW_KEYS = {"psi_mode": str.lower, "t_max": float, "tol_residual": float, "cad
 
 def parse_config(path) -> RunSetup:
     """Read an INI run configuration; raise ConfigError on any problem."""
-    # values are taken literally: no % interpolation.  No section is named "",
+    # values are taken literally: no % interpolation, and ';' separates psi
+    # factors, so only ' #' starts an inline comment.  No section is named "",
     # so [DEFAULT] is an unknown section, not keys lent to every section.
     cp = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+        inline_comment_prefixes=("#",), interpolation=None, default_section=""
     )
     path = Path(path)
     if not path.is_file():
@@ -219,7 +237,7 @@ def parse_config(path) -> RunSetup:
             c=_get(cp, "G", "c", float, default=1.0),
             a=_get(cp, "G", "a", float, required=True),
             b=_get(cp, "G", "b", float, required=True),
-            psi=_parse_psi_terms(_get(cp, "G", "psi", str, default="")),
+            w=_parse_psi_terms(_get(cp, "G", "psi", str, default="")),
         )
         given = {key: _get(cp, "flow", key, conv) for key, conv in _FLOW_KEYS.items()}
         cfg = flow.FlowConfig(
@@ -232,7 +250,12 @@ def parse_config(path) -> RunSetup:
         initial = _parse_initial(cp)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    obj_every = _get(cp, "output", "obj_every", int, default=0)
+    obj_every = _get(cp, "output", "obj_every", _count, default=0)
+    if obj_every and grid.mode != "full_s2":
+        raise ConfigError(
+            f"[output] obj_every = {obj_every} writes meshes of full_s2 grids only; "
+            f"this grid is {grid.mode}"
+        )
 
     for section in cp.sections():
         for key in cp[section]:
@@ -282,11 +305,7 @@ def cmd_run(args) -> int:
 
     def on_record(state, rec, geom):
         nonlocal record_count
-        if (
-            setup.obj_every > 0
-            and cfg.grid.mode == "full_s2"
-            and record_count % setup.obj_every == 0
-        ):
+        if setup.obj_every and record_count % setup.obj_every == 0:
             name = f"mesh_{state.step:08d}.obj"
             geometry.export_obj(out / name, geom)
             files.append(name)

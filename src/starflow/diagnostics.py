@@ -25,7 +25,8 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .geometry import GeometryState, sphere_gap
+from .geometry import GeometryState, assemble, sphere_gap
+from .spheregrid import derivatives
 
 __all__ = [
     "HISTORY_CSV_MAGIC",
@@ -150,28 +151,24 @@ def check_sign_preservation(history, tol: float) -> CheckResult:
         return CheckResult(None, "empty history")
     first = history[0]
     lo0, hi0 = first.q_min - 1.0, first.q_max - 1.0
+    if not (lo0 > 0.0 or hi0 < 0.0):
+        return CheckResult(
+            None,
+            f"initial Q - 1 has mixed sign ([{lo0:.3g}, {hi0:.3g}]); nothing to preserve",
+        )
+    # one pass keyed by the sign of record 0, watching the end of Q - 1 that
+    # would cross zero first
     if lo0 > 0.0:
-        for idx, rec in enumerate(history):
-            if rec.q_min - 1.0 < -tol:
-                return CheckResult(
-                    False,
-                    f"record {idx}: Q - 1 dropped to {rec.q_min - 1.0:.3g} "
-                    f"after starting positive",
-                )
-        return CheckResult(True, f"Q - 1 stayed >= -{tol:g} over {len(history)} records")
-    if hi0 < 0.0:
-        for idx, rec in enumerate(history):
-            if rec.q_max - 1.0 > tol:
-                return CheckResult(
-                    False,
-                    f"record {idx}: Q - 1 rose to {rec.q_max - 1.0:.3g} "
-                    f"after starting negative",
-                )
-        return CheckResult(True, f"Q - 1 stayed <= {tol:g} over {len(history)} records")
-    return CheckResult(
-        None,
-        f"initial Q - 1 has mixed sign ([{lo0:.3g}, {hi0:.3g}]); nothing to preserve",
-    )
+        sign, moved, start, bound = 1.0, "dropped", "positive", ">= -"
+    else:
+        sign, moved, start, bound = -1.0, "rose", "negative", "<= "
+    for idx, rec in enumerate(history):
+        far = (rec.q_min if sign > 0.0 else rec.q_max) - 1.0
+        if sign * far < -tol:
+            return CheckResult(
+                False, f"record {idx}: Q - 1 {moved} to {far:.3g} after starting {start}"
+            )
+    return CheckResult(True, f"Q - 1 stayed {bound}{tol:g} over {len(history)} records")
 
 
 def evolution_identity_check(config, state_a, state_b) -> float:
@@ -182,9 +179,7 @@ def evolution_identity_check(config, state_a, state_b) -> float:
     earlier state, where 𝓕 = Ψ(Q) - Ψ(1) and ⟨X, ∇𝓕⟩ reduces on radial graphs
     to ⟨Dγ, D𝓕⟩_e / ω².  The residual is O(dt + Δθ²) on smooth flows.
     """
-    from .flow import speed_field
-    from .geometry import assemble
-    from .spheregrid import derivatives
+    from .flow import speed_field  # flow imports this module
 
     dt = state_b.t - state_a.t
     if dt <= 0.0:

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_failure
-from .speed import RHO_CEIL, RHO_FLOOR, G_from_table, SpeedSpec, psi_eval
+from .speed import RHO_CEIL, RHO_FLOOR, G_from_table, SpeedSpec
 from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import F_fused, _validate_spec, cone_failure, natural_cone
 
@@ -141,7 +141,7 @@ class FlowConfig:
             raise ValueError("cadence must be a positive step count")
         _validate_spec(self.F, self.grid.n)
         # c ψ(ξ) at the grid nodes: the part of G that no step changes
-        self.G_table = self.G.c * psi_eval(self.G, self.grid.xi)
+        self.G_table = self.G.c * np.exp(self.grid.xi @ self.G.w)
         if self.grid.mode == "axisym" and not self.G.axis_aligned():
             raise ValueError(
                 "axisym grids require every anisotropy direction to be the polar axis"

@@ -2,11 +2,10 @@
 
 The right-hand side driving every flow in this package has the separable form
 
-    G(X, ν) = c · exp⟨X/|X|, w⟩ · u^a · ρ^b,      w = Σ_j s_j v_j,
+    G(X, ν) = c · exp⟨X/|X|, w⟩ · u^a · ρ^b,
 
-with u = ⟨X, ν⟩ the support value and ρ = |X|.  The factors exp(s_j ⟨ξ, v_j⟩)
-of the configuration multiply into the one vector w, which SpeedSpec sums
-once; ψ = exp⟨ξ, w⟩ is the anisotropy, and w = 0 gives ψ ≡ 1.  Admissibility
+with u = ⟨X, ν⟩ the support value, ρ = |X| and w a fixed 3-vector;
+ψ = exp⟨ξ, w⟩ is the anisotropy, and w = 0 gives ψ ≡ 1.  Admissibility
 of a (G, F, β) triple is decided here:
 
 - barrier_radii: the largest sphere pinched from inside and the smallest
@@ -23,16 +22,14 @@ never calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .symfunc import F_eval
 
 __all__ = [
-    "PsiTerm",
     "SpeedSpec",
-    "psi_eval",
     "G_from_table",
     "barrier_radii",
     "sphere_radius",
@@ -47,32 +44,14 @@ _LOG_MAX = -float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
-class PsiTerm:
-    """One anisotropy factor exp(s ⟨ξ, v⟩) with v a unit 3-vector."""
-
-    s: float
-    v: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not np.isfinite(self.s):
-            raise ValueError(f"psi strength s must be finite, got {self.s}")
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (3,) or not np.all(np.isfinite(v)):
-            raise ValueError("psi direction must be a finite 3-vector")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"psi direction must be unit length, |v| = {norm:.6g}")
-
-
-@dataclass(frozen=True)
 class SpeedSpec:
-    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩ and w = Σ_j s_j v_j."""
+    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩; w is a tuple of three
+    floats, so equal forcings compare equal."""
 
     c: float
     a: float
     b: float
-    psi: tuple[PsiTerm, ...] = ()
-    w: np.ndarray = field(init=False, repr=False, compare=False)
+    w: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c > 0.0):
@@ -80,37 +59,23 @@ class SpeedSpec:
         for x in (self.a, self.b):
             if not np.isfinite(x):
                 raise ValueError("exponents must be finite")
-        object.__setattr__(self, "psi", tuple(self.psi))
-        w = np.zeros(3)
         with np.errstate(over="ignore"):  # an infinite |w| is refused below
-            for term in self.psi:
-                w = w + term.s * np.asarray(term.v)
-            size = float(np.linalg.norm(w))
+            size = float(np.linalg.norm(self.w))
         # c ψ ranges over c e^{±|w|}: both ends, and e^{±|w|}, are finite
         # normal doubles exactly when |log c| + |w| < -log(tiny)
         if not abs(float(np.log(self.c))) + size < _LOG_MAX:
             raise ValueError(
                 f"forcing c e^(+-|w|) overflows a double: c = {self.c:g}, |w| = {size:g}"
             )
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
 
     @property
     def isotropic(self) -> bool:
         """True when w = 0, so ψ ≡ 1."""
-        return not np.any(self.w)
+        return not any(self.w)
 
     def axis_aligned(self) -> bool:
         """True when w is parallel to the polar axis (0, 0, 1), or zero."""
-        return bool(abs(self.w[0]) <= 1e-12 and abs(self.w[1]) <= 1e-12)
-
-
-def psi_eval(spec: SpeedSpec, xi: np.ndarray) -> np.ndarray:
-    """ψ(ξ) = exp⟨ξ, w⟩ for directions ξ of shape (..., 3)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != 3:
-        raise ValueError("directions must be 3-vectors")
-    return np.exp(xi @ spec.w)
+        return abs(self.w[0]) <= 1e-12 and abs(self.w[1]) <= 1e-12
 
 
 def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndarray):

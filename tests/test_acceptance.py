@@ -42,7 +42,7 @@ from starflow.flow import (
     STATUS_TIME_CAP,
 )
 from starflow.geometry import assemble, support_identity_residual
-from starflow.speed import PsiTerm, SpeedSpec
+from starflow.speed import SpeedSpec
 from starflow.spheregrid import axisym_grid, full_s2_grid
 from starflow.symfunc import (
     Cone,
@@ -53,8 +53,7 @@ from starflow.symfunc import (
     sigma_all,
 )
 
-EZ = (0.0, 0.0, 1.0)
-ANISO = (PsiTerm(s=0.2, v=EZ),)
+ANISO = (0.0, 0.0, 0.2)  # w: psi = exp(0.2 <xi, e_z>)
 
 
 def report(idx, msg):
@@ -74,11 +73,11 @@ def setup1(m_theta=32, **overrides):
     return FlowConfig(**base)
 
 
-def setup3(m_theta, m_phi, psi=ANISO, **overrides):
+def setup3(m_theta, m_phi, w=ANISO, **overrides):
     base = dict(
         grid=full_s2_grid(m_theta=m_theta, m_phi=m_phi),
         F=SigmaKRoot(k=2),
-        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
+        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, w=w),
         beta=1.0,
         t_max=50.0,
         tol_residual=1e-6,
@@ -119,7 +118,7 @@ def aniso_runs():
 
 @pytest.fixture(scope="module")
 def round_run():
-    cfg = setup3(8, 16, psi=(), cadence=1)
+    cfg = setup3(8, 16, w=(0.0, 0.0, 0.0), cadence=1)
     return cfg, run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid))
 
 
@@ -371,7 +370,7 @@ def test_criterion_10_homogeneous_case_coverage():
     cfg = FlowConfig(
         grid=axisym_grid(n=3, m_theta=32),
         F=SigmaKRoot(k=2),
-        G=SpeedSpec(c=1.0, a=-0.5, b=-1.5, psi=ANISO),
+        G=SpeedSpec(c=1.0, a=-0.5, b=-1.5, w=ANISO),
         beta=1.0,
         t_max=50.0,
         tol_residual=1e-6,

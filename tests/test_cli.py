@@ -278,6 +278,107 @@ def test_forcing_that_overflows_a_double(tmp_path, capsys, edits, code, text):
     assert text in captured.out + captured.err and "Traceback" not in captured.err
 
 
+FULL_S2 = {"grid__mode": "full_s2", "grid__n": None, "grid__m_theta": "8", "grid__m_phi": "16"}
+
+
+def radii_line(size):
+    """validate's first line when the barrier radii are e^{-+size}."""
+    return f"barrier radii: r1 = {np.exp(-size):.12g}, r2 = {np.exp(size):.12g}"
+
+
+@pytest.mark.parametrize(
+    "grid, psi, code, stderr, first_line",
+    [
+        # w = 0.2 e_x - 0.2 e_x + 0.1 e_z = 0.1 e_z, which an axisym grid accepts
+        ({}, "0.2 1 0 0; 0.2 -1 0 0; 0.1 0 0 1", 0, "", radii_line(0.1)),
+        ({}, "0.2 1 0 0", 64,
+         "axisym grids require every anisotropy direction to be the polar axis", ""),
+        (FULL_S2, "0.1 0 0 1;;0.1 0 0 1;", 0, "", radii_line(0.2)),
+        (FULL_S2, "0.2 1 1 1", 64, "psi direction must be unit length, |v| = 1.73205", ""),
+        (FULL_S2, "nan 0 0 1", 64, "psi strength s must be finite, got nan", ""),
+        (FULL_S2, "-inf 0 0 1", 64, "psi strength s must be finite, got -inf", ""),
+        (FULL_S2, "0.2 nan 0 1", 64, "psi direction must be a finite 3-vector", ""),
+        (FULL_S2, "0.2 0 1", 64,
+         "bad psi term '0.2 0 1'; expected 's vx vy vz' separated by spaces", ""),
+        (FULL_S2, "0.2 0 0 1 5", 64,
+         "bad psi term '0.2 0 0 1 5'; expected 's vx vy vz' separated by spaces", ""),
+        (FULL_S2, "a b c d", 64, "could not convert string to float: 'a'", ""),
+        (FULL_S2, "1000 0 0 1", 64,
+         "forcing c e^(+-|w|) overflows a double: c = 1, |w| = 1000", ""),
+        # each factor is finite, their sum is not
+        (FULL_S2, "1e308 0 0 1; 1e308 0 0 1", 64,
+         "forcing c e^(+-|w|) overflows a double: c = 1, |w| = inf", ""),
+    ],
+    ids=[
+        "axisym-off-axis-cancels", "axisym-off-axis", "empty-factors", "not-unit",
+        "strength-nan", "strength-infinite", "direction-nan", "three-numbers",
+        "five-numbers", "letters", "overflow", "overflow-of-the-sum",
+    ],
+)
+def test_validate_psi_factors(tmp_path, capsys, grid, psi, code, stderr, first_line):
+    cfg = make_cfg(tmp_path / "p.cfg", G__psi=psi, **grid)
+    assert cli.main(["validate", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: {stderr}\n" if stderr else "")
+    assert captured.out.split("\n")[0] == first_line
+
+
+def test_psi_factors_sum_to_the_same_table(tmp_path):
+    # 0.1 + 0.1 == 0.2 exactly, so both spellings of w give the same bits
+    tables = [
+        cli.parse_config(make_cfg(tmp_path / f"{i}.cfg", G__psi=psi, **FULL_S2)).config.G_table
+        for i, psi in enumerate(("0.1 0 0 1; 0.1 0 0 1", "0.2 0 0 1"))
+    ]
+    assert tables[0].tobytes() == tables[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "psi, size",
+    [
+        pytest.param("0.2 0 0 1 ; 0.1 0 0 1", 0.2 + 0.1, id="spaced-separator"),
+        pytest.param(" ; 0.1 0 0 1 ;", 0.1, id="leading-separator"),
+    ],
+)
+def test_spaced_psi_separator_keeps_every_factor(tmp_path, capsys, psi, size):
+    # ';' separates factors; it never starts a comment
+    cfg = make_cfg(tmp_path / "p.cfg", G__psi=psi, **FULL_S2)
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == radii_line(size)
+
+
+def test_semicolon_after_a_value_is_not_a_comment(tmp_path, capsys):
+    cfg = make_cfg(tmp_path / "c.cfg", flow__t_max="50 ; note")
+    assert cli.main(["validate", str(cfg)]) == 64
+    assert capsys.readouterr().err == (
+        "configuration error: bad value for [flow] t_max = '50 ; note': "
+        "could not convert string to float: '50 ; note'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        pytest.param(
+            {**FULL_S2, "output__obj_every": "-3"},
+            "bad value for [output] obj_every = '-3': must be a count >= 0",
+            id="negative",
+        ),
+        pytest.param(
+            {"output__obj_every": "5"},
+            "[output] obj_every = 5 writes meshes of full_s2 grids only; this grid is axisym",
+            id="axisym",
+        ),
+    ],
+)
+def test_obj_every_that_writes_nothing_exits_64(tmp_path, capsys, edits, message):
+    cfg = make_cfg(tmp_path / "o.cfg", **edits)
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert cli.main(argv) == 64, argv[0]
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edits",
     [

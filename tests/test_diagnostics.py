@@ -115,6 +115,30 @@ def test_check_sign_preservation():
     assert check_sign_preservation([], tol=1e-8).passed is None
 
 
+def test_check_sign_preservation_messages():
+    pos = [rec(0.0, q_min=1.2, q_max=1.5), rec(1.0, q_min=1.1, q_max=1.5)]
+    neg = [rec(0.0, q_min=0.5, q_max=0.9), rec(1.0, q_min=0.5, q_max=0.95)]
+    cases = [
+        (pos, True, "Q - 1 stayed >= -1e-08 over 2 records"),
+        (pos + [rec(2.0, q_min=0.7, q_max=1.5)], False,
+         "record 2: Q - 1 dropped to -0.3 after starting positive"),
+        # the other end may cross without a violation
+        (pos + [rec(2.0, q_min=1.1, q_max=0.5)], True, "Q - 1 stayed >= -1e-08 over 3 records"),
+        (neg, True, "Q - 1 stayed <= 1e-08 over 2 records"),
+        (neg + [rec(2.0, q_min=0.5, q_max=1.25)], False,
+         "record 2: Q - 1 rose to 0.25 after starting negative"),
+        (neg + [rec(2.0, q_min=1.5, q_max=0.9)], True, "Q - 1 stayed <= 1e-08 over 3 records"),
+        ([rec(0.0, q_min=0.9, q_max=1.1)], None,
+         "initial Q - 1 has mixed sign ([-0.1, 0.1]); nothing to preserve"),
+        ([rec(0.0, q_min=np.nan, q_max=np.nan)], None,
+         "initial Q - 1 has mixed sign ([nan, nan]); nothing to preserve"),
+        ([], None, "empty history"),
+    ]
+    for history, passed, message in cases:
+        res = check_sign_preservation(history, tol=1e-8)
+        assert (res.passed, res.message) == (passed, message)
+
+
 def test_decay_fit_recovers_synthetic_rate():
     ts = np.linspace(0.0, 5.0, 60)
     hist = [rec(t, grad=0.5 * np.exp(-2.0 * t)) for t in ts]

@@ -37,7 +37,7 @@ from starflow.flow import (
     step,
 )
 from starflow.diagnostics import check_barriers
-from starflow.speed import PsiTerm, SpeedSpec, barrier_radii, sphere_radius
+from starflow.speed import SpeedSpec, barrier_radii, sphere_radius
 from starflow.spheregrid import (
     axisym_grid,
     derivatives,
@@ -45,8 +45,6 @@ from starflow.spheregrid import (
     full_s2_grid,
 )
 from starflow.symfunc import SigmaKRoot
-
-EZ = (0.0, 0.0, 1.0)
 
 
 def setup1(m_theta=16, **overrides):
@@ -71,10 +69,10 @@ def test_config_validation():
         setup1(psi_mode="squared")
     # axisym grids cannot carry an off-axis anisotropy
     with pytest.raises(ValueError):
-        setup1(G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.1, v=(1.0, 0.0, 0.0)),)))
-    # but off-axis terms that cancel leave w = 0, which they accept
-    cancelling = (PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)), PsiTerm(s=0.2, v=(-1.0, 0.0, 0.0)))
-    cfg = setup1(G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=cancelling))
+        setup1(G=SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.1, 0.0, 0.0)))
+    # but off-axis factors that cancel leave w = 0, which they accept
+    cancelling = cli._parse_psi_terms("0.2 1 0 0; 0.2 -1 0 0")
+    cfg = setup1(G=SpeedSpec(c=1.0, a=0.0, b=-2.0, w=cancelling))
     assert np.all(cfg.G_table == 1.0)
     # F must be defined on the grid's n
     with pytest.raises(ValueError):
@@ -155,7 +153,7 @@ def test_first_step_sign_at_barrier_radii():
     cfg = FlowConfig(
         grid=grid,
         F=SigmaKRoot(k=2),
-        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),)),
+        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.0, 0.0, 0.2)),
         beta=1.0,
     )
     r1, r2 = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
@@ -394,12 +392,11 @@ def test_cfl_dt_names_the_node_whose_bound_degenerates():
 
 def test_axisym_and_full_s2_integrate_identically():
     """An axis-aligned problem run in both modes must produce the same profile."""
-    psi = (PsiTerm(s=0.2, v=EZ),)
     configs = [
         FlowConfig(
             grid=grid,
             F=SigmaKRoot(k=2),
-            G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=psi),
+            G=SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.0, 0.0, 0.2)),
             beta=1.0,
             )
         for grid in (axisym_grid(n=2, m_theta=16), full_s2_grid(m_theta=16, m_phi=16))
@@ -457,7 +454,7 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
     cfg = FlowConfig(
         grid=grid,
         F=SigmaKRoot(k=2),
-        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),)),
+        G=SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.0, 0.0, 0.2)),
         beta=1.0,
         t_max=0.02,
         cadence=1,
@@ -517,7 +514,7 @@ def test_anisotropic_limit_converges_at_second_order():
 
 def test_configs_sharing_a_grid_keep_their_own_tables():
     def config(grid, s):
-        G = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=s, v=EZ),))
+        G = SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.0, 0.0, s))
         return FlowConfig(grid=grid, F=SigmaKRoot(k=2), G=G, beta=1.0, t_max=0.1)
 
     shared = full_s2_grid(m_theta=8, m_phi=16)

@@ -3,28 +3,17 @@
 import numpy as np
 import pytest
 
+from starflow.cli import _parse_psi_terms
+from starflow.flow import FlowConfig
 from starflow.speed import (
     G_from_table,
-    PsiTerm,
     SpeedSpec,
     barrier_radii,
     monotonicity_report,
-    psi_eval,
     sphere_radius,
 )
+from starflow.spheregrid import full_s2_grid
 from starflow.symfunc import SigmaKRoot
-
-EZ = (0.0, 0.0, 1.0)
-
-
-def test_psi_term_validation():
-    PsiTerm(s=0.5, v=EZ)
-    with pytest.raises(ValueError):
-        PsiTerm(s=0.5, v=(0.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
-        PsiTerm(s=0.5, v=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        PsiTerm(s=0.5, v=(np.nan, 0.0, 1.0))
 
 
 def test_speed_spec_validation():
@@ -35,26 +24,21 @@ def test_speed_spec_validation():
         SpeedSpec(c=0.0, a=0.0, b=1.0)
     with pytest.raises(ValueError):
         SpeedSpec(c=-2.0, a=0.0, b=1.0)
-    aniso = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.2, v=EZ),))
+    aniso = SpeedSpec(c=1.0, a=0.0, b=0.0, w=(0.0, 0.0, 0.2))
     assert not aniso.isotropic
     assert aniso.axis_aligned()
-    tilted = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)),))
+    tilted = SpeedSpec(c=1.0, a=0.0, b=0.0, w=(0.2, 0.0, 0.0))
     assert not tilted.axis_aligned()
-    # only w = sum s_j v_j counts: zero-strength terms and terms that cancel
-    # are isotropic, and so axis-aligned, whatever their directions
-    ex, minus_ex = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
-    for psi in (
-        (PsiTerm(s=0.0, v=ex),),
-        (PsiTerm(s=0.2, v=ex), PsiTerm(s=0.2, v=minus_ex)),
-        (PsiTerm(s=0.2, v=ex), PsiTerm(s=-0.2, v=ex)),
-    ):
-        spec = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=psi)
+    # w is a field: forcings that differ only in w differ
+    assert aniso == SpeedSpec(c=1.0, a=0.0, b=0.0, w=(0.0, 0.0, 0.2))
+    assert aniso != tilted and aniso != SpeedSpec(c=1.0, a=0.0, b=0.0)
+    # only w = sum s_j v_j counts: zero-strength factors and factors that
+    # cancel are isotropic, and so axis-aligned, whatever their directions
+    for psi in ("0 1 0 0", "0.2 1 0 0; 0.2 -1 0 0", "0.2 1 0 0; -0.2 1 0 0"):
+        spec = SpeedSpec(c=1.0, a=0.0, b=0.0, w=_parse_psi_terms(psi))
         assert spec.isotropic and spec.axis_aligned()
     # off-axis parts that cancel leave an axis-aligned, anisotropic w
-    spec = SpeedSpec(
-        c=1.0, a=0.0, b=0.0,
-        psi=(PsiTerm(s=0.2, v=ex), PsiTerm(s=0.2, v=minus_ex), PsiTerm(s=0.1, v=EZ)),
-    )
+    spec = SpeedSpec(c=1.0, a=0.0, b=0.0, w=_parse_psi_terms("0.2 1 0 0; 0.2 -1 0 0; 0.1 0 0 1"))
     assert not spec.isotropic and spec.axis_aligned()
 
 
@@ -71,48 +55,49 @@ def test_speed_spec_validation():
     ],
 )
 def test_speed_spec_refuses_forcing_outside_double_range(c, s, ok):
-    psi = (PsiTerm(s=s, v=EZ),)
+    w = (0.0, 0.0, s)
     if ok:
-        spec = SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
+        spec = SpeedSpec(c=c, a=0.0, b=-2.0, w=w)
         size = np.linalg.norm(spec.w)
         assert 0.0 < c * np.exp(-size) and c * np.exp(size) < np.inf
     else:
         with pytest.raises(ValueError, match="overflows a double"):
-            SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
+            SpeedSpec(c=c, a=0.0, b=-2.0, w=w)
 
 
-def test_psi_eval_pointwise():
-    spec = SpeedSpec(c=1.0, a=0.0, b=0.0, psi=(PsiTerm(s=0.2, v=EZ),))
-    north = np.array([0.0, 0.0, 1.0])
-    south = np.array([0.0, 0.0, -1.0])
-    equator = np.array([1.0, 0.0, 0.0])
-    assert psi_eval(spec, north) == pytest.approx(np.exp(0.2), rel=1e-14)
-    assert psi_eval(spec, south) == pytest.approx(np.exp(-0.2), rel=1e-14)
-    assert psi_eval(spec, equator) == pytest.approx(1.0, rel=1e-14)
-    # terms multiply
-    two = SpeedSpec(
-        c=1.0, a=0.0, b=0.0,
-        psi=(PsiTerm(s=0.2, v=EZ), PsiTerm(s=-0.1, v=(1.0, 0.0, 0.0))),
-    )
-    xi = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-    want = np.exp(0.2 * np.sqrt(0.5)) * np.exp(-0.1 * np.sqrt(0.5))
-    assert psi_eval(two, xi) == pytest.approx(want, rel=1e-14)
+def G_table(w, c=1.0):
+    """The config's c ψ(ξ) table on a 9x16 grid, whose middle row is the equator."""
+    grid = full_s2_grid(m_theta=9, m_phi=16)
+    spec = SpeedSpec(c=c, a=0.0, b=-2.0, w=w)
+    return FlowConfig(grid=grid, F=SigmaKRoot(k=2), G=spec, beta=1.0).G_table, grid.xi
+
+
+def test_G_table_pointwise():
+    # w = 0.2 e_x: nodes (4, 0) and (4, 8) face +-e_x, nodes (4, 4) and
+    # (4, 12) lie on the great circle orthogonal to w
+    table, _ = G_table((0.2, 0.0, 0.0))
+    assert table[4, 0] == pytest.approx(np.exp(0.2), rel=1e-14)
+    assert table[4, 8] == pytest.approx(np.exp(-0.2), rel=1e-14)
+    assert table[4, 4] == pytest.approx(1.0, rel=1e-14)
+    assert table[4, 12] == pytest.approx(1.0, rel=1e-14)
+    # factors multiply, and c scales the whole table
+    w = _parse_psi_terms("0.2 0 0 1; -0.1 1 0 0")
+    table, xi = G_table(w, c=3.0)
+    want = 3.0 * np.exp(0.2 * xi[..., 2]) * np.exp(-0.1 * xi[..., 0])
+    np.testing.assert_allclose(table, want, rtol=1e-14)
 
 
 def test_sphere_radius_between_the_barriers_for_every_direction():
     # two factors combine into exp<xi, w> with w = 0.3 e_z + 0.1 e_y; with
     # F(1, 1) = 1, beta = 1 and b = -2 the sphere radius at psi is psi itself,
     # so r1 and r2 are the extrema of psi, attained at xi = -+w/|w|
-    spec = SpeedSpec(
-        c=1.0, a=0.0, b=-2.0,
-        psi=(PsiTerm(s=0.3, v=EZ), PsiTerm(s=0.1, v=(0.0, 1.0, 0.0))),
-    )
+    spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, w=_parse_psi_terms("0.3 0 0 1; 0.1 0 1 0"))
     r1, r2 = barrier_radii(spec, SigmaKRoot(k=2), 2, 1.0)
+    w = np.array([0.0, 0.1, 0.3])
 
     def radius(xi):
-        return sphere_radius(spec, SigmaKRoot(k=2), 2, 1.0, float(psi_eval(spec, xi)))
+        return sphere_radius(spec, SigmaKRoot(k=2), 2, 1.0, float(np.exp(xi @ w)))
 
-    w = np.array([0.0, 0.1, 0.3])
     w_hat = w / np.linalg.norm(w)
     assert r1 == pytest.approx(radius(-w_hat), rel=1e-15)
     assert r2 == pytest.approx(radius(w_hat), rel=1e-15)
@@ -123,7 +108,7 @@ def test_sphere_radius_between_the_barriers_for_every_direction():
 
 def G_at(spec, xi, u, rho):
     """G at one node through the run's table form, table = c ψ(ξ)."""
-    return G_from_table(spec, spec.c * psi_eval(spec, xi), u, rho)
+    return G_from_table(spec, spec.c * np.exp(xi @ np.array(spec.w)), u, rho)
 
 
 def test_G_from_table_values():
@@ -135,7 +120,7 @@ def test_G_from_table_values():
     spec = SpeedSpec(c=2.0, a=-0.5, b=-1.5)
     assert G_at(spec, xi, 4.0, 4.0) == pytest.approx(2.0 / 16.0, rel=1e-14)
     # anisotropy multiplies in at the north pole
-    spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),))
+    spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.0, 0.0, 0.2))
     assert G_at(spec, xi, 1.0, 1.0) == pytest.approx(np.exp(0.2), rel=1e-14)
 
 
@@ -160,7 +145,7 @@ def test_barrier_radii_isotropic_pinch():
 
 def test_barrier_radii_anisotropic():
     # the sphere radius at psi is psi here, so the radii are e^{-+|w|}
-    spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, psi=(PsiTerm(s=0.2, v=EZ),))
+    spec = SpeedSpec(c=1.0, a=0.0, b=-2.0, w=(0.0, 0.0, 0.2))
     r1, r2 = barrier_radii(spec, SigmaKRoot(k=2), 2, 1.0)
     assert r1 == pytest.approx(np.exp(-0.2), rel=1e-15)
     assert r2 == pytest.approx(np.exp(0.2), rel=1e-15)
@@ -192,16 +177,15 @@ def test_monotonicity_report():
 
 
 def test_sphere_radius_identity_mode():
-    cancelling = (PsiTerm(s=0.2, v=(1.0, 0.0, 0.0)), PsiTerm(s=0.2, v=(-1.0, 0.0, 0.0)))
     for c, psi, k, n, want in (
         # eta = 1 for sigma_2^{1/2} on S^2, so c R^{a+b+beta} = 1
-        (1.0, (), 2, 2, 1.0),
-        (2.0, (), 2, 2, 2.0),
-        (2.0, cancelling, 2, 2, 2.0),
+        (1.0, "", 2, 2, 1.0),
+        (2.0, "", 2, 2, 2.0),
+        (2.0, "0.2 1 0 0; 0.2 -1 0 0", 2, 2, 2.0),  # factors that cancel
         # eta = 1/3 for sigma_1 on S^3: R = 1/3
-        (1.0, (), 1, 3, 1.0 / 3.0),
+        (1.0, "", 1, 3, 1.0 / 3.0),
     ):
-        spec = SpeedSpec(c=c, a=0.0, b=-2.0, psi=psi)
+        spec = SpeedSpec(c=c, a=0.0, b=-2.0, w=_parse_psi_terms(psi))
         r = sphere_radius(spec, SigmaKRoot(k=k), n, 1.0)
         assert r == pytest.approx(want, rel=1e-10)
         # isotropic barriers coincide with the stationary sphere exactly

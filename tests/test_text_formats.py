@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from starflow import cli, geometry, speed, symfunc
+from starflow import cli, geometry, symfunc
 from starflow.spheregrid import axisym_grid, full_s2_grid, write_field_csv
 
 AXISYM_CFG = """\
@@ -119,7 +119,7 @@ def reference_curvature_table(path, cfg, grid, gamma):
     G = cfg.G
     with np.errstate(invalid="ignore", divide="ignore"):
         f_all = symfunc.F_eval(cfg.F, geom.kappa)
-        g_all = G.c * speed.psi_eval(G, grid.xi) * geom.u**G.a * geom.rho**G.b
+        g_all = G.c * np.exp(grid.xi @ np.array(G.w)) * geom.u**G.a * geom.rho**G.b
         q_all = g_all * f_all ** (-cfg.beta)
     f_val = np.where(mask, f_all, np.nan).reshape(-1)
     q = np.where(mask, q_all, np.nan).reshape(-1)
