@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, asdict, fields
+import math
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,24 +81,26 @@ def snapshot(
     """Reduce one assembled state to a history row.
 
     All reductions are plain min/max over the fixed node ordering, so repeated
-    runs of the same configuration produce identical rows.  run() records only
-    states that have just passed its cone guard, so cone_ok is always True.
+    runs of the same configuration produce identical rows; like np.min and
+    np.max they return NaN when any entry is NaN.  run() records only states
+    that have just passed its cone guard, so cone_ok is always True.
     """
+    lo, hi = np.minimum.reduce, np.maximum.reduce
     return DiagnosticsRecord(
         step=step,
         t=float(t),
         residual=float(residual),
-        rho_min=float(np.min(geom.rho)),
-        rho_max=float(np.max(geom.rho)),
-        u_min=float(np.min(geom.u)),
-        q_min=float(np.min(q)),
-        q_max=float(np.max(q)),
-        grad_gamma_max=float(np.sqrt(np.max(geom.grad_sq))),
-        kappa_min=float(np.min(geom.kappa)),
-        kappa_max=float(np.max(geom.kappa)),
-        f_min=float(np.min(f_val)),
-        f_max=float(np.max(f_val)),
-        sphere_gap=float(sphere_gap(geom)),
+        rho_min=float(lo(geom.rho, axis=None)),
+        rho_max=float(hi(geom.rho, axis=None)),
+        u_min=float(lo(geom.u, axis=None)),
+        q_min=float(lo(q, axis=None)),
+        q_max=float(hi(q, axis=None)),
+        grad_gamma_max=math.sqrt(hi(geom.grad_sq, axis=None)),
+        kappa_min=float(lo(geom.kappa, axis=None)),
+        kappa_max=float(hi(geom.kappa, axis=None)),
+        f_min=float(lo(f_val, axis=None)),
+        f_max=float(hi(f_val, axis=None)),
+        sphere_gap=sphere_gap(geom),
         cone_ok=True,
     )
 
@@ -260,17 +264,15 @@ def uniqueness_crosscheck(geom_a: GeometryState, geom_b: GeometryState) -> float
 def write_history_csv(path, history) -> None:
     """Write records under the fixed ``starflow-history-v1`` version line."""
     cols = [f.name for f in fields(DiagnosticsRecord)]
+    floats = attrgetter(*cols[1:-1])
     with open(path, "w", newline="") as fh:
         fh.write(HISTORY_CSV_MAGIC + "\n")
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for rec in history:
-            row = asdict(rec)
-            writer.writerow(
-                [int(row["step"])]
-                + [repr(float(row[c])) for c in cols[1:-1]]
-                + [int(row["cone_ok"])]
-            )
+        writer.writerows(
+            [int(rec.step), *(repr(float(v)) for v in floats(rec)), int(rec.cone_ok)]
+            for rec in history
+        )
 
 
 def read_history_csv(path) -> list:

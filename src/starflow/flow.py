@@ -25,7 +25,11 @@ Laplace–Beltrami operator, A_i the row maximum of D/ρ² with
 and Z_i the row mean of the dilation derivative Ψ'(Q)·Q·(a + b + β).  Z_i is
 negative exactly when a + b + β < 0 (p > q in the paper's terms) and is
 clipped to <= 0, which keeps M non-singular outside that regime.  M is
-factored once per attempted step (spheregrid.factor_shifted_laplacian).
+factored once per attempted step (spheregrid.factor_shifted_laplacian): on
+axisym grids by one scalar Thomas sweep, since an axisym step is dominated by
+per-call overhead and a vectorised solve spends ~100 numpy calls on a few
+dozen rows, and on full_s2 grids by parallel cyclic reduction over all
+φ-modes at once, where a scalar sweep would loop over every mode and row.
 Stationary states are exact: 𝓕 = 0 gives k1 = k2 = 0.
 
 The step size h follows the local error estimate (h/2)(k1 + k2), measured as
@@ -48,6 +52,7 @@ identical histories bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -93,7 +98,7 @@ ERR_TOL = 2e-5
 # a run whose step size falls below this aborts
 H_FLOOR = 1e-12
 # ROS2's γ; L-stable for W equal to the Jacobian
-ROS2_GAMMA = 1.0 + 1.0 / np.sqrt(2.0)
+ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # the first step, as a fraction of the explicit bound
 FIRST_STEP_FRACTION = 0.5
 
@@ -193,7 +198,7 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
     if failure is not None:
         raise FlowAbort(STATUS_STAR_SHAPE_LOST, failure)
     ok, f_val, lam = F_fused(config.F, geom.kappa)
-    if not ok.all():
+    if not np.logical_and.reduce(ok, axis=None):
         raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, natural_cone(config.F)))
     g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
     q = g * f_val ** (-config.beta)
@@ -210,7 +215,10 @@ def diffusivity(
 ) -> np.ndarray:
     """Per-node D = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F, the factor of the
     speed's second derivatives in arc length."""
-    return config.beta * geom.u * psi_prime(config.psi_mode, q) * q * lam / f_val
+    d = config.beta * geom.u
+    if config.psi_mode != PSI_IDENTITY:  # the identity's Ψ' is 1
+        d = d * psi_prime(config.psi_mode, q)
+    return d * q * lam / f_val
 
 
 def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
@@ -234,7 +242,7 @@ def _step_factor(error: float) -> float:
     error estimate of order h², kept within [0.2, 5]."""
     if not error > 0.0:
         return 5.0
-    return min(5.0, max(0.2, 0.9 / float(np.sqrt(error))))
+    return min(5.0, max(0.2, 0.9 / math.sqrt(error)))
 
 
 def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowState:
@@ -246,11 +254,14 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
     """
     grid = config.grid
     speed, q, f_val, lam, geom = first if first is not None else speed_field(config, state.gamma)
-    rows = grid.m_theta, -1
-    a = (diffusivity(config, geom, q, f_val, lam) / geom.rho**2).reshape(rows).max(axis=1)
+    a = diffusivity(config, geom, q, f_val, lam) / geom.rho**2
     G = config.G
-    dilation = psi_prime(config.psi_mode, q) * q * (G.a + G.b + config.beta)
-    z = np.minimum(dilation.reshape(rows).mean(axis=1), 0.0)
+    pq = q if config.psi_mode == PSI_IDENTITY else psi_prime(config.psi_mode, q) * q
+    dilation = pq * (G.a + G.b + config.beta)
+    if grid.mode == "full_s2":  # one coefficient pair per latitude row
+        a = np.maximum.reduce(a, axis=1)
+        dilation = np.add.reduce(dilation, axis=1) / grid.m_phi
+    z = np.minimum(dilation, 0.0)
     gh = ROS2_GAMMA * h
     solve = factor_shifted_laplacian(grid, gh * a, gh * z)
     k1 = solve(speed)
@@ -304,17 +315,19 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 
         while status is None:
             speed, q, f_val, lam, geom = current
-            residual = float(np.abs(speed).max())
+            residual = float(np.maximum.reduce(np.abs(speed), axis=None))
             rho = geom.rho
+            rho_min = np.minimum.reduce(rho, axis=None)
+            rho_max = np.maximum.reduce(rho, axis=None)
             if residual <= config.tol_residual:
                 status = STATUS_CONVERGED
-            elif rho.min() < RHO_FLOOR or rho.max() > RHO_CEIL:
+            elif rho_min < RHO_FLOOR or rho_max > RHO_CEIL:
                 status = STATUS_DIVERGED
                 outside = (rho < RHO_FLOOR) | (rho > RHO_CEIL)
                 node = tuple(int(i) for i in np.unravel_index(int(np.argmax(outside)), rho.shape))
                 detail = (
                     f"radius left [{RHO_FLOOR:g}, {RHO_CEIL:g}] at node {node}: "
-                    f"rho = {rho[node]:.3g} (range [{rho.min():.3g}, {rho.max():.3g}])"
+                    f"rho = {rho[node]:.3g} (range [{rho_min:.3g}, {rho_max:.3g}])"
                 )
             elif state.t >= config.t_max:
                 status = STATUS_TIME_CAP

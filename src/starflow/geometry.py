@@ -136,7 +136,11 @@ def star_shape_failure(state: GeometryState) -> str | None:
     """None when every κ and u of the state is finite and u > 0; otherwise
     the first node that fails, as an index over grid.shape, with its u and κ."""
     kappa, u = state.kappa, state.u
-    if np.isfinite(kappa).all() and u.min() > 0.0 and u.max() < np.inf:
+    if (
+        np.logical_and.reduce(np.isfinite(kappa), axis=None)
+        and np.minimum.reduce(u, axis=None) > 0.0
+        and np.maximum.reduce(u, axis=None) < np.inf
+    ):
         return None
     ok = np.all(np.isfinite(kappa), axis=-1) & (u > 0.0) & (u < np.inf)
     node = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), u.shape))
@@ -198,7 +202,8 @@ def support_identity_residual(state: GeometryState) -> float:
 def sphere_gap(state: GeometryState) -> float:
     """Relative radial spread (ρ_max - ρ_min)/ρ_mean; zero exactly on spheres."""
     r = state.rho
-    return float((np.max(r) - np.min(r)) / np.mean(r))
+    spread = np.maximum.reduce(r, axis=None) - np.minimum.reduce(r, axis=None)
+    return float(spread / (np.add.reduce(r, axis=None) / r.size))
 
 
 def export_obj(path, state: GeometryState) -> None:

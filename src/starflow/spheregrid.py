@@ -25,7 +25,10 @@ The same ghosts define the discrete Laplace–Beltrami operator
     L f = δ_θθ f + (n-1) cotθ δ_θ f + δ_φφ f / sin²θ,
 
 whose φ-Fourier modes are tridiagonal in θ; factor_shifted_laplacian inverts
-I - a L - z with one coefficient pair per latitude row.
+I - a L - z with one coefficient pair per latitude row: by a Thomas sweep in
+Python floats on axisym grids, whose one system is too small to repay numpy's
+per-call overhead, and by parallel cyclic reduction over all φ-modes at once
+on full_s2 grids.
 
 Per-node text tables live here too: write_node_table formats a table one
 latitude row at a time (the field CSV and `starflow curvature`'s table use
@@ -35,6 +38,7 @@ on a grid the caller already has, whose version line the file must carry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,11 +242,17 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
 
     a and z hold one value per latitude row i, a >= 0 and z <= 0, so M is
     strictly diagonally dominant for n <= 4.  An rfft in φ splits M into one
-    tridiagonal system in θ per φ-mode (axisym grids have only mode 0).  Each
-    is reduced by parallel cyclic reduction: log2(m_theta) levels, each
-    vectorised over rows and modes, whose multipliers are kept so that every
-    further right-hand side costs two shifted multiply-adds per level.
+    tridiagonal system in θ per φ-mode.  An axisym grid has only mode 0, a
+    single system of m_theta rows, which _factor_sweep eliminates in Python
+    floats: at that size a numpy call costs more than the arithmetic it
+    carries.  A full_s2 grid has m_phi/2 + 1 systems, too many rows for a
+    scalar loop, reduced together by parallel cyclic reduction (Hockney,
+    J. ACM 12, 1965): log2(m_theta) levels, each vectorised over rows and
+    modes, whose multipliers are kept so that every further right-hand side
+    costs two shifted multiply-adds per level.
     """
+    if grid.mode == "axisym":
+        return _factor_sweep(grid, a, z)
     a = np.asarray(a, dtype=float)[:, None]
     diag = 1.0 - np.asarray(z, dtype=float)[:, None] - a * grid.lap_diag
     # minus the couplings of row i to rows i - s and i + s, kept only for the
@@ -266,16 +276,59 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
     def solve(rhs: np.ndarray) -> np.ndarray:
         if rhs.shape != grid.shape:
             raise ValueError(f"field shape {rhs.shape} does not match grid {grid.shape}")
-        d = rhs[:, None] if grid.mode == "axisym" else np.fft.rfft(rhs, axis=1)
+        d = np.fft.rfft(rhs, axis=1)
         for s, alpha, beta in levels:
             nxt = d.copy()
             nxt[s:] += alpha * d[:-s]
             nxt[:-s] += beta * d[s:]
             d = nxt
-        d = d / diag
-        if grid.mode == "axisym":
-            return d[:, 0]
-        return np.fft.irfft(d, n=grid.m_phi, axis=1)
+        return np.fft.irfft(d / diag, n=grid.m_phi, axis=1)
+
+    return solve
+
+
+def _factor_sweep(grid: Grid, a: np.ndarray, z: np.ndarray):
+    """factor_shifted_laplacian on an axisym grid: Thomas elimination of the
+    one tridiagonal system, one pass over its rows in Python floats, and a
+    solver that makes one forward and one backward pass over rhs.tolist().
+
+    Python raises on x / 0.0 where numpy returns inf, so a zero pivot (M
+    singular, possible only outside a >= 0, z <= 0, n <= 4) is given the
+    inverse inf: the solution is then non-finite, as with a NaN a or z or an
+    infinite a, and the step that asked for it is rejected rather than ending
+    the run.
+    """
+    a = np.asarray(a, dtype=float)
+    # minus the couplings of row i to rows i - 1 and i + 1
+    lower = (a * grid.lap_lower).tolist()
+    upper = (a * grid.lap_upper).tolist()
+    diag = (1.0 - np.asarray(z, dtype=float) - a * grid.lap_diag[:, 0]).tolist()
+    # adding m_i = lo_i / p_{i-1} times the reduced row i - 1 to row i leaves
+    # the pivot p_i on its diagonal; inv holds 1 / p_i
+    mult, inv = [0.0], []
+    p = diag[0]
+    for lo, up, d in zip(lower[1:], upper, diag[1:]):
+        r = 1.0 / p if p else math.inf
+        inv.append(r)
+        m = lo * r
+        mult.append(m)
+        p = d - m * up
+    inv.append(1.0 / p if p else math.inf)
+    backward = list(zip(upper[::-1], inv[::-1]))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if rhs.shape != grid.shape:
+            raise ValueError(f"field shape {rhs.shape} does not match grid {grid.shape}")
+        y, acc = [], 0.0
+        for f, m in zip(rhs.tolist(), mult):
+            acc = f + m * acc
+            y.append(acc)
+        x, out = 0.0, []
+        for yi, (up, r) in zip(reversed(y), backward):
+            x = (yi + up * x) * r
+            out.append(x)
+        out.reverse()
+        return np.array(out)
 
     return solve
 

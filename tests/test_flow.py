@@ -415,16 +415,27 @@ def test_axisym_and_full_s2_integrate_identically():
 def test_mode_solve_inverts_the_w_matrix():
     # M = I - a_i L - z_i applied in physical space through derivatives(),
     # whose pole ghosts are the mirrored rows rolled by half a period: the
-    # (-1)^m ghosts of the mode solve
+    # (-1)^m ghosts of the mode solve.  full_s2 grids reduce their modes by
+    # cyclic reduction and axisym grids by the scalar sweep; for n >= 5 the
+    # drift makes lap_lower[1] negative, so M is no M-matrix there, and
+    # a = 1e6 makes the coupling dwarf the identity
     rng = np.random.default_rng(5)
-    for grid in (
-        full_s2_grid(m_theta=8, m_phi=16),
-        full_s2_grid(m_theta=12, m_phi=24),
-        axisym_grid(n=2, m_theta=16),
-        axisym_grid(n=3, m_theta=24),
+    for grid, a_all in (
+        (full_s2_grid(m_theta=8, m_phi=16), None),
+        (full_s2_grid(m_theta=12, m_phi=24), None),
+        (axisym_grid(n=2, m_theta=16), None),
+        (axisym_grid(n=3, m_theta=24), None),
+        (axisym_grid(n=5, m_theta=16), None),
+        (axisym_grid(n=6, m_theta=24), None),
+        (axisym_grid(n=6, m_theta=24), 1e6),
+        (axisym_grid(n=3, m_theta=24), 1e6),
     ):
+        if grid.n >= 5:
+            assert grid.lap_lower[1] < 0.0
         rows = (grid.m_theta,) + (1,) * (grid.mode == "full_s2")
         a = rng.uniform(0.0, 1.0, grid.m_theta) * 10.0 ** rng.integers(-3, 1, grid.m_theta)
+        if a_all is not None:
+            a = np.full(grid.m_theta, a_all)
         z = -rng.uniform(0.0, 3.0, grid.m_theta)
         rhs = rng.normal(size=grid.shape)
         x = factor_shifted_laplacian(grid, a, z)(rhs)
@@ -437,7 +448,7 @@ def test_mode_solve_inverts_the_w_matrix():
         scale = 1.0 + a * np.max(np.abs(grid.lap_diag), axis=-1).reshape(rows) * np.max(
             np.abs(x)
         )
-        assert np.max(resid / scale) <= 1e-13, grid.shape
+        assert np.max(resid / scale) <= 1e-13, (grid.shape, grid.n, a_all)
 
         # phi-constant data stay phi-constant and match the axisym solve
         if grid.mode == "full_s2":
@@ -447,6 +458,33 @@ def test_mode_solve_inverts_the_w_matrix():
             axisym = axisym_grid(n=2, m_theta=grid.m_theta)
             col = factor_shifted_laplacian(axisym, a[:, 0], z[:, 0])(rhs[:, 0])
             assert np.max(np.abs(kept[:, 0] - col)) <= 1e-14 * np.max(np.abs(col))
+
+
+@pytest.mark.parametrize("mode", ["axisym", "full_s2"])
+def test_singular_or_nonfinite_w_gives_a_nonfinite_solve(mode):
+    # a rejected step, not an exception: the axisym sweep works in Python
+    # floats, where x / 0.0 raises; errstate as run() calls the solver
+    grid = axisym_grid(n=2, m_theta=16) if mode == "axisym" else full_s2_grid(8, 16)
+    m = grid.m_theta
+    rhs = np.random.default_rng(2).normal(size=grid.shape)
+    for row in (0, 5, m - 1):
+        for name, value in (("a", np.nan), ("z", np.nan), ("a", np.inf), ("z", -np.inf)):
+            coeffs = {"a": np.full(m, 0.3), "z": np.full(m, -0.2)}
+            coeffs[name][row] = value
+            with np.errstate(all="ignore"):
+                x = factor_shifted_laplacian(grid, coeffs["a"], coeffs["z"])(rhs)
+            if value == -np.inf:
+                # an infinite diagonal: the row's unknown is 0, the rest finite
+                assert np.isfinite(x).all() and not np.any(x[row]), (row, name)
+            else:
+                assert not np.isfinite(x).all(), (row, name, value)
+
+    # the row-0 diagonal 1 - z_0 - a_0 lap_diag_0 of M is 0
+    grid.lap_diag = grid.lap_diag.copy()
+    grid.lap_diag[0] = 1.0
+    with np.errstate(all="ignore"):
+        x = factor_shifted_laplacian(grid, np.ones(m), np.zeros(m))(rhs)
+    assert not np.isfinite(x).all()
 
 
 def test_phi_dependent_start_steps_far_beyond_the_pole_bound():

@@ -1,19 +1,22 @@
-"""Byte format of the per-node text outputs, and their memory use.
+"""Byte format of the text outputs, and their memory use.
 
-The references below are the straightforward per-node writers: csv.writer
-rows of repr(float(x)) for the field and curvature tables, and one formatted
-line per OBJ vertex and face.  The production writers format whole latitude
-rows at once and must produce the same bytes: an LF-terminated version line,
-CRLF-terminated CSV rows, and OBJ vertices to 9 significant digits.
+The references below are the straightforward writers: csv.writer rows of
+repr(float(x)) for the field and curvature tables and for each history
+record read through dataclasses.asdict, and one formatted line per OBJ
+vertex and face.  The production writers format whole latitude rows at once,
+or read a record's fields by name, and must produce the same bytes: an
+LF-terminated version line, CRLF-terminated CSV rows, and OBJ vertices to 9
+significant digits.
 """
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from starflow import cli, geometry, symfunc
+from starflow import cli, diagnostics, flow, geometry, symfunc
 from starflow.spheregrid import axisym_grid, full_s2_grid, write_field_csv
 
 AXISYM_CFG = """\
@@ -153,6 +156,21 @@ def reference_curvature_table(path, cfg, grid, gamma):
             )
 
 
+def reference_history_csv(path, history):
+    cols = [f.name for f in dataclasses.fields(diagnostics.DiagnosticsRecord)]
+    with open(path, "w", newline="") as fh:
+        fh.write("starflow-history-v1\n")
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for rec in history:
+            row = dataclasses.asdict(rec)
+            writer.writerow(
+                [int(row["step"])]
+                + [repr(float(row[c])) for c in cols[1:-1]]
+                + [int(row["cone_ok"])]
+            )
+
+
 def wavy_gamma(grid):
     """A star-shaped profile whose curvatures leave the cone at some nodes."""
     if grid.mode == "axisym":
@@ -183,6 +201,39 @@ def test_obj_bytes_match_the_reference_writer(tmp_path):
     assert new == (tmp_path / "ref.obj").read_bytes()
     assert new.count(b"\nv ") == grid.node_count
     assert new.count(b"\nf ") == (grid.m_theta - 1) * grid.m_phi
+
+
+def test_history_csv_bytes_match_the_reference_writer(tmp_path):
+    history = []
+    for text in (AXISYM_CFG, FULL_S2_CFG):
+        config = tmp_path / "c.cfg"
+        config.write_text(text)
+        setup = cli.parse_config(config)
+        gamma0 = flow.initial_gamma(setup.initial, setup.config.grid)
+        history += flow.run(setup.config, gamma0).history
+    assert len(history) > 4
+    # edge values, numpy scalars and a False cone_ok format like the rest
+    history.append(
+        dataclasses.replace(
+            history[-1],
+            step=np.int64(7),
+            t=-0.0,
+            residual=np.nan,
+            rho_min=np.float64(5e-324),
+            rho_max=np.inf,
+            q_min=-np.inf,
+            sphere_gap=np.float64(0.1),
+            cone_ok=False,
+        )
+    )
+    diagnostics.write_history_csv(tmp_path / "new.csv", history)
+    reference_history_csv(tmp_path / "ref.csv", history)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == len(history) + 1
+    last = new.split(b"\r\n")[-2]
+    assert last.startswith(b"7,-0.0,nan,5e-324,inf,") and last.endswith(b",0.1,0")
+    assert b",-inf," in last
 
 
 SIGMA_2 = "variant = sigma_k_root\nk = 2"
