@@ -24,7 +24,9 @@ Laplace–Beltrami operator, A_i the row maximum of D/ρ² with
 
 and Z_i the row mean of the dilation derivative Ψ'(Q)·Q·(a + b + β).  Z_i is
 negative exactly when a + b + β < 0 (p > q in the paper's terms) and is
-clipped to <= 0, which keeps M non-singular outside that regime.  M is
+clipped to <= 0, which keeps M non-singular outside that regime.  A Z_i that
+overflowed to -inf rejects the step (status diverged): it would decouple row
+i and freeze γ there with a zero error estimate.  M is
 factored once per attempted step (spheregrid.factor_shifted_laplacian): on
 axisym grids by one scalar Thomas sweep, since an axisym step is dominated by
 per-call overhead and a vectorised solve spends ~100 numpy calls on a few
@@ -250,7 +252,7 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
 
     first, when given, must be speed_field(config, state.gamma); passing it
     avoids recomputing the first stage.  Raises FlowAbort when the second
-    stage fails a guard.
+    stage fails a guard, or when some Z_i is -inf (status diverged).
     """
     grid = config.grid
     speed, q, f_val, lam, geom = first if first is not None else speed_field(config, state.gamma)
@@ -262,6 +264,15 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
         a = np.maximum.reduce(a, axis=1)
         dilation = np.add.reduce(dilation, axis=1) / grid.m_phi
     z = np.minimum(dilation, 0.0)
+    # an infinite Z_i would give row i an infinite diagonal in M and a finite
+    # solve that freezes γ there with a zero error estimate
+    z_rows = z.tolist()
+    if -math.inf in z_rows:
+        row = z_rows.index(-math.inf)
+        raise FlowAbort(
+            STATUS_DIVERGED,
+            f"dilation Psi'(Q) Q (a + b + beta) overflowed to -inf in latitude row {row}",
+        )
     gh = ROS2_GAMMA * h
     solve = factor_shifted_laplacian(grid, gh * a, gh * z)
     k1 = solve(speed)

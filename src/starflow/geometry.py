@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spheregrid import Grid, derivatives, grad_norm_sq
+from .spheregrid import Grid, derivatives
 
 __all__ = [
     "GeometryState",
@@ -82,7 +82,15 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
         raise ValueError(f"gamma shape {gamma.shape} does not match grid {grid.shape}")
 
     g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp = derivatives(grid, gamma)
-    gsq = grad_norm_sq(grid, g_t, g_p)
+    # b_θ = ∂_θγ and b_φ = ∂_φγ / sinθ, the gradient in the frame (ê_θ,
+    # ê_φ/sinθ); |Dγ|² and the frame forms below share their squares
+    bt2 = g_t * g_t
+    if grid.mode == "axisym":
+        gsq = bt2
+    else:
+        b_p = g_p / grid.sin_theta
+        bp2 = b_p * b_p
+        gsq = bt2 + bp2
     omega = np.sqrt(1.0 + gsq)
     rho = np.exp(gamma)
     u = rho / omega
@@ -92,23 +100,30 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
     # the temporaries at the heap top, which each call paged in again.
     if grid.mode == "axisym":
         # principal directions are the meridian and the parallels
-        b_t = g_t
-        kappa_mer = (-h_cov_tt + b_t * b_t + 1.0) / (rho * omega**3)
-        kappa_par = (1.0 - grid.cot_theta * b_t) / (rho * omega)
+        kappa_mer = (bt2 - h_cov_tt + 1.0) / (rho * omega**3)
+        kappa_par = (1.0 - grid.cot_theta * g_t) / (rho * omega)
         kappa = np.empty((grid.n,) + grid.shape)
         kappa[1:-1] = kappa_par
         np.maximum(kappa_mer, kappa_par, out=kappa[0])
         np.minimum(kappa_mer, kappa_par, out=kappa[-1])
     else:
+        # _frame_forms' g and h from the shared products (b - x rounds
+        # exactly as -x + b)
         rr = rho * rho
-        g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
-            grid, rr, u, g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp
-        )
+        btp = g_t * b_p
+        g_tt, g_tp, g_pp = rr * (1.0 + bt2), rr * btp, rr * (1.0 + bp2)
+        h_tt = u * (bt2 - h_cov_tt + 1.0)
+        h_tp = u * (btp - h_cov_tp / grid.sin_theta)
+        h_pp = u * (bp2 - h_cov_pp / grid.sin_sq + 1.0)
+        del b_p, bt2, bp2, btp, h_cov_tt, h_cov_tp, h_cov_pp
         det_g = rr * rr * omega * omega
-        trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
-        # discriminant of A = g⁻¹h as (a_tt - a_pp)² + 4 a_tp a_pt: unlike
-        # trace² - 4 det it does not cancel at umbilics, where it is zero
-        a_diff = (g_pp * h_tt - g_tt * h_pp) / det_g
+        # g_φφ h_θθ and g_θθ h_φφ enter both the trace and the discriminant
+        # of A = g⁻¹h, (a_tt - a_pp)² + 4 a_tp a_pt: unlike trace² - 4 det
+        # that does not cancel at umbilics, where it is zero
+        pp_tt, tt_pp = g_pp * h_tt, g_tt * h_pp
+        trace = (pp_tt - 2.0 * g_tp * h_tp + tt_pp) / det_g
+        a_diff = (pp_tt - tt_pp) / det_g
+        del pp_tt, tt_pp
         a_tp = (g_pp * h_tp - g_tp * h_pp) / det_g
         a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
         disc = np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0)
@@ -163,7 +178,7 @@ def _frame_forms(grid: Grid, rr, u, g_t, g_p, hess_tt, hess_tp, hess_pp):
         rr * (1.0 + b_p * b_p),
         u * (-hess_tt + b_t * b_t + 1.0),
         u * (-hess_tp / st + b_t * b_p),
-        u * (-hess_pp / (st * st) + b_p * b_p + 1.0),
+        u * (-hess_pp / grid.sin_sq + b_p * b_p + 1.0),
     )
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "full_s2_grid",
     "pad_theta",
     "derivatives",
-    "grad_norm_sq",
     "factor_shifted_laplacian",
     "write_node_table",
     "write_field_csv",
@@ -107,6 +106,7 @@ class Grid:
         self.cos_theta = ct
         self.cot_theta = ct / st
         self.sin_cos = st * ct
+        self.sin_sq = st * st
         self.zeros = np.zeros(self.shape)
         self.zeros.flags.writeable = False
         # flat gather index of pad_theta's padding: the pole rows mirrored
@@ -217,24 +217,18 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
         return f_t, grid.zeros, f_tt, grid.zeros, grid.sin_cos * f_t
     dp = grid.dphi
     north, south = p[:-2], p[2:]
-    f_tt = (south[:, 1:-1] - 2.0 * f + north[:, 1:-1]) / (dt * dt)
+    two_f = 2.0 * f
+    f_tt = (south[:, 1:-1] - two_f + north[:, 1:-1]) / (dt * dt)
     # ∂_θ f on the φ-padded columns, so ∂_θ∂_φ f is a slice of it too
     f_t_wide = (south - north) / (2.0 * dt)
     f_t = f_t_wide[:, 1:-1]
     f_e, f_w = p[1:-1, 2:], p[1:-1, :-2]
     f_p = (f_e - f_w) / (2.0 * dp)
-    f_pp = (f_e - 2.0 * f + f_w) / (dp * dp)
+    f_pp = (f_e - two_f + f_w) / (dp * dp)
     f_tp = (f_t_wide[:, 2:] - f_t_wide[:, :-2]) / (2.0 * dp)
     h_tp = f_tp - grid.cot_theta * f_p
     h_pp = f_pp + grid.sin_cos * f_t
     return f_t, f_p, f_tt, h_tp, h_pp
-
-
-def grad_norm_sq(grid: Grid, f_t: np.ndarray, f_p: np.ndarray) -> np.ndarray:
-    """|Df|² in the round chart metric: f_θ² + f_φ²/sin²θ."""
-    if grid.mode == "axisym":
-        return f_t * f_t
-    return f_t * f_t + (f_p / grid.sin_theta) ** 2
 
 
 def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
@@ -278,10 +272,10 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
             raise ValueError(f"field shape {rhs.shape} does not match grid {grid.shape}")
         d = np.fft.rfft(rhs, axis=1)
         for s, alpha, beta in levels:
-            nxt = d.copy()
-            nxt[s:] += alpha * d[:-s]
-            nxt[:-s] += beta * d[s:]
-            d = nxt
+            # both terms read the old d before either is added to it
+            lo_part, up_part = alpha * d[:-s], beta * d[s:]
+            d[s:] += lo_part
+            d[:-s] += up_part
         return np.fft.irfft(d / diag, n=grid.m_phi, axis=1)
 
     return solve

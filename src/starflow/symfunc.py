@@ -27,6 +27,7 @@ reentrant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -56,6 +57,27 @@ def _as_batch(kappa) -> np.ndarray:
     return arr
 
 
+def _sigma_sweep(arr: np.ndarray, kmax: int) -> tuple[list, list]:
+    """[σ_0, ..., σ_kmax] of κ without its last entry and of κ = arr, shape
+    (..., n): one array per σ_j, by σ_j += κ_m σ_{j-1} over the planes
+    arr[..., m].
+
+    σ_0 is the float 1.0, so σ_1 gains κ_m itself.  A σ_j that no entry has
+    reached is the float 0.0, and its first update still adds the product to
+    0.0, which turns a product of -0.0 into +0.0.
+    """
+    e = [1.0] + [0.0] * kmax
+    rest = e
+    for m in range(arr.shape[-1]):
+        x = arr[..., m]
+        rest, e = e, e.copy()
+        for j in range(min(m + 1, kmax), 1, -1):
+            e[j] = rest[j] + x * rest[j - 1]
+        if kmax:
+            e[1] = rest[1] + x
+    return rest, e
+
+
 def sigma_all(kappa, kmax: int) -> np.ndarray:
     """All σ_0..σ_kmax of κ in one sweep.
 
@@ -70,17 +92,13 @@ def sigma_all(kappa, kmax: int) -> np.ndarray:
         ``out[..., j]`` is σ_j(κ), which is zero for j > n.
     """
     arr = _as_batch(kappa)
-    n = arr.shape[-1]
     if kmax < 0:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
     # one contiguous plane per σ_j; the caller sees the (..., kmax + 1) view
-    e = np.zeros((kmax + 1,) + arr.shape[:-1])
-    e[0] = 1.0
-    for m in range(n):
-        x = arr[..., m]
-        top = min(m + 1, kmax)
-        for j in range(top, 0, -1):
-            e[j] += x * e[j - 1]
+    e = np.empty((kmax + 1,) + arr.shape[:-1])
+    _, planes = _sigma_sweep(arr, kmax)
+    for j, plane in enumerate(planes):
+        e[j] = plane
     return e.transpose((*range(1, e.ndim), 0))
 
 
@@ -235,15 +253,16 @@ def F_eval(spec, kappa):
     """
     arr = _as_batch(kappa)
     _validate_spec(spec, arr.shape[-1])
-    return _F_eval_raw(spec, sigma_all(arr, _sigma_order(spec)), arr)
+    _, e = _sigma_sweep(arr, _sigma_order(spec))
+    return _F_eval_raw(spec, e, arr)
 
 
-def _F_eval_raw(spec, e: np.ndarray, arr: np.ndarray):
-    """F at κ = arr, reading σ_j(κ) from e[..., j]."""
+def _F_eval_raw(spec, e, arr: np.ndarray):
+    """F at κ = arr, reading σ_j(κ) from e[j]."""
     if isinstance(spec, SigmaKRoot):
-        return e[..., spec.k] ** (1.0 / spec.k)
+        return e[spec.k] ** (1.0 / spec.k)
     if isinstance(spec, QuotientRoot):
-        return (e[..., spec.k] / e[..., spec.l]) ** (1.0 / (spec.k - spec.l))
+        return (e[spec.k] / e[spec.l]) ** (1.0 / (spec.k - spec.l))
     if isinstance(spec, PowerMean):
         return np.sum(arr ** spec.p, axis=-1) ** (1.0 / spec.p)
     if isinstance(spec, WeightedProduct):
@@ -254,18 +273,18 @@ def _F_eval_raw(spec, e: np.ndarray, arr: np.ndarray):
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
 
-def _lam_max_raw(spec, e: np.ndarray, rest: np.ndarray, arr: np.ndarray):
-    """∂F/∂κ_n at κ = arr, with e[..., j] = σ_j(κ) and rest[..., j] = σ_j(κ
-    without κ_n), which is ∂σ_{j+1}/∂κ_n."""
+def _lam_max_raw(spec, e, rest, arr: np.ndarray):
+    """∂F/∂κ_n at κ = arr, with e[j] = σ_j(κ) and rest[j] = σ_j(κ without
+    κ_n), which is ∂σ_{j+1}/∂κ_n."""
     if isinstance(spec, SigmaKRoot):
         k = spec.k
-        return (1.0 / k) * e[..., k] ** (1.0 / k - 1.0) * rest[..., k - 1]
+        return (1.0 / k) * e[k] ** (1.0 / k - 1.0) * rest[k - 1]
     if isinstance(spec, QuotientRoot):
         k, l = spec.k, spec.l
         f = _F_eval_raw(spec, e, arr)
-        term = rest[..., k - 1] / e[..., k]
+        term = rest[k - 1] / e[k]
         if l > 0:
-            term = term - rest[..., l - 1] / e[..., l]
+            term = term - rest[l - 1] / e[l]
         return f * term / (k - l)
     if isinstance(spec, PowerMean):
         p = spec.p
@@ -281,26 +300,32 @@ def _lam_max_raw(spec, e: np.ndarray, rest: np.ndarray, arr: np.ndarray):
     raise TypeError(f"unknown curvature-function spec {spec!r}")
 
 
+@lru_cache(maxsize=None)
+def _fused_plan(spec) -> tuple[int, int | None]:
+    """(highest σ_j that F reads, k of its natural cone or None for Γ_+)."""
+    return _sigma_order(spec), natural_cone(spec).k
+
+
 def F_fused(spec, kappa):
     """Cone mask, F and λ_max = max_i ∂F/∂κ_i from one σ sweep.
 
     κ must be finite and sorted descending.  Each speed is symmetric and concave
     on its natural cone, so (∂_i F - ∂_j F)(κ_i - κ_j) <= 0 there: λ_max sits at
     the last entry κ_n.  One sweep over κ without κ_n yields σ_j(κ|n) =
-    ∂σ_{j+1}/∂κ_n, one more recurrence step σ_j(κ).  Matches in_cone, F_eval
-    and the largest entry of the gradient ∂F/∂κ; F and λ_max mean nothing
-    where the mask fails.  Unlike F_eval it does not check spec against n:
-    its callers pass FlowConfig.F, which FlowConfig already checked.
+    ∂σ_{j+1}/∂κ_n, one more recurrence step σ_j(κ).  The sweep reads the
+    planes κ[..., i], which are contiguous for the κ that geometry.assemble
+    builds.  Matches in_cone, F_eval and the largest entry of the gradient
+    ∂F/∂κ; F and λ_max mean nothing where the mask fails.  Unlike F_eval it
+    does not check spec against n: its callers pass FlowConfig.F, which
+    FlowConfig already checked.
     """
     arr = _as_batch(kappa)
-    rest = sigma_all(arr[..., :-1], _sigma_order(spec))
-    e = rest.copy(order="K")
-    e[..., 1:] += arr[..., -1:] * rest[..., :-1]
-    cone = natural_cone(spec)
-    if cone.k is None:
-        ok = (arr > 0.0).all(axis=-1)
-    else:
-        ok = (e[..., 1 : cone.k + 1] > 0.0).all(axis=-1)
+    order, cone_k = _fused_plan(spec)
+    rest, e = _sigma_sweep(arr, order)
+    signs = [arr[..., i] for i in range(arr.shape[-1])] if cone_k is None else e[1 : cone_k + 1]
+    ok = signs[0] > 0.0
+    for x in signs[1:]:
+        ok &= x > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         f = _F_eval_raw(spec, e, arr)
         lam = _lam_max_raw(spec, e, rest, arr)

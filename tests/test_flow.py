@@ -148,6 +148,31 @@ def test_step_zero_speed_is_identity():
     assert np.array_equal(s1.gamma, gamma)
 
 
+@pytest.mark.parametrize("mode", ["axisym", "full_s2"])
+def test_step_rejects_a_dilation_that_overflows(mode):
+    # on the unit sphere Q = c = 1e306: the speed Q - 1 and A = D / rho^2
+    # stay finite, but the dilation Q (a + b + beta) = -1000 Q overflows to
+    # -inf; solved as it stands, every row of M would have an infinite
+    # diagonal, k1 = k2 = 0, and the step would pass with a zero estimate
+    grid = axisym_grid(n=2, m_theta=16) if mode == "axisym" else full_s2_grid(8, 16)
+    cfg = FlowConfig(
+        grid=grid, F=SigmaKRoot(k=2), G=SpeedSpec(c=1e306, a=0.0, b=-1001.0), beta=1.0
+    )
+    gamma = np.zeros(grid.shape)
+    with np.errstate(all="ignore"):
+        first = speed_field(cfg, gamma)
+        speed, q, f_val, lam, geom = first
+        assert np.isfinite(speed).all()
+        assert np.isfinite(diffusivity(cfg, geom, q, f_val, lam)).all()
+        with pytest.raises(FlowAbort, match=r"overflowed to -inf in latitude row 0$") as abort:
+            step(cfg, FlowState(t=0.0, step=0, gamma=gamma), 1e-3, first)
+    assert abort.value.status == STATUS_DIVERGED
+
+    res = run(replace(cfg, t_max=1e-3), gamma)
+    assert res.status == STATUS_DIVERGED and res.steps == 0
+    assert "overflowed to -inf" in res.detail
+
+
 def test_first_step_sign_at_barrier_radii():
     grid = full_s2_grid(m_theta=16, m_phi=32)
     cfg = FlowConfig(
@@ -520,13 +545,13 @@ def test_sigma_sweeps_per_attempted_step(monkeypatch):
     # of each attempted step, plus one at the initial data
     setup = cli.parse_config(Path(__file__).parent.parent / "configs" / "sphere_contract.cfg")
     calls = []
-    sweep = symfunc.sigma_all
+    sweep = symfunc._sigma_sweep
 
     def counting(*args, **kwargs):
         calls.append(args)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(symfunc, "sigma_all", counting)
+    monkeypatch.setattr(symfunc, "_sigma_sweep", counting)
     cfg = setup.config
     res = run(cfg, initial_gamma(setup.initial, cfg.grid))
     assert res.status == STATUS_CONVERGED and res.steps > 100

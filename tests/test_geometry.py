@@ -110,6 +110,16 @@ def test_curvatures_are_the_eigenvalues_of_the_form_pencil():
             assert np.max(np.abs(direct - st.kappa[..., [0, -1]])) <= 1e-12, (grid.mode, amp)
 
 
+def test_grad_sq_definition():
+    # |D gamma|^2 in the round chart metric: gamma_theta^2 + gamma_phi^2 / sin^2 theta
+    g = full_s2_grid(m_theta=16, m_phi=32)
+    gamma = 0.1 * np.random.default_rng(5).normal(size=g.shape)
+    st = assemble(g, gamma)
+    want = st.gamma_t**2 + (st.gamma_p / np.sin(g.theta)[:, None]) ** 2
+    assert np.allclose(st.grad_sq, want, rtol=1e-14, atol=0)
+    assert np.all(st.grad_sq >= 0.0)
+
+
 def test_support_is_projection_of_position():
     # <X, nu> = u must hold for any assembled state, not only spheres
     grid = full_s2_grid(m_theta=16, m_phi=16)

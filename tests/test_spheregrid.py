@@ -11,8 +11,8 @@ from starflow.spheregrid import (
     Grid,
     axisym_grid,
     derivatives,
+    factor_shifted_laplacian,
     full_s2_grid,
-    grad_norm_sq,
     pad_theta,
     read_field_csv,
     write_field_csv,
@@ -141,16 +141,6 @@ def test_grad_converges_second_order():
     assert errs[1] < errs[0] / 3.5
 
 
-def test_grad_norm_sq_definition():
-    g = full_s2_grid(m_theta=16, m_phi=32)
-    rng = np.random.default_rng(5)
-    f_t = rng.normal(size=g.shape)
-    f_p = rng.normal(size=g.shape)
-    want = f_t**2 + (f_p / np.sin(g.theta)[:, None]) ** 2
-    assert np.allclose(grad_norm_sq(g, f_t, f_p), want, rtol=1e-14, atol=0)
-    assert np.all(grad_norm_sq(g, f_t, f_p) >= 0.0)
-
-
 def test_covariant_hessian_axisym():
     # f = cos(theta) solves Hess f = -f e on the round sphere
     errs = []
@@ -202,6 +192,51 @@ def test_axisym_and_full_s2_agree_on_symmetric_fields():
     assert np.max(np.abs(b_tt - a_tt[:, None])) < 1e-12
     assert np.max(np.abs(b_pp - a_pp[:, None])) < 1e-12
     assert np.max(np.abs(b_tp)) < 1e-12
+
+
+def copying_cyclic_reduction(grid, a, z):
+    """factor_shifted_laplacian on a full_s2 grid with each level of the
+    solve building its new right-hand side in a copy of the old one."""
+    a = a[:, None]
+    diag = 1.0 - z[:, None] - a * grid.lap_diag
+    lo = (a * grid.lap_lower[:, None])[1:]
+    up = (a * grid.lap_upper[:, None])[:-1]
+    levels = []
+    s = 1
+    while True:
+        alpha = lo / diag[:-s]
+        beta = up / diag[s:]
+        diag[s:] -= alpha * up
+        diag[:-s] -= beta * lo
+        levels.append((s, alpha, beta))
+        if 2 * s >= grid.m_theta:
+            break
+        lo, up = alpha[s:] * lo[:-s], beta[:-s] * up[s:]
+        s *= 2
+
+    def solve(rhs):
+        d = np.fft.rfft(rhs, axis=1)
+        for s, alpha, beta in levels:
+            nxt = d.copy()
+            nxt[s:] += alpha * d[:-s]
+            nxt[:-s] += beta * d[s:]
+            d = nxt
+        return np.fft.irfft(d / diag, n=grid.m_phi, axis=1)
+
+    return solve
+
+
+@pytest.mark.parametrize("m", [8, 24, 64])
+def test_full_s2_solve_equals_the_copying_reduction_bitwise(m):
+    grid = full_s2_grid(m_theta=m, m_phi=2 * m)
+    rng = np.random.default_rng(m)
+    for scale in (1e-3, 1.0, 1e3):
+        a = scale * rng.uniform(0.0, 1.0, size=m)
+        z = -scale * rng.uniform(0.0, 1.0, size=m)
+        solve, want = factor_shifted_laplacian(grid, a, z), copying_cyclic_reduction(grid, a, z)
+        for _ in range(2):  # a factor serves several right-hand sides
+            rhs = rng.normal(size=grid.shape)
+            assert solve(rhs).tobytes() == want(rhs).tobytes()
 
 
 def test_field_csv_round_trip_is_exact(tmp_path):

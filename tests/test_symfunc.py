@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from starflow import symfunc
 from starflow.symfunc import (
     GAMMA_PLUS,
     Cone,
@@ -272,6 +273,78 @@ def test_F_fused_matches_reference():
             lam_ref = np.max(F_grad(spec, inside), axis=-1)
             assert np.max(np.abs(f[want] - f_ref) / f_ref) <= 1e-12, spec
             assert np.max(np.abs(lam[want] - lam_ref) / lam_ref) <= 1e-12, spec
+
+
+def stacked_sigma_all(arr, kmax):
+    """The zero-filled sweep: σ_j stacked as planes of one array, updated in
+    place, seen as (..., kmax + 1)."""
+    e = np.zeros((kmax + 1,) + arr.shape[:-1])
+    e[0] = 1.0
+    for m in range(arr.shape[-1]):
+        for j in range(min(m + 1, kmax), 0, -1):
+            e[j] += arr[..., m] * e[j - 1]
+    return e.transpose((*range(1, e.ndim), 0))
+
+
+def stacked_F_fused(spec, kappa):
+    """F_fused through stacked σ arrays: rest copied, the last entry added by
+    strided broadcasts, the cone mask by .all(axis=-1)."""
+    order = symfunc._sigma_order(spec)
+    rest = stacked_sigma_all(kappa[..., :-1], order)
+    e = rest.copy(order="K")
+    e[..., 1:] += kappa[..., -1:] * rest[..., :-1]
+    cone = natural_cone(spec)
+    if cone.k is None:
+        ok = (kappa > 0.0).all(axis=-1)
+    else:
+        ok = (e[..., 1 : cone.k + 1] > 0.0).all(axis=-1)
+    # F and λ_max read σ_j as e[j]: the planes of the stacked arrays
+    e, rest = np.moveaxis(e, -1, 0), np.moveaxis(rest, -1, 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = symfunc._F_eval_raw(spec, e, kappa)
+        lam = symfunc._lam_max_raw(spec, e, rest, kappa)
+    return ok, f, lam
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(48,), (8, 16)], ids=["axisym", "full_s2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_F_fused_equals_the_stacked_sweep_bitwise(n, shape):
+    # κ laid out as geometry.assemble lays it out, one contiguous plane per
+    # entry, sorted descending; about half the nodes lie outside each cone,
+    # and some entries are +0.0 or -0.0
+    rng = np.random.default_rng(n)
+    shift = rng.uniform(-1.5, 1.5, size=shape + (1,))
+    planes = shift + rng.uniform(-1.0, 1.0, size=shape + (n,))
+    planes.flat[rng.integers(0, planes.size, size=planes.size // 8)] = 0.0
+    planes.flat[rng.integers(0, planes.size, size=planes.size // 8)] = -0.0
+    planes = -np.sort(-planes, axis=-1)
+    kappa = np.moveaxis(np.ascontiguousarray(np.moveaxis(planes, -1, 0)), 0, -1)
+    specs = [SigmaKRoot(k=k) for k in range(1, n + 1)]
+    specs += [QuotientRoot(k=k, l=l) for k in range(1, n + 1) for l in range(k)]
+    specs += [
+        PowerMean(p=-1.5),
+        WeightedProduct(terms=((SigmaKRoot(k=2), 0.5), (PowerMean(p=-1.0), 0.5))),
+        WeightedProduct(terms=((SigmaKRoot(k=n), 0.3), (QuotientRoot(k=2, l=1), 0.7))),
+    ]
+    for spec in specs:
+        got, want = F_fused(spec, kappa), stacked_F_fused(spec, kappa)
+        assert 0 < np.count_nonzero(want[0]) < want[0].size, spec
+        for name, x, y in zip(("mask", "F", "lambda_max"), got, want):
+            assert same_bits(x, y), (spec, name)
+
+
+def test_sigma_all_equals_the_stacked_sweep_bitwise():
+    rng = np.random.default_rng(7)
+    for n in range(1, 6):
+        kappa = rng.normal(size=(5, 3, n))
+        kappa.flat[::7] = -0.0
+        for kmax in range(0, n + 2):
+            assert same_bits(sigma_all(kappa, kmax), stacked_sigma_all(kappa, kmax))
 
 
 def test_natural_cones():
