@@ -27,7 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .geometry import GeometryState, assemble, sphere_gap
+from .geometry import GeometryState, assemble
 from .spheregrid import derivatives
 
 __all__ = [
@@ -82,16 +82,19 @@ def snapshot(
 
     All reductions are plain min/max over the fixed node ordering, so repeated
     runs of the same configuration produce identical rows; like np.min and
-    np.max they return NaN when any entry is NaN.  run() records only states
-    that have just passed its cone guard, so cone_ok is always True.
+    np.max they return NaN when any entry is NaN.  sphere_gap is the spread
+    (ρ_max - ρ_min)/mean(ρ).  run() records only states that have just passed
+    its cone guard, so cone_ok is always True.
     """
     lo, hi = np.minimum.reduce, np.maximum.reduce
+    rho = geom.rho
+    rho_min, rho_max = lo(rho, axis=None), hi(rho, axis=None)
     return DiagnosticsRecord(
         step=step,
         t=float(t),
         residual=float(residual),
-        rho_min=float(lo(geom.rho, axis=None)),
-        rho_max=float(hi(geom.rho, axis=None)),
+        rho_min=float(rho_min),
+        rho_max=float(rho_max),
         u_min=float(lo(geom.u, axis=None)),
         q_min=float(lo(q, axis=None)),
         q_max=float(hi(q, axis=None)),
@@ -100,7 +103,7 @@ def snapshot(
         kappa_max=float(hi(geom.kappa, axis=None)),
         f_min=float(lo(f_val, axis=None)),
         f_max=float(hi(f_val, axis=None)),
-        sphere_gap=sphere_gap(geom),
+        sphere_gap=float((rho_max - rho_min) / (np.add.reduce(rho, axis=None) / rho.size)),
         cone_ok=True,
     )
 

@@ -112,12 +112,10 @@ def psi_apply(mode: str, s):
     return s
 
 
-def psi_prime(mode: str, s):
-    """Ψ'(s); strictly positive on s > 0 for both modes (the scalar 1.0 for
-    the identity, which broadcasts against s)."""
-    if mode == PSI_NEG_RECIPROCAL:
-        return 1.0 / (np.asarray(s, dtype=float) ** 2)
-    return 1.0
+def psi_prime(s):
+    """Ψ'(s) = 1/s² of the contracting normalization Ψ(s) = -1/s, strictly
+    positive on s > 0.  The identity's Ψ' is 1, so its callers skip it."""
+    return 1.0 / (np.asarray(s, dtype=float) ** 2)
 
 
 @dataclass
@@ -219,7 +217,7 @@ def diffusivity(
     speed's second derivatives in arc length."""
     d = config.beta * geom.u
     if config.psi_mode != PSI_IDENTITY:  # the identity's Ψ' is 1
-        d = d * psi_prime(config.psi_mode, q)
+        d = d * psi_prime(q)
     return d * q * lam / f_val
 
 
@@ -258,7 +256,7 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
     speed, q, f_val, lam, geom = first if first is not None else speed_field(config, state.gamma)
     a = diffusivity(config, geom, q, f_val, lam) / geom.rho**2
     G = config.G
-    pq = q if config.psi_mode == PSI_IDENTITY else psi_prime(config.psi_mode, q) * q
+    pq = q if config.psi_mode == PSI_IDENTITY else psi_prime(q) * q
     dilation = pq * (G.a + G.b + config.beta)
     if grid.mode == "full_s2":  # one coefficient pair per latitude row
         a = np.maximum.reduce(a, axis=1)

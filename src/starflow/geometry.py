@@ -43,7 +43,6 @@ __all__ = [
     "star_shape_failure",
     "fundamental_forms",
     "support_identity_residual",
-    "sphere_gap",
     "export_obj",
 ]
 
@@ -107,15 +106,11 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
         np.maximum(kappa_mer, kappa_par, out=kappa[0])
         np.minimum(kappa_mer, kappa_par, out=kappa[-1])
     else:
-        # _frame_forms' g and h from the shared products (b - x rounds
-        # exactly as -x + b)
         rr = rho * rho
-        btp = g_t * b_p
-        g_tt, g_tp, g_pp = rr * (1.0 + bt2), rr * btp, rr * (1.0 + bp2)
-        h_tt = u * (bt2 - h_cov_tt + 1.0)
-        h_tp = u * (btp - h_cov_tp / grid.sin_theta)
-        h_pp = u * (bp2 - h_cov_pp / grid.sin_sq + 1.0)
-        del b_p, bt2, bp2, btp, h_cov_tt, h_cov_tp, h_cov_pp
+        g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
+            grid, rr, u, g_t, b_p, bt2, bp2, h_cov_tt, h_cov_tp, h_cov_pp
+        )
+        del b_p, bt2, bp2, h_cov_tt, h_cov_tp, h_cov_pp
         det_g = rr * rr * omega * omega
         # g_φφ h_θθ and g_θθ h_φφ enter both the trace and the discriminant
         # of A = g⁻¹h, (a_tt - a_pp)² + 4 a_tp a_pt: unlike trace² - 4 det
@@ -163,22 +158,22 @@ def star_shape_failure(state: GeometryState) -> str | None:
     return f"not a star-shaped graph at node {node}: u = {u[node]:.6g}, kappa = ({values})"
 
 
-def _frame_forms(grid: Grid, rr, u, g_t, g_p, hess_tt, hess_tp, hess_pp):
+def _frame_forms(grid: Grid, rr, u, b_t, b_p, bt2, bp2, hess_tt, hess_tp, hess_pp):
     """(g_tt, g_tp, g_pp, h_tt, h_tp, h_pp) in the frame (ê_θ, ê_φ/sinθ).
 
     Components in that orthonormalized frame stay O(1) near the poles.  The
-    inputs are ρ², u, and the chart gradient and covariant Hessian of γ.
+    inputs are ρ², u, the frame gradient b = (∂_θγ, ∂_φγ/sinθ) of γ with its
+    squares b_θ² and b_φ², and the chart covariant Hessian of γ.  Each h
+    term is formed as b - x, which rounds exactly as -x + b.
     """
-    st = grid.sin_theta
-    b_t = g_t
-    b_p = g_p / st
+    btp = b_t * b_p
     return (
-        rr * (1.0 + b_t * b_t),
-        rr * (b_t * b_p),
-        rr * (1.0 + b_p * b_p),
-        u * (-hess_tt + b_t * b_t + 1.0),
-        u * (-hess_tp / st + b_t * b_p),
-        u * (-hess_pp / grid.sin_sq + b_p * b_p + 1.0),
+        rr * (1.0 + bt2),
+        rr * btp,
+        rr * (1.0 + bp2),
+        u * (bt2 - hess_tt + 1.0),
+        u * (btp - hess_tp / grid.sin_theta),
+        u * (bp2 - hess_pp / grid.sin_sq + 1.0),
     )
 
 
@@ -187,11 +182,15 @@ def fundamental_forms(state: GeometryState) -> tuple[np.ndarray, np.ndarray]:
 
     Both are written in the frame (ê_θ, ê_φ/sinθ).  On axisym grids the
     second direction is one of the n - 1 parallel ones and the cross terms
-    vanish.  Rebuilt from γ on each call; the flow never reads them.
+    vanish.  Rebuilt from γ on each call by _frame_forms, as assemble builds
+    them; the flow never reads them.
     """
     grid = state.grid
     g_t, g_p, *hess = derivatives(grid, state.gamma)
-    tt, tp, pp, h_tt, h_tp, h_pp = _frame_forms(grid, state.rho**2, state.u, g_t, g_p, *hess)
+    b_p = g_p / grid.sin_theta
+    tt, tp, pp, h_tt, h_tp, h_pp = _frame_forms(
+        grid, state.rho**2, state.u, g_t, b_p, g_t * g_t, b_p * b_p, *hess
+    )
     pair = grid.shape + (2, 2)
     g = np.stack([tt, tp, tp, pp], axis=-1).reshape(pair)
     h = np.stack([h_tt, h_tp, h_tp, h_pp], axis=-1).reshape(pair)
@@ -212,13 +211,6 @@ def support_identity_residual(state: GeometryState) -> float:
     g, h = fundamental_forms(state)
     rhs = h @ np.linalg.solve(g, phi[..., None])
     return float(np.max(np.abs(lhs - rhs[..., 0])))
-
-
-def sphere_gap(state: GeometryState) -> float:
-    """Relative radial spread (ρ_max - ρ_min)/ρ_mean; zero exactly on spheres."""
-    r = state.rho
-    spread = np.maximum.reduce(r, axis=None) - np.minimum.reduce(r, axis=None)
-    return float(spread / (np.add.reduce(r, axis=None) / r.size))
 
 
 def export_obj(path, state: GeometryState) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfunc import F_eval
+from .symfunc import F_fused
 
 __all__ = [
     "SpeedSpec",
@@ -120,12 +120,13 @@ def sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float = 1.0
 
     On that sphere u = ρ = r, so r solves (c ψ)^{1/β} r^{(a+b+β)/β} = F(1, ..., 1)
     in closed form in log r; raises ValueError when a + b + β = 0 or the root
-    lies outside (RHO_FLOOR, RHO_CEIL).
+    lies outside (RHO_FLOOR, RHO_CEIL).  F(1, ..., 1) is F_fused's F at κ = 1,
+    inside every cone; F_spec is FlowConfig.F, which FlowConfig checked.
     """
     slope = (spec.a + spec.b + beta) / beta
     if slope == 0.0:
         raise ValueError("a + b + beta = 0: forcing is scale-invariant, radii are not pinned")
-    f_unit = float(F_eval(F_spec, np.ones(n)))
+    f_unit = float(F_fused(F_spec, np.ones(n))[1])
     # a float quotient: a tiny slope sends log r to inf without a warning
     log_r = float(np.log(f_unit) - np.log(spec.c * psi) / beta) / slope
     if not np.log(RHO_FLOOR) < log_r < np.log(RHO_CEIL):

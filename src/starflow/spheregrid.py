@@ -62,10 +62,11 @@ MAX_NODES = 2**22
 
 @dataclass
 class Grid:
-    """Nodes, spacings, trig tables, the Cartesian node directions ξ, the
-    ghost padding's gather index, a read-only zero field and the φ-mode
-    stencil of the Laplace–Beltrami operator; treat as immutable.  Two grids are equal when
-    mode, n, m_theta and m_phi are; the rest derives from them."""
+    """Field shape and node count, nodes, spacings, trig tables, the
+    Cartesian node directions ξ, the ghost padding's gather index, a read-only
+    zero field and the φ-mode stencil of the Laplace–Beltrami operator, all
+    set once when built; treat as immutable.  Two grids are equal when mode,
+    n, m_theta and m_phi are; the rest derives from them."""
 
     mode: str
     n: int
@@ -83,6 +84,8 @@ class Grid:
             raise ValueError("m_theta must be at least 8")
         if self.n < 2:
             raise ValueError("hypersurface dimension n must be at least 2")
+        self.shape = (self.m_theta, self.m_phi) if self.mode == "full_s2" else (self.m_theta,)
+        self.node_count = math.prod(self.shape)
         if self.node_count > MAX_NODES:
             raise ValueError(f"grid of {self.node_count} nodes exceeds MAX_NODES = {MAX_NODES}")
         self.dtheta = np.pi / self.m_theta
@@ -152,16 +155,6 @@ class Grid:
         diag[-1] += ghost * upper[-1]
         lower[0] = upper[-1] = 0.0
         self.lap_lower, self.lap_diag, self.lap_upper = lower, diag, upper
-
-    @property
-    def shape(self) -> tuple:
-        if self.mode == "full_s2":
-            return (self.m_theta, self.m_phi)
-        return (self.m_theta,)
-
-    @property
-    def node_count(self) -> int:
-        return self.m_theta * (self.m_phi if self.mode == "full_s2" else 1)
 
 
 def axisym_grid(n: int, m_theta: int) -> Grid:

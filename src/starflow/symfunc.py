@@ -43,7 +43,6 @@ __all__ = [
     "sigma_all",
     "in_cone",
     "cone_failure",
-    "F_eval",
     "F_fused",
     "natural_cone",
     "newton_maclaurin_margin",
@@ -245,18 +244,6 @@ def _sigma_order(spec) -> int:
     return getattr(spec, "k", 0)
 
 
-def F_eval(spec, kappa):
-    """Evaluate the degree-one speed F at κ (vectorized over leading axes).
-
-    No cone test: off the natural cone the value means nothing (it may be
-    nan), so callers evaluate inside the cone or mask with in_cone.
-    """
-    arr = _as_batch(kappa)
-    _validate_spec(spec, arr.shape[-1])
-    _, e = _sigma_sweep(arr, _sigma_order(spec))
-    return _F_eval_raw(spec, e, arr)
-
-
 def _F_eval_raw(spec, e, arr: np.ndarray):
     """F at κ = arr, reading σ_j(κ) from e[j]."""
     if isinstance(spec, SigmaKRoot):
@@ -314,10 +301,10 @@ def F_fused(spec, kappa):
     the last entry κ_n.  One sweep over κ without κ_n yields σ_j(κ|n) =
     ∂σ_{j+1}/∂κ_n, one more recurrence step σ_j(κ).  The sweep reads the
     planes κ[..., i], which are contiguous for the κ that geometry.assemble
-    builds.  Matches in_cone, F_eval and the largest entry of the gradient
-    ∂F/∂κ; F and λ_max mean nothing where the mask fails.  Unlike F_eval it
-    does not check spec against n: its callers pass FlowConfig.F, which
-    FlowConfig already checked.
+    builds.  The mask matches in_cone, λ_max the largest entry of ∂F/∂κ; F
+    and λ_max mean nothing where the mask fails.  It silences no warning:
+    its callers run under their own np.errstate.  It does not check spec
+    against n: its callers pass FlowConfig.F, which FlowConfig already checked.
     """
     arr = _as_batch(kappa)
     order, cone_k = _fused_plan(spec)
@@ -326,10 +313,7 @@ def F_fused(spec, kappa):
     ok = signs[0] > 0.0
     for x in signs[1:]:
         ok &= x > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = _F_eval_raw(spec, e, arr)
-        lam = _lam_max_raw(spec, e, rest, arr)
-    return ok, f, lam
+    return ok, _F_eval_raw(spec, e, arr), _lam_max_raw(spec, e, rest, arr)
 
 
 def newton_maclaurin_margin(kappa, m: int):

@@ -21,7 +21,7 @@ from starflow.diagnostics import (
 from starflow.flow import Constant, FlowConfig, FlowState, initial_gamma, step
 from starflow.geometry import assemble
 from starflow.speed import SpeedSpec
-from starflow.spheregrid import axisym_grid
+from starflow.spheregrid import axisym_grid, full_s2_grid
 from starflow.symfunc import SigmaKRoot
 
 
@@ -71,6 +71,20 @@ def test_snapshot_reduces_a_round_sphere():
         isinstance(getattr(row, name), float)
         for name in ("t", "residual", "rho_min", "sphere_gap")
     )
+
+
+@pytest.mark.parametrize(
+    "grid", [axisym_grid(n=3, m_theta=24), full_s2_grid(m_theta=12, m_phi=24)], ids=["axisym", "full_s2"]
+)
+def test_snapshot_sphere_gap_on_a_spheroid(grid):
+    # equatorial radius 1.5, polar radius 0.8
+    rho = 1.2 / np.sqrt(0.64 * grid.sin_sq + 2.25 * grid.cos_theta**2)
+    geom = assemble(grid, np.log(np.broadcast_to(rho, grid.shape)))
+    ones = np.ones(grid.shape)
+    row = snapshot(step=0, t=0.0, geom=geom, q=ones, f_val=ones, residual=0.0)
+    want = (np.max(geom.rho) - np.min(geom.rho)) / np.mean(geom.rho)
+    assert want > 0.5
+    assert row.sphere_gap.hex() == float(want).hex()
 
 
 def test_check_barriers_pass_fail_skip():

@@ -18,7 +18,6 @@ from starflow.geometry import (
     assemble,
     export_obj,
     fundamental_forms,
-    sphere_gap,
     star_shape_failure,
     support_identity_residual,
 )
@@ -76,7 +75,6 @@ def test_sphere_is_exact_axisym():
         assert np.max(np.abs(np.linalg.norm(nu, axis=-1) - 1.0)) <= 1e-12
         # outward normal of a sphere is the radial direction
         assert np.max(np.abs(nu - grid.xi)) <= 1e-12
-        assert sphere_gap(st) <= 1e-15
 
 
 def test_sphere_is_exact_full_s2():

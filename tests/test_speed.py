@@ -1,5 +1,7 @@
 """Forcing term G, barrier radii, exponent conditions, stationary radius."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from starflow.speed import (
     sphere_radius,
 )
 from starflow.spheregrid import full_s2_grid
-from starflow.symfunc import SigmaKRoot
+from starflow.symfunc import PowerMean, QuotientRoot, SigmaKRoot, WeightedProduct
 
 
 def test_speed_spec_validation():
@@ -190,6 +192,36 @@ def test_sphere_radius_identity_mode():
         assert r == pytest.approx(want, rel=1e-10)
         # isotropic barriers coincide with the stationary sphere exactly
         assert barrier_radii(spec, SigmaKRoot(k=k), n, 1.0) == (r, r)
+
+
+# F(1, ..., 1) in closed form: C(n,k)^{1/k} for a σ_k root,
+# (C(n,k)/C(n,l))^{1/(k-l)} for a quotient, n^{1/p} for a power mean and
+# Π F_i(1, ..., 1)^{α_i} for a product
+F_AT_ONE = [
+    (SigmaKRoot(k=2), 3, comb(3, 2) ** (1.0 / 2.0)),
+    (SigmaKRoot(k=4), 4, 1.0),
+    (QuotientRoot(k=3, l=1), 4, (comb(4, 3) / comb(4, 1)) ** (1.0 / 2.0)),
+    (QuotientRoot(k=2, l=0), 2, 1.0),
+    (PowerMean(p=-1.5), 3, 3.0 ** (1.0 / -1.5)),
+    (
+        WeightedProduct(terms=((SigmaKRoot(k=2), 0.25), (QuotientRoot(k=3, l=1), 0.25), (PowerMean(p=-2.0), 0.5))),
+        5,
+        comb(5, 2) ** (0.25 / 2.0) * (comb(5, 3) / comb(5, 1)) ** (0.25 / 2.0) * 5.0 ** (0.5 / -2.0),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "F_spec, n, f_unit", F_AT_ONE, ids=["sigma2", "sigma4", "quotient31", "quotient20", "power_mean", "product"]
+)
+def test_sphere_radius_reads_F_at_one(F_spec, n, f_unit):
+    # a + b + β = -1 with β = 2: (c ψ)^{1/2} r^{-1/2} = F(1, ..., 1) gives
+    # r = c ψ / F(1, ..., 1)²
+    spec = SpeedSpec(c=2.0, a=0.0, b=-3.0, w=(0.0, 0.0, 0.3))
+    assert sphere_radius(spec, F_spec, n, 2.0) == pytest.approx(2.0 / f_unit**2, rel=1e-12)
+    r1, r2 = barrier_radii(spec, F_spec, n, 2.0)
+    assert r1 == pytest.approx(2.0 * np.exp(-0.3) / f_unit**2, rel=1e-12)
+    assert r2 == pytest.approx(2.0 * np.exp(0.3) / f_unit**2, rel=1e-12)
 
 
 def test_sphere_radius_rejections():

@@ -2,8 +2,8 @@
 
 The references below are the straightforward forms: θ-ghost rows built by
 np.roll of the pole rows and a concatenate, φ neighbours and the mixed
-derivative by np.roll along φ, and κ stacked or repeated per node and moved
-to the last axis.  spheregrid.derivatives reads every stencil as a slice of
+derivative by np.roll along φ, the frame forms g and h written out term by
+term, and κ stacked or repeated per node and moved to the last axis.  spheregrid.derivatives reads every stencil as a slice of
 one gathered padding, and geometry.assemble fills κ in place from products
 it forms once; both round every operation as the references do, so every
 output must be equal bit for bit.
@@ -12,7 +12,7 @@ output must be equal bit for bit.
 import numpy as np
 import pytest
 
-from starflow.geometry import _frame_forms, assemble
+from starflow.geometry import assemble
 from starflow.spheregrid import axisym_grid, derivatives, full_s2_grid, pad_theta
 
 GRIDS = [axisym_grid(n=n, m_theta=m) for n, m in ((2, 16), (3, 24), (4, 32))] + [
@@ -73,9 +73,11 @@ def reference_assemble(grid, gamma):
         kappa[-1] = np.minimum(kappa_mer, kappa_par)
     else:
         rr = rho * rho
-        g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
-            grid, rr, u, g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp
-        )
+        b_p = g_p / grid.sin_theta
+        g_tt, g_tp, g_pp = rr * (1.0 + g_t * g_t), rr * (g_t * b_p), rr * (1.0 + b_p * b_p)
+        h_tt = u * (-h_cov_tt + g_t * g_t + 1.0)
+        h_tp = u * (-h_cov_tp / grid.sin_theta + g_t * b_p)
+        h_pp = u * (-h_cov_pp / grid.sin_sq + b_p * b_p + 1.0)
         det_g = rr * rr * omega * omega
         trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
         a_diff = (g_pp * h_tt - g_tt * h_pp) / det_g

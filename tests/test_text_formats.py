@@ -121,7 +121,7 @@ def reference_curvature_table(path, cfg, grid, gamma):
     mask = symfunc.in_cone(geom.kappa, symfunc.natural_cone(cfg.F))
     G = cfg.G
     with np.errstate(invalid="ignore", divide="ignore"):
-        f_all = symfunc.F_eval(cfg.F, geom.kappa)
+        f_all = symfunc.F_fused(cfg.F, geom.kappa)[1]
         g_all = G.c * np.exp(grid.xi @ np.array(G.w)) * geom.u**G.a * geom.rho**G.b
         q_all = g_all * f_all ** (-cfg.beta)
     f_val = np.where(mask, f_all, np.nan).reshape(-1)
