@@ -397,13 +397,11 @@ def cmd_curvature(args) -> int:
     if failure is not None:
         raise GateError(f"stored field is {failure}")
 
-    # the run's own pass; F_fused needs κ finite (the gate) and sorted
-    # (assemble).  Nodes outside the cone may hit fractional powers of
-    # negatives and are masked to nan below; an overflowing forcing reads inf.
+    # the run's own pass, on κ finite (the gate) and sorted (assemble).  Nodes
+    # outside the cone may hit fractional powers of negatives and are masked
+    # to nan below; an overflowing forcing reads inf.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mask, f_all, _ = symfunc.F_fused(cfg.F, geom.kappa)
-        g_all = speed.G_from_table(cfg.G, cfg.G_table, geom.u, geom.rho)
-        q_all = g_all * f_all ** (-cfg.beta)
+        mask, f_all, _, q_all = flow.speed_terms(cfg, geom)
     f_val = np.where(mask, f_all, np.nan)
     q = np.where(mask, q_all, np.nan)
 

@@ -64,7 +64,7 @@ from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_failure
 from .speed import RHO_CEIL, RHO_FLOOR, G_from_table, SpeedSpec
 from .spheregrid import Grid, factor_shifted_laplacian
-from .symfunc import F_fused, _validate_spec, cone_failure, natural_cone
+from .symfunc import F_fused, check_spec, cone_failure, natural_cone
 
 __all__ = [
     "PSI_IDENTITY",
@@ -75,6 +75,7 @@ __all__ = [
     "FlowState",
     "FlowAbort",
     "RunResult",
+    "speed_terms",
     "speed_field",
     "diffusivity",
     "cfl_dt",
@@ -144,7 +145,7 @@ class FlowConfig:
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
-        _validate_spec(self.F, self.grid.n)
+        check_spec(self.F, self.grid.n)
         # c ψ(ξ) at the grid nodes: the part of G that no step changes
         self.G_table = self.G.c * np.exp(self.grid.xi @ self.G.w)
         if self.grid.mode == "axisym" and not self.G.axis_aligned():
@@ -185,23 +186,29 @@ class RunResult:
     detail: str = ""
 
 
+def speed_terms(config: FlowConfig, geom: GeometryState):
+    """(cone mask, F, λ_max(∂F/∂κ), Q = G·F^{-β}) at the nodes of geom, from
+    one σ sweep; F, λ_max and Q mean nothing where the mask fails."""
+    ok, f_val, lam = F_fused(config.F, geom.kappa)
+    g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
+    return ok, f_val, lam, g * f_val ** (-config.beta)
+
+
 def speed_field(config: FlowConfig, gamma: np.ndarray):
     """Pointwise speed Ψ(Q) - Ψ(1) plus what it was computed from.
 
-    Returns (speed, Q, F values, λ_max(∂F/∂κ), geometry); the cone test, F
-    and λ_max come from one σ sweep.  Raises FlowAbort when the profile stops
-    being an admissible star-shaped graph, with the detail of
-    star_shape_failure or cone_failure, which names the first offending node.
+    Returns (speed, Q, F values, λ_max(∂F/∂κ), geometry), with Q, F and λ_max
+    from speed_terms.  Raises FlowAbort when the profile stops being an
+    admissible star-shaped graph, with the detail of star_shape_failure or
+    cone_failure, which names the first offending node.
     """
     geom = assemble(config.grid, gamma)
     failure = star_shape_failure(geom)
     if failure is not None:
         raise FlowAbort(STATUS_STAR_SHAPE_LOST, failure)
-    ok, f_val, lam = F_fused(config.F, geom.kappa)
+    ok, f_val, lam, q = speed_terms(config, geom)
     if not np.logical_and.reduce(ok, axis=None):
         raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, natural_cone(config.F)))
-    g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
-    q = g * f_val ** (-config.beta)
     speed = psi_apply(config.psi_mode, q) - psi_apply(config.psi_mode, 1.0)
     return speed, q, f_val, lam, geom
 

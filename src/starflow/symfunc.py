@@ -20,8 +20,9 @@ the stable one-entry-at-a-time recurrence
 
     e_k(x_1..x_m) = e_k(x_1..x_{m-1}) + x_m e_{k-1}(x_1..x_{m-1}),
 
-never through monomial expansion.  Everything in this module is pure and
-reentrant.
+never through monomial expansion.  A speed spec is walked once for its
+structure (cached: the highest σ_j F reads, its natural cone) and once per
+σ sweep for its values, F with ∂F/∂κ_n.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "Cone",
-    "GAMMA_PLUS",
     "SigmaKRoot",
     "QuotientRoot",
     "PowerMean",
@@ -44,6 +44,7 @@ __all__ = [
     "in_cone",
     "cone_failure",
     "F_fused",
+    "check_spec",
     "natural_cone",
     "newton_maclaurin_margin",
 ]
@@ -120,9 +121,6 @@ class Cone:
         return "Gamma_plus" if self.k is None else f"Gamma_{self.k}^+"
 
 
-GAMMA_PLUS = Cone(None)
-
-
 def in_cone(kappa, cone: Cone):
     """Strict cone membership test, vectorized over leading axes.
 
@@ -194,103 +192,74 @@ class WeightedProduct:
     terms: tuple
 
 
-def _validate_spec(spec, n: int) -> None:
+@lru_cache(maxsize=None)
+def _plan(spec) -> tuple[int, int | None]:
+    """(highest σ_j that F reads, k of its natural cone or None for Γ_+): the
+    one walk of a spec for its structure.  Raises ValueError for a spec that
+    is malformed whatever n is, TypeError for one that is no spec."""
     if isinstance(spec, SigmaKRoot):
-        if not 1 <= spec.k <= n:
-            raise ValueError(f"sigma_k root needs 1 <= k <= {n}, got k={spec.k}")
-    elif isinstance(spec, QuotientRoot):
-        if not 0 <= spec.l < spec.k <= n:
-            raise ValueError(
-                f"quotient root needs 0 <= l < k <= {n}, got k={spec.k}, l={spec.l}"
-            )
-    elif isinstance(spec, PowerMean):
+        if not spec.k >= 1:
+            raise ValueError(f"sigma_k root needs k >= 1, got k={spec.k}")
+        return spec.k, spec.k
+    if isinstance(spec, QuotientRoot):
+        if not 0 <= spec.l < spec.k:
+            raise ValueError(f"quotient root needs 0 <= l < k, got k={spec.k}, l={spec.l}")
+        return spec.k, spec.k
+    if isinstance(spec, PowerMean):
         if not spec.p < 0:
             raise ValueError(f"power mean exponent must be negative, got p={spec.p}")
-    elif isinstance(spec, WeightedProduct):
+        return 0, None
+    if isinstance(spec, WeightedProduct):
         if not spec.terms:
             raise ValueError("weighted product needs at least one factor")
         weights = np.array([w for _, w in spec.terms], dtype=float)
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
+        if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weighted product weights must be >= 0 and sum to 1")
-        for sub, _ in spec.terms:
-            if isinstance(sub, WeightedProduct):
-                raise ValueError("weighted products do not nest")
-            _validate_spec(sub, n)
-    else:
-        raise TypeError(f"unknown curvature-function spec {spec!r}")
+        if any(isinstance(sub, WeightedProduct) for sub, _ in spec.terms):
+            raise ValueError("weighted products do not nest")
+        orders, ks = zip(*(_plan(sub) for sub, _ in spec.terms))
+        return max(orders), None if None in ks else max(ks)
+    raise TypeError(f"unknown curvature-function spec {spec!r}")
+
+
+def check_spec(spec, n: int) -> None:
+    """Raise ValueError unless spec is well formed and reads no σ_j with j > n."""
+    order = _plan(spec)[0]
+    if order > n:
+        raise ValueError(f"F reads sigma_{order}, which needs n >= {order}, got n = {n}")
 
 
 def natural_cone(spec) -> Cone:
     """Largest cone on which the speed is defined, elliptic, and concave."""
-    if isinstance(spec, (SigmaKRoot, QuotientRoot)):
-        return Cone(spec.k)
-    if isinstance(spec, PowerMean):
-        return GAMMA_PLUS
-    if isinstance(spec, WeightedProduct):
-        ks = []
-        for sub, _ in spec.terms:
-            cone = natural_cone(sub)
-            if cone.k is None:
-                return GAMMA_PLUS
-            ks.append(cone.k)
-        return Cone(max(ks))
-    raise TypeError(f"unknown curvature-function spec {spec!r}")
+    return Cone(_plan(spec)[1])
 
 
-def _sigma_order(spec) -> int:
-    """Highest σ_j that F reads: k of a σ_k root or quotient, 0 for a power mean."""
-    if isinstance(spec, WeightedProduct):
-        return max(_sigma_order(sub) for sub, _ in spec.terms)
-    return getattr(spec, "k", 0)
-
-
-def _F_eval_raw(spec, e, arr: np.ndarray):
-    """F at κ = arr, reading σ_j(κ) from e[j]."""
-    if isinstance(spec, SigmaKRoot):
-        return e[spec.k] ** (1.0 / spec.k)
-    if isinstance(spec, QuotientRoot):
-        return (e[spec.k] / e[spec.l]) ** (1.0 / (spec.k - spec.l))
-    if isinstance(spec, PowerMean):
-        return np.sum(arr ** spec.p, axis=-1) ** (1.0 / spec.p)
-    if isinstance(spec, WeightedProduct):
-        acc = 0.0
-        for sub, w in spec.terms:
-            acc = acc + w * np.log(_F_eval_raw(sub, e, arr))
-        return np.exp(acc)
-    raise TypeError(f"unknown curvature-function spec {spec!r}")
-
-
-def _lam_max_raw(spec, e, rest, arr: np.ndarray):
-    """∂F/∂κ_n at κ = arr, with e[j] = σ_j(κ) and rest[j] = σ_j(κ without
-    κ_n), which is ∂σ_{j+1}/∂κ_n."""
+def _F_lam(spec, e, rest, arr: np.ndarray):
+    """(F, ∂F/∂κ_n) at κ = arr, with e[j] = σ_j(κ) and rest[j] = σ_j(κ without
+    κ_n), which is ∂σ_{j+1}/∂κ_n.  The one walk of a spec for its values: a
+    product forms each factor's F once, for its log and to divide its ∂F."""
     if isinstance(spec, SigmaKRoot):
         k = spec.k
-        return (1.0 / k) * e[k] ** (1.0 / k - 1.0) * rest[k - 1]
+        return e[k] ** (1.0 / k), (1.0 / k) * e[k] ** (1.0 / k - 1.0) * rest[k - 1]
     if isinstance(spec, QuotientRoot):
         k, l = spec.k, spec.l
-        f = _F_eval_raw(spec, e, arr)
+        f = (e[k] / e[l]) ** (1.0 / (k - l))
         term = rest[k - 1] / e[k]
         if l > 0:
             term = term - rest[l - 1] / e[l]
-        return f * term / (k - l)
+        return f, f * term / (k - l)
     if isinstance(spec, PowerMean):
         p = spec.p
-        s = np.sum(arr ** p, axis=-1)
-        return s ** (1.0 / p - 1.0) * arr[..., -1] ** (p - 1.0)
-    if isinstance(spec, WeightedProduct):
-        f = _F_eval_raw(spec, e, arr)
-        acc = 0.0
-        for sub, w in spec.terms:
-            fi = _F_eval_raw(sub, e, arr)
-            acc = acc + w * _lam_max_raw(sub, e, rest, arr) / fi
-        return f * acc
-    raise TypeError(f"unknown curvature-function spec {spec!r}")
-
-
-@lru_cache(maxsize=None)
-def _fused_plan(spec) -> tuple[int, int | None]:
-    """(highest σ_j that F reads, k of its natural cone or None for Γ_+)."""
-    return _sigma_order(spec), natural_cone(spec).k
+        s = np.sum(arr**p, axis=-1)
+        return s ** (1.0 / p), s ** (1.0 / p - 1.0) * arr[..., -1] ** (p - 1.0)
+    # a WeightedProduct: _plan has refused everything else
+    log_f = lam = 0.0
+    for sub, w in spec.terms:
+        f_i, lam_i = _F_lam(sub, e, rest, arr)
+        log_f = log_f + w * np.log(f_i)
+        lam = lam + w * lam_i / f_i
+    f = np.exp(log_f)
+    return f, f * lam
 
 
 def F_fused(spec, kappa):
@@ -303,17 +272,17 @@ def F_fused(spec, kappa):
     planes κ[..., i], which are contiguous for the κ that geometry.assemble
     builds.  The mask matches in_cone, λ_max the largest entry of ∂F/∂κ; F
     and λ_max mean nothing where the mask fails.  It silences no warning:
-    its callers run under their own np.errstate.  It does not check spec
-    against n: its callers pass FlowConfig.F, which FlowConfig already checked.
+    its callers run under their own np.errstate.  It refuses a malformed spec
+    but does not check it against n: its callers pass FlowConfig.F, checked.
     """
     arr = _as_batch(kappa)
-    order, cone_k = _fused_plan(spec)
+    order, cone_k = _plan(spec)
     rest, e = _sigma_sweep(arr, order)
     signs = [arr[..., i] for i in range(arr.shape[-1])] if cone_k is None else e[1 : cone_k + 1]
     ok = signs[0] > 0.0
     for x in signs[1:]:
         ok &= x > 0.0
-    return ok, _F_eval_raw(spec, e, arr), _lam_max_raw(spec, e, rest, arr)
+    return (ok, *_F_lam(spec, e, rest, arr))
 
 
 def newton_maclaurin_margin(kappa, m: int):

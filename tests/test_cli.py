@@ -157,7 +157,9 @@ def test_config_errors_exit_64(tmp_path, capsys):
     "F",
     [
         pytest.param({"k": "3"}, id="sigma_k_root-k-above-n"),
+        pytest.param({"k": "0"}, id="sigma_k_root-k-zero"),
         pytest.param({"variant": "quotient_root", "l": "2"}, id="quotient-l-not-below-k"),
+        pytest.param({"variant": "quotient_root", "l": "-1"}, id="quotient-l-negative"),
         pytest.param({"variant": "power_mean", "k": None, "p": "1.5"}, id="power-mean-p-positive"),
         pytest.param(
             {"variant": "product", "terms": "0.5*sigma_k_root(2), 0.4*power_mean(-1)"},
@@ -168,9 +170,19 @@ def test_config_errors_exit_64(tmp_path, capsys):
         pytest.param({"variant": "product", "terms": "1.0*sigma_k_root(1:1)"}, id="factor-extra-arg"),
         pytest.param({"variant": "product", "terms": "1.0*quotient_root(2)"}, id="factor-one-arg-short"),
         pytest.param({"variant": "product", "terms": "1..0*sigma_k_root(2)"}, id="factor-bad-weight"),
+        pytest.param({"variant": "product", "terms": "1.0*sigma_k_root(3)"}, id="factor-k-above-n"),
+        pytest.param(
+            {"variant": "product", "terms": "0.5*sigma_k_root(1), 0.5*quotient_root(3:1)"},
+            id="factor-quotient-k-above-n",
+        ),
+        pytest.param({"variant": "product", "terms": ","}, id="product-no-factors"),
     ],
 )
 def test_invalid_F_exits_64(tmp_path, capsys, F):
+    # a product reads no k: drop the base config's, so that only the F under
+    # test can refuse the config
+    if F.get("variant") == "product":
+        F = {"k": None, **F}
     cfg = make_cfg(tmp_path / "f.cfg", **{f"F__{key}": value for key, value in F.items()})
     out = tmp_path / "out"
     for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):

@@ -44,7 +44,7 @@ from starflow.spheregrid import (
     factor_shifted_laplacian,
     full_s2_grid,
 )
-from starflow.symfunc import SigmaKRoot
+from starflow.symfunc import SigmaKRoot, WeightedProduct
 
 
 def setup1(m_theta=16, **overrides):
@@ -77,6 +77,12 @@ def test_config_validation():
     # F must be defined on the grid's n
     with pytest.raises(ValueError):
         setup1(F=SigmaKRoot(k=3))
+    # and well formed: a NaN weight sums to no weight, products do not nest
+    with pytest.raises(ValueError, match="sum to 1"):
+        setup1(F=WeightedProduct(terms=((SigmaKRoot(k=2), float("nan")),)))
+    inner = WeightedProduct(terms=((SigmaKRoot(k=1), 1.0),))
+    with pytest.raises(ValueError, match="do not nest"):
+        setup1(F=WeightedProduct(terms=((inner, 1.0),)))
 
 
 def test_speed_field_psi_contrast():
@@ -222,14 +228,16 @@ def test_run_converges_to_unit_sphere():
 
 def test_run_diverges_under_growing_forcing():
     cfg = setup1(G=SpeedSpec(c=1.0, a=0.0, b=1.0))  # Q = R^2 on spheres
-    res = run(cfg, initial_gamma(Constant(R=1.1), cfg.grid))
+    # three decades below the radius ceiling, so the blow-up takes few steps
+    res = run(cfg, initial_gamma(Constant(R=1e3), cfg.grid))
     assert res.status == STATUS_DIVERGED
     # the detail names the first node outside the range, with its rho
     assert res.detail.startswith("radius left [1e-06, 1e+06] at node (")
     node = int(res.detail.split("(")[1].split(",")[0])
     rho = float(res.detail.split("rho = ")[1].split()[0])
     assert rho == pytest.approx(np.exp(res.state.gamma[node]), rel=1e-2) and rho > 1e6
-    assert res.history[-1].rho_max > 1e3
+    assert res.history[0].rho_max == pytest.approx(1e3, rel=1e-12)
+    assert res.history[-1].rho_max > 1e3 * res.history[0].rho_max
 
 
 def test_run_whose_every_step_fails_the_error_test_names_a_node(monkeypatch):

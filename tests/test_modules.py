@@ -1,7 +1,8 @@
 """Each module's __all__ names exactly the functions and classes it defines,
 and each of them, like each public constant and alias and each member of a
-class, serves the package, not only its own unit test.  No module calls
-np.roll or np.moveaxis, whose per-call cost the step path dropped."""
+class, serves the package, not only its own unit test.  No module reads
+another module's _private name, and none calls np.roll or np.moveaxis, whose
+per-call cost the step path dropped."""
 
 import ast
 import importlib
@@ -157,3 +158,39 @@ def test_no_roll_or_moveaxis_in_the_package(name):
     path = pathlib.Path(starflow.__file__).resolve().parent / f"{name}.py"
     found = {call: BANNED_CALLS[call] for call in BANNED_CALLS.keys() & names_read(path)}
     assert found == {}, f"starflow.{name} reads numpy's {found}"
+
+
+def is_private(name):
+    """A leading _ that does not open a dunder."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(path):
+    """The _private names of other starflow modules that the file reads:
+    imported as `from .module import _name`, or read as `module._name` of a
+    module imported by `from . import module`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        package = node.level == 1 and node.module is None or node.module == "starflow"
+        own = node.level == 1 or (node.module or "").startswith("starflow.")
+        for alias in node.names:
+            if package:
+                modules.add(alias.asname or alias.name)
+            elif own and is_private(alias.name):
+                found.add(f"{node.module.rpartition('.')[2]}.{alias.name}")
+    found.update(
+        f"{sub.value.id}.{sub.attr}" for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+        and sub.value.id in modules and is_private(sub.attr)
+    )
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_another_modules_private_names(name):
+    # a name with a leading _ is its module's own; what another module needs
+    # gets a public name
+    assert private_reads(SRC / f"{name}.py") == set()
