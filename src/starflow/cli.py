@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import re
 import sys
@@ -35,6 +34,17 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+# the interpreter's own SHA-256, as CPython's random.py takes sha512: hashlib
+# maps OpenSSL's libcrypto into the process, ~3.6 MB of resident memory for
+# one digest of a short string
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython <= 3.11
+    except ImportError:  # a build without the built-in hash modules
+        from hashlib import sha256
 
 from . import __version__, diagnostics, flow, geometry, speed, spheregrid, symfunc
 
@@ -266,7 +276,7 @@ def parse_config(path) -> RunSetup:
 
 
 def _hash_raw(raw: dict) -> str:
-    return hashlib.sha256(
+    return sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -180,7 +180,7 @@ class QuotientRoot:
 
 @dataclass(frozen=True)
 class PowerMean:
-    """F = (Σ κ_i^p)^{1/p} with p < 0; needs strictly positive κ."""
+    """F = (Σ κ_i^p)^{1/p} with p finite, < 0; needs strictly positive κ."""
 
     p: float
 
@@ -206,8 +206,8 @@ def _plan(spec) -> tuple[int, int | None]:
             raise ValueError(f"quotient root needs 0 <= l < k, got k={spec.k}, l={spec.l}")
         return spec.k, spec.k
     if isinstance(spec, PowerMean):
-        if not spec.p < 0:
-            raise ValueError(f"power mean exponent must be negative, got p={spec.p}")
+        if not -inf < spec.p < 0:
+            raise ValueError(f"power mean exponent must be finite and negative, got p={spec.p}")
         return 0, None
     if isinstance(spec, WeightedProduct):
         if not spec.terms:

@@ -7,6 +7,7 @@ as SystemExit(64) and are asserted as such.
 import configparser
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -161,6 +162,7 @@ def test_config_errors_exit_64(tmp_path, capsys):
         pytest.param({"variant": "quotient_root", "l": "2"}, id="quotient-l-not-below-k"),
         pytest.param({"variant": "quotient_root", "l": "-1"}, id="quotient-l-negative"),
         pytest.param({"variant": "power_mean", "k": None, "p": "1.5"}, id="power-mean-p-positive"),
+        pytest.param({"variant": "power_mean", "k": None, "p": "-inf"}, id="power-mean-p-minus-inf"),
         pytest.param(
             {"variant": "product", "terms": "0.5*sigma_k_root(2), 0.4*power_mean(-1)"},
             id="product-weights-not-summing-to-1",
@@ -176,6 +178,7 @@ def test_config_errors_exit_64(tmp_path, capsys):
             id="factor-quotient-k-above-n",
         ),
         pytest.param({"variant": "product", "terms": ","}, id="product-no-factors"),
+        pytest.param({"variant": "product", "terms": "1.0*power_mean(-inf)"}, id="factor-p-minus-inf"),
     ],
 )
 def test_invalid_F_exits_64(tmp_path, capsys, F):
@@ -1082,6 +1085,31 @@ def test_config_hash_covers_cli_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+def canonical_sha256(sections):
+    """README's config_hash, recomputed: the SHA-256 hex digest of the
+    sections as compact JSON with sorted keys."""
+    text = json.dumps(sections, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_json(tmp_path, capsys):
+    # make_cfg writes BASE_SECTIONS as they are, so they are the parsed sections
+    cfg = make_cfg(tmp_path / "h.cfg")
+    file_hash = cli.parse_config(cfg).config_hash
+    assert file_hash == canonical_sha256(BASE_SECTIONS)
+    assert file_hash == "a9fc7ddce69c9664a8bbd074d9a312aa4792645b5d7abc2c99856f19ef48b960"
+    assert cli.parse_config(CONFIGS / "aniso_s2.cfg").config_hash == (
+        "d29eb06b75e2f2aaa43e71e9b4454c0f07f83a30317b125c98d1fea9dbbb6bc2"
+    )
+    # --t-max enters [flow] as the repr of the float it parses to
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "1e-2"]) == 3
+    overridden = {**BASE_SECTIONS, "flow": {**BASE_SECTIONS["flow"], "t_max": "0.01"}}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config_hash"] == canonical_sha256(overridden)
+    capsys.readouterr()
+
+
 def test_step0_abort_writes_strict_json(tmp_path, capsys):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read(CONFIGS / "aniso_s2.cfg")
@@ -1165,16 +1193,31 @@ def test_product_variant_runs_from_the_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # nor OpenSSL: hashlib maps libcrypto into the process (~3.6 MB of
+    # resident memory), so starflow hashes with the interpreter's built-in
+    # SHA-256.  numpy < 2 imports numpy.random, and with it hashlib, on its
+    # own; starflow must add no _hashlib to what numpy loaded
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    cfg = make_cfg(tmp_path / "p.cfg")
+    out = tmp_path / "out"
     probe = (
-        "import sys, starflow.cli\n"
+        "import sys, numpy\n"
+        "numpy_hashlib = '_hashlib' in sys.modules\n"
+        "import starflow.cli as cli\n"
+        f"cfg, out = {str(cfg)!r}, {str(out)!r}\n"
+        "assert cli.main(['run', cfg, '--out', out, '--t-max', '0.01']) == 3\n"
+        "assert cli.main(['validate', cfg]) == 0\n"
+        "field = out + '/final_field.csv'\n"
+        "assert cli.main(['curvature', field, cfg, '--out', out + '/c.csv']) == 0\n"
         "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert not loaded, loaded\n"
+        "assert numpy_hashlib or '_hashlib' not in sys.modules, 'starflow loaded _hashlib'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert (out / "c.csv").exists()

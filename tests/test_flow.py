@@ -44,7 +44,7 @@ from starflow.spheregrid import (
     factor_shifted_laplacian,
     full_s2_grid,
 )
-from starflow.symfunc import SigmaKRoot, WeightedProduct
+from starflow.symfunc import PowerMean, SigmaKRoot, WeightedProduct
 
 
 def setup1(m_theta=16, **overrides):
@@ -77,9 +77,12 @@ def test_config_validation():
     # F must be defined on the grid's n
     with pytest.raises(ValueError):
         setup1(F=SigmaKRoot(k=3))
-    # and well formed: a NaN weight sums to no weight, products do not nest
+    # and well formed: a NaN weight sums to no weight, a power mean's p is
+    # finite, products do not nest
     with pytest.raises(ValueError, match="sum to 1"):
         setup1(F=WeightedProduct(terms=((SigmaKRoot(k=2), float("nan")),)))
+    with pytest.raises(ValueError, match="finite and negative"):
+        setup1(F=PowerMean(p=float("-inf")))
     inner = WeightedProduct(terms=((SigmaKRoot(k=1), 1.0),))
     with pytest.raises(ValueError, match="do not nest"):
         setup1(F=WeightedProduct(terms=((inner, 1.0),)))
