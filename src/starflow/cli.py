@@ -16,7 +16,9 @@ Exit codes are part of the interface and nothing else is ever returned:
     1   validate: no admissible barrier radii
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap
-    64  usage or configuration parse error
+    64  usage or configuration parse error, or an output that cannot be
+        written (run's --out directory or any file run writes there, or
+        curvature's --out table)
     65  gate failure: initial data or a stored field not star-shaped, or a
         stored field not on the configured grid
     70  internal error (a bug; please report the traceback)
@@ -30,7 +32,7 @@ import json
 import re
 import sys
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +97,6 @@ class RunSetup:
     initial: object
     obj_every: int
     config_hash: str
-    raw: dict
 
 
 def _get(cp, section: str, key: str, conv, default=None, required: bool = False):
@@ -216,8 +217,13 @@ def _parse_initial(cp) -> object:
 _FLOW_KEYS = {"psi_mode": str.lower, "t_max": float, "tol_residual": float, "cadence": int}
 
 
-def parse_config(path) -> RunSetup:
-    """Read an INI run configuration; raise ConfigError on any problem."""
+def parse_config(path, t_max=None) -> RunSetup:
+    """Read an INI run configuration; raise ConfigError on any problem.
+
+    A t_max (run's --t-max) replaces [flow] t_max as the repr of the float,
+    before that section is read or hashed: it is validated like the file's
+    own value, and the hash names the problem that actually runs.
+    """
     # values are taken literally: no % interpolation, and ';' separates psi
     # factors, so only ' #' starts an inline comment.  No section is named "",
     # so [DEFAULT] is an unknown section, not keys lent to every section.
@@ -238,7 +244,12 @@ def parse_config(path) -> RunSetup:
     for section in ("flow", "F", "G", "grid", "initial"):
         if not cp.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
+    if t_max is not None:
+        cp.set("flow", "t_max", repr(t_max))
     raw = {s: dict(cp.items(s)) for s in cp.sections()}
+    config_hash = sha256(
+        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
 
     try:
         grid = _parse_grid(cp)
@@ -270,15 +281,7 @@ def parse_config(path) -> RunSetup:
     for section in cp.sections():
         for key in cp[section]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    return RunSetup(
-        config=cfg, initial=initial, obj_every=obj_every, config_hash=_hash_raw(raw), raw=raw
-    )
-
-
-def _hash_raw(raw: dict) -> str:
-    return sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    return RunSetup(config=cfg, initial=initial, obj_every=obj_every, config_hash=config_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +289,15 @@ def _hash_raw(raw: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    setup = parse_config(args.config)
+    setup = parse_config(args.config, t_max=args.t_max)
     cfg = setup.config
-    if args.t_max is not None:
-        # FlowConfig validates the override like the file's own value
-        try:
-            cfg = replace(cfg, t_max=args.t_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the override enters the hashed [flow] entries too, so the hash names
-        # the problem that actually ran
-        setup.raw["flow"]["t_max"] = repr(args.t_max)
-        setup.config_hash = _hash_raw(setup.raw)
-
     try:
         gamma0 = flow.initial_gamma(setup.initial, cfg.grid)
     except ValueError as exc:
         raise GateError(f"initial data rejected: {exc}") from exc
 
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use --out {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     files = ["history.csv", "summary.json", "final_field.csv"]
 
     record_count = 0
@@ -329,7 +318,7 @@ def cmd_run(args) -> int:
     summary = {
         "status": result.status,
         "detail": result.detail,
-        "steps": result.steps,
+        "steps": result.state.step,
         "rejected_steps": result.rejected_steps,
         "t_final": result.state.t,
         # null when the run aborted before any finite residual existed
@@ -350,7 +339,7 @@ def cmd_run(args) -> int:
     diagnostics.write_summary_json(out / "summary.json", summary)
 
     print(
-        f"status={result.status} steps={result.steps} t={result.state.t:.6g} "
+        f"status={result.status} steps={result.state.step} t={result.state.t:.6g} "
         f"residual={result.residual:.3e} wall={result.wall_seconds:.2f}s out={out}"
     )
     if result.detail:
@@ -419,10 +408,7 @@ def cmd_curvature(args) -> int:
     columns = {"rho": geom.rho, "u": geom.u}
     columns.update((f"kappa_{i + 1}", geom.kappa[..., i]) for i in range(grid.n))
     columns.update(f=f_val, q_minus_1=q - 1.0, cone_ok=mask.astype(np.int8))
-    try:
-        spheregrid.write_node_table(out, grid, "starflow-curvature-v1", columns)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+    spheregrid.write_node_table(out, grid, "starflow-curvature-v1", columns)
     print(f"wrote {out} ({grid.node_count} nodes)")
     return EXIT_OK
 
@@ -461,7 +447,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    # an OSError that gets here is an output file or directory that cannot be
+    # written: the config and field readers map their own
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GateError as exc:

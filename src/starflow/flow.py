@@ -100,7 +100,10 @@ STATUS_TIME_CAP = "time_cap"
 ERR_TOL = 2e-5
 # a run whose step size falls below this aborts
 H_FLOOR = 1e-12
-# ROS2's γ; L-stable for W equal to the Jacobian
+# ROS2's γ, a root of γ² − 2γ + ½ = 0.  On a linear mode z = hλ with W equal
+# to the Jacobian a step multiplies by R(z) = (1 + (1 − 2γ)z)/(1 − γz)².  Both
+# roots give R(∞) = 0, but only 1 + 1/√2 keeps R(z) > 0 for every z < 0: with
+# 1 − 1/√2 a step carries a decaying mode past zero once z < −2.414.
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # the first step, as a fraction of the explicit bound
 FIRST_STEP_FRACTION = 0.5
@@ -180,7 +183,6 @@ class RunResult:
     state: FlowState
     history: list
     residual: float
-    steps: int
     wall_seconds: float
     rejected_steps: int = 0
     detail: str = ""
@@ -388,7 +390,6 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
         state=state,
         history=history,
         residual=residual,
-        steps=state.step,
         wall_seconds=wall,
         rejected_steps=rejected,
         detail=detail,

@@ -161,7 +161,7 @@ def test_criterion_02_contracting_sphere_oracle():
     assert err <= 1e-5
     wall = time.perf_counter() - t0
     assert wall < 10.0
-    report(2, f"|rho - 1/3| = {err:.2e} after {res.steps} steps, {wall:.2f}s")
+    report(2, f"|rho - 1/3| = {err:.2e} after {res.state.step} steps, {wall:.2f}s")
 
 
 def test_criterion_03_barrier_preservation_anisotropic():
@@ -184,7 +184,7 @@ def test_criterion_03_barrier_preservation_anisotropic():
     report(
         3,
         f"{len(res.history)} records in [{r1:.4f}, {r2:.4f}], tol {tol:.2e}, "
-        f"converged to {res.residual:.2e} in {res.steps} steps, {wall:.0f}s",
+        f"converged to {res.residual:.2e} in {res.state.step} steps, {wall:.0f}s",
     )
 
 
@@ -383,6 +383,6 @@ def test_criterion_10_homogeneous_case_coverage():
     assert bool(np.all(membership))
     report(
         10,
-        f"residual {res.residual:.2e} after {res.steps} steps, "
+        f"residual {res.residual:.2e} after {res.state.step} steps, "
         f"kappa in Gamma_2^+ at all {cfg.grid.node_count} nodes",
     )

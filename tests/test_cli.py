@@ -653,21 +653,33 @@ def test_forcing_that_overflows_at_step_0_diverges(tmp_path, capsys, psi_mode, b
     capsys.readouterr()
 
 
-def test_unwritable_out_exits_64(tmp_path, capsys):
-    cfg = make_cfg(tmp_path / "o.cfg")
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    assert cli.main(["run", str(cfg), "--out", str(taken)]) == 64
+@pytest.mark.parametrize(
+    "config, blocked, make",
+    [
+        pytest.param("sphere_expand.cfg", "out/history.csv", "mkdir", id="history-is-a-directory"),
+        pytest.param("aniso_s2.cfg", "out/mesh_00000000.obj", "mkdir", id="mesh-is-a-directory"),
+        pytest.param("sphere_expand.cfg", "out", "touch", id="out-is-a-file"),
+        pytest.param("sphere_expand.cfg", "table.csv", "mkdir", id="curvature-out-is-a-directory"),
+        pytest.param("sphere_expand.cfg", "missing/table.csv", None, id="curvature-out-in-no-directory"),
+    ],
+)
+def test_unwritable_out_exits_64(tmp_path, capsys, config, blocked, make):
+    cfg = str(CONFIGS / config)
+    blocked = tmp_path / blocked
+    if make:
+        blocked.parent.mkdir(exist_ok=True)
+        getattr(blocked, make)()
+    if blocked.name == "table.csv":
+        field = tmp_path / "field"
+        assert cli.main(["run", cfg, "--out", str(field), "--t-max", "0.01"]) == 3
+        capsys.readouterr()
+        argv = ["curvature", str(field / "final_field.csv"), cfg, "--out", str(blocked)]
+    else:
+        argv = ["run", cfg, "--out", str(tmp_path / "out"), "--t-max", "0.01"]
+    assert cli.main(argv) == 64
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and str(taken) in err
-
-    out = tmp_path / "out"
-    assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "0.01"]) == 3
-    table = tmp_path / "missing_dir" / "x.csv"
-    field = str(out / "final_field.csv")
-    assert cli.main(["curvature", field, str(cfg), "--out", str(table)]) == 64
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and str(table) in err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert str(blocked) in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_64(capsys):
@@ -1082,6 +1094,24 @@ def test_config_hash_covers_cli_overrides(tmp_path, capsys):
     # so does an edit of the file's own tol_residual
     loose = make_cfg(tmp_path / "loose.cfg", flow__tol_residual="1e-2")
     assert cli.parse_config(loose).config_hash != file_hash
+    capsys.readouterr()
+
+
+def test_parse_config_takes_the_t_max_override(tmp_path, capsys):
+    cfg = make_cfg(tmp_path / "t.cfg")
+    assert cli.parse_config(cfg).config.t_max == 50.0
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--t-max", "0.37"]) == 3
+    setup = cli.parse_config(cfg, t_max=0.37)
+    assert setup.config.t_max == 0.37
+    assert setup.config_hash == json.loads((out / "summary.json").read_text())["config_hash"]
+    # an override is refused exactly as the same value written in the file
+    for value in (-1.0, float("nan")):
+        with pytest.raises(cli.ConfigError) as override:
+            cli.parse_config(cfg, t_max=value)
+        with pytest.raises(cli.ConfigError) as written:
+            cli.parse_config(make_cfg(tmp_path / "w.cfg", flow__t_max=repr(value)))
+        assert str(override.value) == str(written.value)
     capsys.readouterr()
 
 

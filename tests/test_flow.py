@@ -178,7 +178,7 @@ def test_step_rejects_a_dilation_that_overflows(mode):
     assert abort.value.status == STATUS_DIVERGED
 
     res = run(replace(cfg, t_max=1e-3), gamma)
-    assert res.status == STATUS_DIVERGED and res.steps == 0
+    assert res.status == STATUS_DIVERGED and res.state.step == 0
     assert "overflowed to -inf" in res.detail
 
 
@@ -213,7 +213,7 @@ def test_run_from_stationary_data_converges_immediately():
     cfg = setup1()
     res = run(cfg, np.zeros(16))
     assert res.status == STATUS_CONVERGED
-    assert res.steps == 0
+    assert res.state.step == 0
     assert len(res.history) == 1
     assert res.residual <= cfg.tol_residual
 
@@ -250,7 +250,7 @@ def test_run_whose_every_step_fails_the_error_test_names_a_node(monkeypatch):
     cfg = setup1(t_max=1.0)
     res = run(cfg, initial_gamma(Perturbed(R=1.0, amplitude=0.1), cfg.grid))
     assert res.status == STATUS_DIVERGED
-    assert res.steps == 0 and res.rejected_steps > 0
+    assert res.state.step == 0 and res.rejected_steps > 0
     assert res.detail.startswith(f"step size fell below {flow.H_FLOOR:g} at t = 0: ")
     assert "times the tolerance at node (" in res.detail
     node = int(res.detail.split("at node (")[1].split(",")[0])
@@ -287,9 +287,9 @@ def test_history_holds_each_cadence_step_and_the_final_one_once(
         on_record=lambda state, rec, geom: calls.append((state.step, rec)),
     )
     assert res.status == status
-    assert (res.steps % 3 == 0) == (status == STATUS_TIME_CAP)
+    assert (res.state.step % 3 == 0) == (status == STATUS_TIME_CAP)
     steps = [rec.step for rec in res.history]
-    assert steps == sorted(set(range(0, res.steps + 1, 3)) | {res.steps})
+    assert steps == sorted(set(range(0, res.state.step + 1, 3)) | {res.state.step})
     assert [step for step, _ in calls] == steps
     assert all(rec is row for (_, rec), row in zip(calls, res.history))
     assert res.history[-1].residual == res.residual
@@ -323,7 +323,7 @@ def test_perturbed_with_huge_amplitude_aborts_at_once():
     gamma = initial_gamma(Perturbed(R=1.0, amplitude=10.0), cfg.grid)
     res = run(cfg, gamma)
     assert res.status == STATUS_CONE_EXIT
-    assert res.steps == 0
+    assert res.state.step == 0
 
 
 @pytest.mark.parametrize("fail_at", [3, 4, 7, 8])
@@ -366,7 +366,7 @@ def test_abort_reports_last_state_that_passed_every_guard(monkeypatch, fail_at):
     assert res.status == STATUS_CONE_EXIT and res.detail.endswith("injected")
     assert f"below {flow.H_FLOOR:g}" in res.detail
     call, last = [(c, st) for c, st in clean_accepted if c < fail_at][-1]
-    assert res.steps == res.state.step == last.step
+    assert res.state.step == last.step
     assert np.array_equal(res.state.gamma, last.gamma)
     assert np.array_equal(res.state.gamma, seen[call - 1])
     # each shrink is by 5, from a step of order 0.01 down to 1e-12
@@ -392,7 +392,7 @@ def test_run_is_deterministic():
     a = run(cfg, initial_gamma(Constant(R=1.2), cfg.grid))
     b = run(cfg, initial_gamma(Constant(R=1.2), cfg.grid))
     assert np.array_equal(a.state.gamma, b.state.gamma)
-    assert a.steps == b.steps
+    assert a.state.step == b.state.step
     assert a.history == b.history
 
 
@@ -442,7 +442,7 @@ def test_axisym_and_full_s2_integrate_identically():
     # phi-constant data live in phi-mode 0, which the mode solve treats as the
     # axisym system, so every step size, accept decision and the stopping
     # step agree
-    assert s2.steps == ax.steps > 100
+    assert s2.state.step == ax.state.step > 100
     assert s2.state.t == pytest.approx(ax.state.t, rel=1e-12)
     assert np.max(np.abs(s2.state.gamma - ax.state.gamma[:, None])) <= 1e-12
     assert np.max(np.abs(s2.state.gamma - s2.state.gamma[:, :1])) <= 1e-12
@@ -544,7 +544,7 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
     res = run(cfg, gamma)
     assert res.status == STATUS_TIME_CAP
     times = [rec.t for rec in res.history]
-    assert len(times) == res.steps + 1
+    assert len(times) == res.state.step + 1
     assert min(np.diff(times)[:-1]) >= 100.0 * pole_dt
     r1, r2 = barrier_radii(cfg.G, cfg.F, grid.n, cfg.beta)
     assert check_barriers(res.history, r1, r2, 0.0).passed is True
@@ -565,8 +565,8 @@ def test_sigma_sweeps_per_attempted_step(monkeypatch):
     monkeypatch.setattr(symfunc, "_sigma_sweep", counting)
     cfg = setup.config
     res = run(cfg, initial_gamma(setup.initial, cfg.grid))
-    assert res.status == STATUS_CONVERGED and res.steps > 100
-    assert len(calls) <= 2 * (res.steps + res.rejected_steps) + 1
+    assert res.status == STATUS_CONVERGED and res.state.step > 100
+    assert len(calls) <= 2 * (res.state.step + res.rejected_steps) + 1
 
 
 def test_anisotropic_limit_converges_at_second_order():
@@ -597,7 +597,7 @@ def test_configs_sharing_a_grid_keep_their_own_tables():
         fresh = config(full_s2_grid(m_theta=8, m_phi=16), s)
         a = run(cfg, initial_gamma(Spheroid(a=1.1, b=0.9), cfg.grid))
         b = run(fresh, initial_gamma(Spheroid(a=1.1, b=0.9), fresh.grid))
-        assert a.steps == b.steps > 10
+        assert a.state.step == b.state.step > 10
         assert np.array_equal(a.state.gamma, b.state.gamma)
         assert a.history == b.history
 
