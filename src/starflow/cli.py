@@ -16,9 +16,9 @@ Exit codes are part of the interface and nothing else is ever returned:
     1   validate: no admissible barrier radii
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap
-    64  usage or configuration parse error, or an output that cannot be
-        written (run's --out directory or any file run writes there, or
-        curvature's --out table)
+    64  usage or configuration parse error (an infinite t_max among them),
+        or an output that cannot be written (run's --out directory or any
+        file run writes there, or curvature's --out table)
     65  gate failure: initial data or a stored field not star-shaped, or a
         stored field not on the configured grid
     70  internal error (a bug; please report the traceback)
@@ -32,8 +32,8 @@ import json
 import re
 import sys
 import traceback
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ class _Parser(argparse.ArgumentParser):
 # configuration parsing
 
 
-@dataclass
-class RunSetup:
+class RunSetup(NamedTuple):
     config: flow.FlowConfig
     initial: object
     obj_every: int
@@ -333,7 +332,7 @@ def cmd_run(args) -> int:
         },
         "config_hash": setup.config_hash,
         "config_file": str(args.config),
-        "final_record": asdict(final) if final else None,
+        "final_record": final._asdict() if final else None,
         "files": sorted(files),
     }
     diagnostics.write_summary_json(out / "summary.json", summary)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ __all__ = [
 HISTORY_CSV_MAGIC = "starflow-history-v1"
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     """One row of a run history; column order is the field order here."""
 
     step: int
@@ -108,8 +107,7 @@ def snapshot(
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a structural check.
 
     passed is None exactly when the check was skipped because its hypothesis
@@ -204,8 +202,7 @@ def evolution_identity_check(config, state_a, state_b) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Least-squares exponential fit to the gradient sup-norm tail."""
 
     rate: float
@@ -266,7 +263,7 @@ def uniqueness_crosscheck(geom_a: GeometryState, geom_b: GeometryState) -> float
 
 def write_history_csv(path, history) -> None:
     """Write records under the fixed ``starflow-history-v1`` version line."""
-    cols = [f.name for f in fields(DiagnosticsRecord)]
+    cols = DiagnosticsRecord._fields
     floats = attrgetter(*cols[1:-1])
     with open(path, "w", newline="") as fh:
         fh.write(HISTORY_CSV_MAGIC + "\n")
@@ -286,8 +283,7 @@ def read_history_csv(path) -> list:
             raise ValueError(f"not a {HISTORY_CSV_MAGIC} file: {path}")
         reader = csv.reader(fh)
         cols = next(reader)
-        expected = [f.name for f in fields(DiagnosticsRecord)]
-        if cols != expected:
+        if cols != list(DiagnosticsRecord._fields):
             raise ValueError(f"unexpected columns {cols}")
         out = []
         for row in reader:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +122,6 @@ def psi_prime(s):
     return 1.0 / (np.asarray(s, dtype=float) ** 2)
 
 
-@dataclass
 class FlowConfig:
     """Everything run() needs besides the initial profile."""
 
@@ -130,15 +129,20 @@ class FlowConfig:
     F: object
     G: SpeedSpec
     beta: float
-    psi_mode: str = PSI_IDENTITY
-    t_max: float = 50.0
-    tol_residual: float = 1e-6
-    cadence: int = 50
+    psi_mode: str
+    t_max: float
+    tol_residual: float
+    cadence: int
 
-    def __post_init__(self):
+    def __init__(self, grid: Grid, F, G: SpeedSpec, beta: float, psi_mode: str = PSI_IDENTITY,
+                 t_max: float = 50.0, tol_residual: float = 1e-6, cadence: int = 50):
+        self.grid, self.F, self.G, self.beta, self.psi_mode = grid, F, G, beta, psi_mode
+        self.t_max, self.tol_residual, self.cadence = t_max, tol_residual, cadence
         for key in ("beta", "t_max", "tol_residual"):
             if not getattr(self, key) > 0.0:  # NaN fails too
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if t_max == math.inf:  # a run would end at t = inf, which JSON cannot hold
+            raise ValueError(f"t_max must be finite, got {t_max}")
         # the scaling exponent of G / F^beta; the barrier radii divide by it
         if not np.isfinite(self.G.a + self.G.b + self.beta):
             raise ValueError(
@@ -157,8 +161,7 @@ class FlowConfig:
             )
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     t: float
     step: int
     gamma: np.ndarray
@@ -177,8 +180,7 @@ class FlowAbort(RuntimeError):
         self.detail = detail
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     status: str
     state: FlowState
     history: list
@@ -382,7 +384,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
                 status = failure[0]
                 detail = f"step size fell below {H_FLOOR:g} at t = {state.t:.6g}: {failure[1]}"
             else:
-                state = replace(trial, t=config.t_max) if last else trial
+                state = trial._replace(t=config.t_max) if last else trial
 
     wall = time.perf_counter() - t_start
     return RunResult(
@@ -406,38 +408,55 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Round sphere of radius R."""
-
+# the fields of each kind of initial data; the public class checks them in
+# __new__, which a NamedTuple body may not define
+class _Constant(NamedTuple):
     R: float
 
-    def __post_init__(self):
+
+class Constant(_Constant):
+    """Round sphere of radius R."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive(radius=self.R)
+        return self
 
 
-@dataclass(frozen=True)
-class Spheroid:
-    """Spheroid with equatorial semi-axis a and polar semi-axis b."""
-
+class _Spheroid(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self):
+
+class Spheroid(_Spheroid):
+    """Spheroid with equatorial semi-axis a and polar semi-axis b."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive(a_axis=self.a, b_axis=self.b)
+        return self
 
 
-@dataclass(frozen=True)
-class Perturbed:
-    """Sphere of radius R with a single low-mode bump of the given amplitude."""
-
+class _Perturbed(NamedTuple):
     R: float
     amplitude: float
 
-    def __post_init__(self):
+
+class Perturbed(_Perturbed):
+    """Sphere of radius R with a single low-mode bump of the given amplitude."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_positive(radius=self.R)
         if not np.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        return self
 
 
 def initial_gamma(kind, grid: Grid) -> np.ndarray:

@@ -31,7 +31,7 @@ it; star_shape_failure() alone decides whether it is a star-shaped graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class GeometryState:
+class GeometryState(NamedTuple):
     """What the flow reads of one γ field.  Read-only by convention.
 
     g and h are not stored: fundamental_forms() rebuilds them on demand.

@@ -22,7 +22,7 @@ never calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,17 +43,23 @@ RHO_FLOOR, RHO_CEIL = 1e-6, 1e6
 _LOG_MAX = -float(np.log(np.finfo(float).tiny))
 
 
-@dataclass(frozen=True)
-class SpeedSpec:
-    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩; w is a tuple of three
-    floats, so equal forcings compare equal."""
-
+# SpeedSpec's fields; SpeedSpec checks them in __new__, which a NamedTuple
+# body may not define
+class _SpeedSpec(NamedTuple):
     c: float
     a: float
     b: float
     w: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
+
+class SpeedSpec(_SpeedSpec):
+    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩; w is a tuple of three
+    floats, so equal forcings compare equal."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (np.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"amplitude c must be positive, got {self.c}")
         for x in (self.a, self.b):
@@ -67,6 +73,7 @@ class SpeedSpec:
             raise ValueError(
                 f"forcing c e^(+-|w|) overflows a double: c = {self.c:g}, |w| = {size:g}"
             )
+        return self
 
     @property
     def isotropic(self) -> bool:

@@ -39,7 +39,6 @@ on a grid the caller already has, whose version line the file must carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +59,6 @@ FIELD_CSV_MAGIC = "starflow-field-v1"
 MAX_NODES = 2**22
 
 
-@dataclass
 class Grid:
     """Field shape and node count, nodes, spacings, trig tables, the
     Cartesian node directions ξ, the ghost padding's gather index, a read-only
@@ -72,12 +70,13 @@ class Grid:
     n: int
     m_theta: int
     m_phi: int
-    theta: np.ndarray = field(init=False, compare=False, repr=False)
-    phi: np.ndarray = field(init=False, compare=False, repr=False)
-    dtheta: float = field(init=False, compare=False)
-    dphi: float = field(default=0.0, init=False, compare=False)
+    theta: np.ndarray
+    phi: np.ndarray
+    dtheta: float
+    dphi: float
 
-    def __post_init__(self):
+    def __init__(self, mode: str, n: int, m_theta: int, m_phi: int):
+        self.mode, self.n, self.m_theta, self.m_phi = mode, n, m_theta, m_phi
         if self.mode not in ("axisym", "full_s2"):
             raise ValueError(f"unknown grid mode {self.mode!r}")
         if self.m_theta < 8:
@@ -100,6 +99,7 @@ class Grid:
         else:
             if self.m_phi:
                 raise ValueError("axisym grids carry no phi direction")
+            self.dphi = 0.0
             self.phi = None
         # trig tables, broadcast-ready against field arrays
         st, ct = np.sin(self.theta), np.cos(self.theta)
@@ -127,6 +127,12 @@ class Grid:
         cols = st * np.cos(phi), st * np.sin(phi), ct
         self.xi = np.stack([np.broadcast_to(c, self.shape) for c in cols], axis=-1)
         self._laplacian_modes()
+
+    def __eq__(self, other):
+        if type(other) is not Grid:
+            return NotImplemented
+        return (self.mode, self.n, self.m_theta, self.m_phi) == (
+            other.mode, other.n, other.m_theta, other.m_phi)
 
     def _laplacian_modes(self):
         """L on φ-Fourier mode k = 0..m_phi/2 (only k = 0 on axisym) as a

@@ -27,9 +27,9 @@ structure (cached: the highest σ_j F reads, its natural cone) and once per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,15 +107,27 @@ def sigma(kappa, k: int):
     return sigma_all(kappa, k)[..., k]
 
 
+def _same_type_eq(self, other) -> bool:
+    """== of cones and specs, which are named tuples: plain tuple equality
+    would make SigmaKRoot(k=-1) equal PowerMean(p=-1.0), and _plan's cache
+    would answer for one with the verdict on the other.  They keep the tuple
+    hash, as equal values need, and collide only across types."""
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return not _same_type_eq(self, other)
+
+
 # ---------------------------------------------------------------------------
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Admissibility cone: Γ_k^+ for integer k, Γ_+ when k is None."""
 
     k: int | None = None
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     def describe(self) -> str:
         return "Gamma_plus" if self.k is None else f"Gamma_{self.k}^+"
@@ -163,33 +175,33 @@ def cone_failure(kappa, cone: Cone) -> str | None:
 # curvature-function specs
 
 
-@dataclass(frozen=True)
-class SigmaKRoot:
+class SigmaKRoot(NamedTuple):
     """F = σ_k^{1/k}."""
 
     k: int
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class QuotientRoot:
+class QuotientRoot(NamedTuple):
     """F = (σ_k/σ_l)^{1/(k-l)}, 0 <= l < k."""
 
     k: int
     l: int
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class PowerMean:
+class PowerMean(NamedTuple):
     """F = (Σ κ_i^p)^{1/p} with p finite, < 0; needs strictly positive κ."""
 
     p: float
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class WeightedProduct:
+class WeightedProduct(NamedTuple):
     """F = Π F_i^{α_i} with α_i >= 0 summing to one; evaluated in log space."""
 
     terms: tuple
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 @lru_cache(maxsize=None)

@@ -200,6 +200,8 @@ def test_invalid_F_exits_64(tmp_path, capsys, F):
     [
         pytest.param({"flow__beta": "nan"}, [], id="beta-nan"),
         pytest.param({"flow__t_max": "nan"}, [], id="t_max-nan"),
+        # a run to t = inf would end with an infinite t_final in summary.json
+        pytest.param({"flow__t_max": "inf"}, [], id="t_max-inf"),
         pytest.param({"flow__tol_residual": "-1"}, [], id="tol_residual-negative"),
         pytest.param(
             {"grid__mode": "full_s2", "grid__m_theta": "8", "grid__m_phi": "16", "G__psi": "nan 0 0 1"},
@@ -207,6 +209,7 @@ def test_invalid_F_exits_64(tmp_path, capsys, F):
             id="psi-strength-nan",
         ),
         pytest.param({}, ["--t-max", "nan"], id="override-t-max-nan"),
+        pytest.param({}, ["--t-max", "inf"], id="override-t-max-inf"),
         pytest.param({}, ["--t-max", "-1"], id="override-t-max-negative"),
         # each exponent is finite, their sum is not
         pytest.param({"G__a": "-1e308", "G__b": "-1e308"}, [], id="a-plus-b-plus-beta-infinite"),
@@ -935,14 +938,14 @@ def test_curvature_gates(tmp_path, capsys):
 def test_curvature_refuses_a_field_header_larger_than_its_rows(tmp_path, capsys, monkeypatch):
     # a 100-byte file whose header asks for 2e10 nodes: it is read on the
     # configured grid, and no Grid is built from its header
-    build = spheregrid.Grid.__post_init__
+    build = spheregrid.Grid.__init__
 
-    def bounded(grid):
-        nodes = grid.m_theta * max(grid.m_phi, 1)
+    def bounded(grid, mode, n, m_theta, m_phi):
+        nodes = m_theta * max(m_phi, 1)
         assert nodes <= 10**6, f"Grid asked for {nodes} nodes"
-        build(grid)
+        build(grid, mode, n, m_theta, m_phi)
 
-    monkeypatch.setattr(spheregrid.Grid, "__post_init__", bounded)
+    monkeypatch.setattr(spheregrid.Grid, "__init__", bounded)
     field = tmp_path / "huge.csv"
     header = "# starflow-field-v1 mode=full_s2 n=2 m_theta=100000 m_phi=200000"
     field.write_text(header + "\ntheta,phi,value\n0.1,0.2,0.0\n")
@@ -1106,7 +1109,7 @@ def test_parse_config_takes_the_t_max_override(tmp_path, capsys):
     assert setup.config.t_max == 0.37
     assert setup.config_hash == json.loads((out / "summary.json").read_text())["config_hash"]
     # an override is refused exactly as the same value written in the file
-    for value in (-1.0, float("nan")):
+    for value in (-1.0, float("nan"), float("inf")):
         with pytest.raises(cli.ConfigError) as override:
             cli.parse_config(cfg, t_max=value)
         with pytest.raises(cli.ConfigError) as written:
@@ -1227,7 +1230,8 @@ def test_import_loads_no_scipy(tmp_path):
     # nor OpenSSL: hashlib maps libcrypto into the process (~3.6 MB of
     # resident memory), so starflow hashes with the interpreter's built-in
     # SHA-256.  numpy < 2 imports numpy.random, and with it hashlib, on its
-    # own; starflow must add no _hashlib to what numpy loaded
+    # own; starflow must add no _hashlib to what numpy loaded.  Nor
+    # dataclasses, whose classes cost every process code generation at import
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -1236,6 +1240,7 @@ def test_import_loads_no_scipy(tmp_path):
     probe = (
         "import sys, numpy\n"
         "numpy_hashlib = '_hashlib' in sys.modules\n"
+        "numpy_dataclasses = 'dataclasses' in sys.modules\n"
         "import starflow.cli as cli\n"
         f"cfg, out = {str(cfg)!r}, {str(out)!r}\n"
         "assert cli.main(['run', cfg, '--out', out, '--t-max', '0.01']) == 3\n"
@@ -1245,6 +1250,8 @@ def test_import_loads_no_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
         "assert not loaded, loaded\n"
         "assert numpy_hashlib or '_hashlib' not in sys.modules, 'starflow loaded _hashlib'\n"
+        "assert numpy_dataclasses or 'dataclasses' not in sys.modules, "
+        "'starflow loaded dataclasses'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True

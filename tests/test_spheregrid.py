@@ -1,7 +1,5 @@
 """Grid construction, pole-aware stencils, and the field CSV round trip."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -66,10 +64,19 @@ def test_grid_equality():
     with pytest.raises(TypeError):
         Grid(mode="axisym", n=2, m_theta=16, m_phi=0, dtheta=5.0)
     # nor compared: the tables built from them, the pad index among them,
-    # take no part in equality
-    compared = [f.name for f in dataclasses.fields(Grid) if f.compare]
-    assert compared == ["mode", "n", "m_theta", "m_phi"]
-    assert {"pad_index", "sin_cos", "zeros"}.isdisjoint(f.name for f in dataclasses.fields(Grid))
+    # take no part in equality, and each of the four counts does
+    counts = ("mode", "n", "m_theta", "m_phi")
+    tables = full_s2_grid(8, 16)
+    derived = set(vars(tables)) - set(counts)
+    assert {"theta", "dtheta", "dphi", "pad_index", "sin_cos", "zeros"} <= derived
+    for name in derived:
+        setattr(tables, name, None)
+    assert tables == full_s2_grid(8, 16)
+    for name in counts:
+        changed = full_s2_grid(8, 16)
+        setattr(changed, name, None)
+        assert changed != full_s2_grid(8, 16), name
+    assert full_s2_grid(8, 16) != ("full_s2", 2, 8, 16)
 
 
 def test_grid_zeros_are_shared_and_read_only():
@@ -293,10 +300,10 @@ def test_field_csv_read_builds_no_grid(tmp_path, monkeypatch):
     path = tmp_path / "field.csv"
     write_field_csv(path, g, values)
 
-    def refuse(grid):
+    def refuse(grid, *args, **kwargs):
         raise AssertionError("read_field_csv built a Grid")
 
-    monkeypatch.setattr(spheregrid.Grid, "__post_init__", refuse)
+    monkeypatch.setattr(spheregrid.Grid, "__init__", refuse)
     assert np.array_equal(read_field_csv(path, g), values)
 
 

@@ -19,6 +19,7 @@ from starflow.symfunc import (
     QuotientRoot,
     SigmaKRoot,
     WeightedProduct,
+    check_spec,
     cone_failure,
     in_cone,
     natural_cone,
@@ -430,6 +431,19 @@ def test_natural_cones():
     assert natural_cone(mixed).k is None
     roots = WeightedProduct(terms=((SigmaKRoot(k=2), 0.5), (QuotientRoot(k=3, l=1), 0.5)))
     assert natural_cone(roots).k == 3
+
+
+def test_specs_compare_by_type():
+    # specs key the cached walk of their structure: a spec whose fields
+    # equal another type's must neither equal it nor share its verdict
+    valid, invalid = PowerMean(p=-1.0), SigmaKRoot(k=-1)
+    assert invalid != valid and not invalid == valid
+    assert invalid != (-1,) and Cone(2) != (2,) and Cone(2) == Cone(k=2)
+    for wrap in (lambda spec: spec, lambda spec: WeightedProduct(terms=((spec, 1.0),))):
+        assert wrap(invalid) != wrap(valid)
+        check_spec(wrap(valid), 2)
+        with pytest.raises(ValueError, match=r"^sigma_k root needs k >= 1, got k=-1$"):
+            check_spec(wrap(invalid), 2)
 
 
 def test_newton_maclaurin_margin():

@@ -2,7 +2,7 @@
 
 The references below are the straightforward writers: csv.writer rows of
 repr(float(x)) for the field and curvature tables and for each history
-record read through dataclasses.asdict, and one formatted line per OBJ
+record read through its _asdict, and one formatted line per OBJ
 vertex and face.  The production writers format whole latitude rows at once,
 or read a record's fields by name, and must produce the same bytes: an
 LF-terminated version line, CRLF-terminated CSV rows, and OBJ vertices to 9
@@ -10,7 +10,6 @@ significant digits.
 """
 
 import csv
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -157,13 +156,13 @@ def reference_curvature_table(path, cfg, grid, gamma):
 
 
 def reference_history_csv(path, history):
-    cols = [f.name for f in dataclasses.fields(diagnostics.DiagnosticsRecord)]
+    cols = diagnostics.DiagnosticsRecord._fields
     with open(path, "w", newline="") as fh:
         fh.write("starflow-history-v1\n")
         writer = csv.writer(fh)
         writer.writerow(cols)
         for rec in history:
-            row = dataclasses.asdict(rec)
+            row = rec._asdict()
             writer.writerow(
                 [int(row["step"])]
                 + [repr(float(row[c])) for c in cols[1:-1]]
@@ -214,8 +213,7 @@ def test_history_csv_bytes_match_the_reference_writer(tmp_path):
     assert len(history) > 4
     # edge values, numpy scalars and a False cone_ok format like the rest
     history.append(
-        dataclasses.replace(
-            history[-1],
+        history[-1]._replace(
             step=np.int64(7),
             t=-0.0,
             residual=np.nan,
