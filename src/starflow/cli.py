@@ -16,9 +16,10 @@ Exit codes are part of the interface and nothing else is ever returned:
     1   validate: no admissible barrier radii
     2   run aborted: diverged, cone exit (also at step 0), or star shape lost
     3   run hit the time cap
-    64  usage or configuration parse error (an infinite t_max among them),
-        or an output that cannot be written (run's --out directory or any
-        file run writes there, or curvature's --out table)
+    64  usage or configuration parse error (an infinite t_max or
+        tol_residual among them), or an output that cannot be written
+        (run's --out directory or any file run writes there, or
+        curvature's --out table)
     65  gate failure: initial data or a stored field not star-shaped, or a
         stored field not on the configured grid
     70  internal error (a bug; please report the traceback)

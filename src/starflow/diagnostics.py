@@ -182,7 +182,8 @@ def evolution_identity_check(config, state_a, state_b) -> float:
     For two consecutive states at times t and t + dt the discrete quotient
     (u(t+dt) - u(t))/dt is compared against u·(𝓕 - ⟨X, ∇𝓕⟩) evaluated at the
     earlier state, where 𝓕 = Ψ(Q) - Ψ(1) and ⟨X, ∇𝓕⟩ reduces on radial graphs
-    to ⟨Dγ, D𝓕⟩_e / ω².  The residual is O(dt + Δθ²) on smooth flows.
+    to ⟨b, D𝓕⟩ / ω², both gradients in the frame of spheregrid.derivatives.
+    The residual is O(dt + Δθ²) on smooth flows.
     """
     from .flow import speed_field  # flow imports this module
 
@@ -196,7 +197,7 @@ def evolution_identity_check(config, state_a, state_b) -> float:
 
     # both φ terms are zero arrays on axisym grids
     s_t, s_p = derivatives(grid, speed)[:2]
-    pairing = geom_a.gamma_t * s_t + geom_a.gamma_p * s_p / grid.sin_theta**2
+    pairing = geom_a.b_t * s_t + geom_a.b_p * s_p
     x_dot_grad = pairing / geom_a.omega**2
     rhs = geom_a.u * (speed - x_dot_grad)
     return float(np.max(np.abs(lhs - rhs)))

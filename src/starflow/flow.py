@@ -141,8 +141,11 @@ class FlowConfig:
         for key in ("beta", "t_max", "tol_residual"):
             if not getattr(self, key) > 0.0:  # NaN fails too
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        if t_max == math.inf:  # a run would end at t = inf, which JSON cannot hold
-            raise ValueError(f"t_max must be finite, got {t_max}")
+        # a run would end at t = inf, which JSON cannot hold, and an infinite
+        # tolerance would call any profile converged at step 0
+        for key in ("t_max", "tol_residual"):
+            if getattr(self, key) == math.inf:
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         # the scaling exponent of G / F^beta; the barrier radii divide by it
         if not np.isfinite(self.G.a + self.G.b + self.beta):
             raise ValueError(

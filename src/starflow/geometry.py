@@ -1,23 +1,24 @@
 """Geometry of star-shaped radial graphs over the sphere.
 
 A positive radial profile ρ = e^γ over S^n describes the hypersurface
-X(x) = ρ(x)·x.  Writing D for the round-chart derivative and
+X(x) = ρ(x)·x.  With b and H the gradient and covariant Hessian of γ in the
+orthonormal frame (ê_θ, ê_φ/sinθ) (spheregrid.derivatives), and
 
-    ω² = 1 + |Dγ|²,        u = ρ/ω   (support function ⟨X, ν⟩),
+    ω² = 1 + |b|²,        u = ρ/ω   (support function ⟨X, ν⟩),
 
-the induced metric and second fundamental form in chart components are
+the induced metric and second fundamental form in that frame are
 
-    g_ij = ρ²(e_ij + γ_i γ_j),
-    h_ij = (ρ/ω)(-γ_{;ij} + γ_i γ_j + e_ij),
+    g = ρ²(I + bbᵀ),        h = u(I + bbᵀ - H),
 
-with e the round metric and γ_{;ij} the covariant Hessian.  Principal
-curvatures are the eigenvalues of the pencil (h, g).  assemble() turns a γ
-field into all of these at once; on full_s2 grids the per-node 2×2
-eigenproblems are solved in closed form, and axisym grids skip eigensolves
-entirely because the meridian and parallel directions are already principal:
+as in Guan, Li & Li (Duke Math. J. 161, 2012).  The principal curvatures κ
+are the eigenvalues of the Weingarten map g⁻¹h = (I - P)/(ρω), where
+P = (I + bbᵀ)⁻¹H = H - b(Hb)ᵀ/ω².  assemble() turns a γ field into κ, u, ρ
+and ω at once; on full_s2 grids the per-node 2×2 eigenproblem of P is solved
+in closed form, and axisym grids skip it entirely because the meridian and
+parallel directions are already principal:
 
-    κ_mer = (-γ'' + γ'² + 1) / (ρ ω³),
-    κ_par = (1 - cotθ·γ') / (ρ ω),
+    κ_mer = (1 + b_θ² - H_θθ) / (ρ ω³),
+    κ_par = (1 - H_φφ) / (ρ ω),     H_φφ = cotθ·∂_θγ,
 
 the parallel value carrying multiplicity n-1.
 
@@ -55,12 +56,12 @@ class GeometryState(NamedTuple):
 
     grid: Grid
     gamma: np.ndarray
-    gamma_t: np.ndarray          # chart ∂_θ γ
-    gamma_p: np.ndarray          # chart ∂_φ γ (zero on axisym)
+    b_t: np.ndarray              # frame gradient b_θ = ∂_θγ
+    b_p: np.ndarray              # frame gradient b_φ = ∂_φγ / sinθ (zero on axisym)
     rho: np.ndarray
     omega: np.ndarray
     u: np.ndarray
-    grad_sq: np.ndarray          # |Dγ|²
+    grad_sq: np.ndarray          # |Dγ|² = |b|²
     kappa: np.ndarray            # (..., n), sorted descending per node
 
     @property
@@ -79,17 +80,11 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
     if gamma.shape != grid.shape:
         raise ValueError(f"gamma shape {gamma.shape} does not match grid {grid.shape}")
 
-    g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp = derivatives(grid, gamma)
-    # b_θ = ∂_θγ and b_φ = ∂_φγ / sinθ, the gradient in the frame (ê_θ,
-    # ê_φ/sinθ); |Dγ|² and the frame forms below share their squares
-    bt2 = g_t * g_t
-    if grid.mode == "axisym":
-        gsq = bt2
-    else:
-        b_p = g_p / grid.sin_theta
-        bp2 = b_p * b_p
-        gsq = bt2 + bp2
-    omega = np.sqrt(1.0 + gsq)
+    b_t, b_p, h_tt, h_tp, h_pp = derivatives(grid, gamma)
+    bt2 = b_t * b_t
+    gsq = bt2 if grid.mode == "axisym" else bt2 + b_p * b_p
+    w2 = 1.0 + gsq
+    omega = np.sqrt(w2)
     rho = np.exp(gamma)
     u = rho / omega
 
@@ -98,41 +93,41 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
     # the temporaries at the heap top, which each call paged in again.
     if grid.mode == "axisym":
         # principal directions are the meridian and the parallels
-        kappa_mer = (bt2 - h_cov_tt + 1.0) / (rho * omega**3)
-        kappa_par = (1.0 - grid.cot_theta * g_t) / (rho * omega)
+        kappa_mer = (bt2 - h_tt + 1.0) / (rho * omega**3)
+        kappa_par = (1.0 - h_pp) / (rho * omega)
         kappa = np.empty((grid.n,) + grid.shape)
         kappa[1:-1] = kappa_par
         np.maximum(kappa_mer, kappa_par, out=kappa[0])
         np.minimum(kappa_mer, kappa_par, out=kappa[-1])
     else:
-        rr = rho * rho
-        g_tt, g_tp, g_pp, h_tt, h_tp, h_pp = _frame_forms(
-            grid, rr, u, g_t, b_p, bt2, bp2, h_cov_tt, h_cov_tp, h_cov_pp
-        )
-        del b_p, bt2, bp2, h_cov_tt, h_cov_tp, h_cov_pp
-        det_g = rr * rr * omega * omega
-        # g_φφ h_θθ and g_θθ h_φφ enter both the trace and the discriminant
-        # of A = g⁻¹h, (a_tt - a_pp)² + 4 a_tp a_pt: unlike trace² - 4 det
-        # that does not cancel at umbilics, where it is zero
-        pp_tt, tt_pp = g_pp * h_tt, g_tt * h_pp
-        trace = (pp_tt - 2.0 * g_tp * h_tp + tt_pp) / det_g
-        a_diff = (pp_tt - tt_pp) / det_g
-        del pp_tt, tt_pp
-        a_tp = (g_pp * h_tp - g_tp * h_pp) / det_g
-        a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
-        disc = np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0)
-        root = np.sqrt(disc)
+        # the Weingarten map is (I - P)/(ρω) with P = H - b cᵀ, c = Hb/ω²;
+        # its discriminant (P_θθ - P_φφ)² + 4 P_θφ P_φθ, unlike
+        # trace² - 4 det, does not cancel at umbilics, where it is zero
+        c_t = (h_tt * b_t + h_tp * b_p) / w2
+        c_p = (h_tp * b_t + h_pp * b_p) / w2
+        del w2
+        p_tt = h_tt - b_t * c_t
+        p_pp = h_pp - b_p * c_p
+        del h_tt, h_pp
+        cross = (h_tp - b_t * c_p) * (h_tp - b_p * c_t)
+        del h_tp, c_t, c_p
+        trace = 2.0 - p_tt - p_pp  # tr(I - P)
+        p_diff = p_tt - p_pp
+        del p_tt, p_pp
+        root = np.sqrt(np.maximum(p_diff * p_diff + 4.0 * cross, 0.0))
+        del p_diff, cross
+        scale = 2.0 * rho * omega
         kappa = np.empty((grid.n,) + grid.shape)
-        np.divide(trace + root, 2.0, out=kappa[0])
-        np.divide(trace - root, 2.0, out=kappa[1])
+        np.divide(trace + root, scale, out=kappa[0])
+        np.divide(trace - root, scale, out=kappa[1])
     # the caller sees the (..., n) view
     kappa = kappa.transpose((*range(1, kappa.ndim), 0))
 
     return GeometryState(
         grid=grid,
         gamma=gamma,
-        gamma_t=g_t,
-        gamma_p=g_p,
+        b_t=b_t,
+        b_p=b_p,
         rho=rho,
         omega=omega,
         u=u,
@@ -157,56 +152,33 @@ def star_shape_failure(state: GeometryState) -> str | None:
     return f"not a star-shaped graph at node {node}: u = {u[node]:.6g}, kappa = ({values})"
 
 
-def _frame_forms(grid: Grid, rr, u, b_t, b_p, bt2, bp2, hess_tt, hess_tp, hess_pp):
-    """(g_tt, g_tp, g_pp, h_tt, h_tp, h_pp) in the frame (ê_θ, ê_φ/sinθ).
-
-    Components in that orthonormalized frame stay O(1) near the poles.  The
-    inputs are ρ², u, the frame gradient b = (∂_θγ, ∂_φγ/sinθ) of γ with its
-    squares b_θ² and b_φ², and the chart covariant Hessian of γ.  Each h
-    term is formed as b - x, which rounds exactly as -x + b.
-    """
-    btp = b_t * b_p
-    return (
-        rr * (1.0 + bt2),
-        rr * btp,
-        rr * (1.0 + bp2),
-        u * (bt2 - hess_tt + 1.0),
-        u * (btp - hess_tp / grid.sin_theta),
-        u * (bp2 - hess_pp / grid.sin_sq + 1.0),
-    )
-
-
 def fundamental_forms(state: GeometryState) -> tuple[np.ndarray, np.ndarray]:
-    """Metric g and second fundamental form h, each of shape (..., 2, 2).
+    """Metric g = ρ²(I + bbᵀ) and second fundamental form h = u(I + bbᵀ - H),
+    each of shape (..., 2, 2), with b and H the frame gradient and Hessian of
+    γ.
 
-    Both are written in the frame (ê_θ, ê_φ/sinθ).  On axisym grids the
-    second direction is one of the n - 1 parallel ones and the cross terms
-    vanish.  Rebuilt from γ on each call by _frame_forms, as assemble builds
-    them; the flow never reads them.
+    Both are written in the frame (ê_θ, ê_φ/sinθ), where they stay O(1) near
+    the poles.  On axisym grids the second direction is one of the n - 1
+    parallel ones and the cross terms vanish.  Rebuilt from γ on each call;
+    the flow never reads them.
     """
-    grid = state.grid
-    g_t, g_p, *hess = derivatives(grid, state.gamma)
-    b_p = g_p / grid.sin_theta
-    tt, tp, pp, h_tt, h_tp, h_pp = _frame_forms(
-        grid, state.rho**2, state.u, g_t, b_p, g_t * g_t, b_p * b_p, *hess
-    )
-    pair = grid.shape + (2, 2)
-    g = np.stack([tt, tp, tp, pp], axis=-1).reshape(pair)
-    h = np.stack([h_tt, h_tp, h_tp, h_pp], axis=-1).reshape(pair)
+    b_t, b_p, h_tt, h_tp, h_pp = derivatives(state.grid, state.gamma)
+    b = np.stack([b_t, b_p], axis=-1)
+    eye_bb = np.eye(2) + b[..., :, None] * b[..., None, :]
+    hess = np.stack([h_tt, h_tp, h_tp, h_pp], axis=-1).reshape(state.grid.shape + (2, 2))
+    g = (state.rho**2)[..., None, None] * eye_bb
+    h = state.u[..., None, None] * (eye_bb - hess)
     return g, h
 
 
 def support_identity_residual(state: GeometryState) -> float:
     """Max-norm residual of ∇u = h(·, ∇Φ) with Φ = ρ²/2.
 
-    In chart components the identity reads ∂_i u = h_iᵏ ρ² γ_k; both sides
-    are evaluated in the orthonormalized frame.  O(Δθ²) on smooth profiles.
+    In the frame the identity reads Du = h g⁻¹ ρ² b, with Du the frame
+    gradient of u.  O(Δθ²) on smooth profiles.
     """
-    grid = state.grid
-    st = grid.sin_theta
-    u_t, u_p = derivatives(grid, state.u)[:2]
-    lhs = np.stack([u_t, u_p / st], axis=-1)
-    phi = (state.rho**2)[..., None] * np.stack([state.gamma_t, state.gamma_p / st], axis=-1)
+    lhs = np.stack(derivatives(state.grid, state.u)[:2], axis=-1)
+    phi = (state.rho**2)[..., None] * np.stack([state.b_t, state.b_p], axis=-1)
     g, h = fundamental_forms(state)
     rhs = h @ np.linalg.solve(g, phi[..., None])
     return float(np.max(np.abs(lhs - rhs[..., 0])))

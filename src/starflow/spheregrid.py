@@ -17,8 +17,9 @@ field is padded by one fancy-indexing read, and every stencil is a slice of
 the padded array: plain second-order central differencing, with no one-sided
 formulas anywhere.
 
-Covariant θφ-chart Hessians use the sphere Christoffels
-Γ^θ_{φφ} = -sinθ cosθ and Γ^φ_{θφ} = cotθ.
+Gradients and Hessians are returned in the orthonormal frame (ê_θ, ê_φ/sinθ);
+the Hessian is the covariant one of the θφ chart, whose sphere Christoffels
+are Γ^θ_{φφ} = -sinθ cosθ and Γ^φ_{θφ} = cotθ.
 
 The same ghosts define the discrete Laplace–Beltrami operator
 
@@ -108,8 +109,10 @@ class Grid:
         self.sin_theta = st
         self.cos_theta = ct
         self.cot_theta = ct / st
-        self.sin_cos = st * ct
-        self.sin_sq = st * st
+        # the arc 2 sinθ Δφ across a central φ-difference and the square of
+        # the arc sinθ Δφ between φ-neighbours (zero on axisym grids)
+        self.arc_2dphi = 2.0 * self.dphi * st
+        self.arc_dphi_sq = (self.dphi * st) ** 2
         self.zeros = np.zeros(self.shape)
         self.zeros.flags.writeable = False
         # flat gather index of pad_theta's padding: the pole rows mirrored
@@ -151,7 +154,7 @@ class Grid:
             k = np.arange(self.m_phi // 2 + 1)
             # -δ_φφ / sin²θ on mode k: 4 sin²(πk/m_phi) / (Δφ sinθ)²
             symbol = 4.0 * np.sin(np.pi * k / self.m_phi) ** 2
-            phi_term = symbol[None, :] / (self.dphi * np.sin(theta)[:, None]) ** 2
+            phi_term = symbol[None, :] / self.arc_dphi_sq
         else:
             k = np.zeros(1)
             phi_term = np.zeros((self.m_theta, 1))
@@ -194,18 +197,20 @@ def pad_theta(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Chart gradient and covariant Hessian of f from one ghost padding.
+    """Gradient b and Hessian H of f in the frame (ê_θ, ê_φ/sinθ), from one
+    ghost padding.
 
-    Returns (∂_θ f, ∂_φ f, f_{;θθ}, f_{;θφ}, f_{;φφ}), central differences of
+    Returns (b_θ, b_φ, H_θθ, H_θφ, H_φφ), central differences of
 
-        f_{;θθ} = ∂²_θ f
-        f_{;θφ} = ∂_θ∂_φ f - cotθ ∂_φ f
-        f_{;φφ} = ∂²_φ f + sinθ cosθ ∂_θ f
+        b_θ = ∂_θ f                 H_θθ = ∂²_θ f
+        b_φ = ∂_φ f / sinθ          H_θφ = (∂_θ∂_φ f - cotθ ∂_φ f) / sinθ
+                                    H_φφ = ∂²_φ f / sin²θ + cotθ ∂_θ f
 
-    each read as slices of pad_theta(grid, f).  On axisym grids every ∂_φ
-    term is zero: ∂_φ f and f_{;θφ} are the grid's shared read-only zeros,
-    and the φφ slot is sinθ cosθ ∂_θ f, the S² chart value shared by every
-    parallel direction.
+    each read as slices of pad_theta(grid, f): the covariant θφ-chart
+    Hessian f_{;ij} with the frame's 1/sinθ per φ index, so no caller needs
+    the chart.  On axisym grids every ∂_φ term is zero: b_φ and H_θφ are the
+    grid's shared read-only zeros, and H_φφ = cotθ ∂_θ f is the value shared
+    by every parallel direction.
     """
     f = _check_shape(grid, f)
     p = pad_theta(grid, f)
@@ -213,8 +218,7 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     if grid.mode == "axisym":
         f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
         f_t = (p[2:] - p[:-2]) / (2.0 * dt)
-        return f_t, grid.zeros, f_tt, grid.zeros, grid.sin_cos * f_t
-    dp = grid.dphi
+        return f_t, grid.zeros, f_tt, grid.zeros, grid.cot_theta * f_t
     north, south = p[:-2], p[2:]
     two_f = 2.0 * f
     f_tt = (south[:, 1:-1] - two_f + north[:, 1:-1]) / (dt * dt)
@@ -222,12 +226,10 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     f_t_wide = (south - north) / (2.0 * dt)
     f_t = f_t_wide[:, 1:-1]
     f_e, f_w = p[1:-1, 2:], p[1:-1, :-2]
-    f_p = (f_e - f_w) / (2.0 * dp)
-    f_pp = (f_e - two_f + f_w) / (dp * dp)
-    f_tp = (f_t_wide[:, 2:] - f_t_wide[:, :-2]) / (2.0 * dp)
-    h_tp = f_tp - grid.cot_theta * f_p
-    h_pp = f_pp + grid.sin_cos * f_t
-    return f_t, f_p, f_tt, h_tp, h_pp
+    b_p = (f_e - f_w) / grid.arc_2dphi
+    h_tp = (f_t_wide[:, 2:] - f_t_wide[:, :-2]) / grid.arc_2dphi - grid.cot_theta * b_p
+    h_pp = (f_e - two_f + f_w) / grid.arc_dphi_sq + grid.cot_theta * f_t
+    return f_t, b_p, f_tt, h_tp, h_pp
 
 
 def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):

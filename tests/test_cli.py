@@ -203,6 +203,8 @@ def test_invalid_F_exits_64(tmp_path, capsys, F):
         # a run to t = inf would end with an infinite t_final in summary.json
         pytest.param({"flow__t_max": "inf"}, [], id="t_max-inf"),
         pytest.param({"flow__tol_residual": "-1"}, [], id="tol_residual-negative"),
+        # an infinite tolerance would call any profile converged at step 0
+        pytest.param({"flow__tol_residual": "inf"}, [], id="tol_residual-inf"),
         pytest.param(
             {"grid__mode": "full_s2", "grid__m_theta": "8", "grid__m_phi": "16", "G__psi": "nan 0 0 1"},
             [],

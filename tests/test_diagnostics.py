@@ -78,7 +78,7 @@ def test_snapshot_reduces_a_round_sphere():
 )
 def test_snapshot_sphere_gap_on_a_spheroid(grid):
     # equatorial radius 1.5, polar radius 0.8
-    rho = 1.2 / np.sqrt(0.64 * grid.sin_sq + 2.25 * grid.cos_theta**2)
+    rho = 1.2 / np.sqrt(0.64 * grid.sin_theta**2 + 2.25 * grid.cos_theta**2)
     geom = assemble(grid, np.log(np.broadcast_to(rho, grid.shape)))
     ones = np.ones(grid.shape)
     row = snapshot(step=0, t=0.0, geom=geom, q=ones, f_val=ones, residual=0.0)

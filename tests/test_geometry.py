@@ -38,8 +38,9 @@ def spheroid_kappa_oracle(grid, a, b):
 
 
 def outward_normal(st):
-    """ν = (ξ - γ_θ ê_θ - (γ_φ/sinθ) ê_φ)/ω, with the unit chart directions
-    ê_θ, ê_φ built here; axisym profiles lie in the xz-plane (φ = 0)."""
+    """ν = (ξ - b_θ ê_θ - b_φ ê_φ)/ω for the frame gradient b = (γ_θ, γ_φ/sinθ),
+    with the unit chart directions ê_θ, ê_φ built here; axisym profiles lie
+    in the xz-plane (φ = 0)."""
     grid = st.grid
     theta = grid.theta[:, None] if grid.mode == "full_s2" else grid.theta
     phi = grid.phi if grid.mode == "full_s2" else 0.0
@@ -47,8 +48,8 @@ def outward_normal(st):
     zero = np.zeros(grid.shape)
     e_theta = np.stack([zero + cos_t * cos_p, zero + cos_t * sin_p, zero - sin_t], axis=-1)
     e_phi = np.stack([zero - sin_p, zero + cos_p, zero], axis=-1)
-    b_t = st.gamma_t[..., None]
-    b_p = (st.gamma_p / sin_t)[..., None]
+    b_t = st.b_t[..., None]
+    b_p = st.b_p[..., None]
     return (grid.xi - b_t * e_theta - b_p * e_phi) / st.omega[..., None]
 
 
@@ -86,6 +87,8 @@ def test_sphere_is_exact_full_s2():
     ]:
         st = assemble(grid, np.full(grid.shape, np.log(R)))
         assert np.max(np.abs(st.kappa - 1.0 / R)) <= 1e-12, R
+        # every derivative is exactly zero, so κ = 2/(2ρ) rounds like 1/R
+        assert np.max(np.abs(st.kappa * R - 1.0)) <= 4.0 * np.finfo(float).eps, R
         assert np.max(np.abs(st.u - R)) <= 1e-12
         dot = np.einsum("...i,...i->...", st.X, outward_normal(st))
         assert np.max(np.abs(dot - st.u)) <= 1e-12
@@ -109,11 +112,14 @@ def test_curvatures_are_the_eigenvalues_of_the_form_pencil():
 
 
 def test_grad_sq_definition():
-    # |D gamma|^2 in the round chart metric: gamma_theta^2 + gamma_phi^2 / sin^2 theta
+    # |D gamma|^2 in the round chart metric: gamma_theta^2 + gamma_phi^2 / sin^2 theta,
+    # which the frame gradient b = (gamma_theta, gamma_phi / sin theta) carries
     g = full_s2_grid(m_theta=16, m_phi=32)
     gamma = 0.1 * np.random.default_rng(5).normal(size=g.shape)
     st = assemble(g, gamma)
-    want = st.gamma_t**2 + (st.gamma_p / np.sin(g.theta)[:, None]) ** 2
+    gamma_p = (np.roll(gamma, -1, axis=1) - np.roll(gamma, 1, axis=1)) / (2.0 * g.dphi)
+    assert np.allclose(st.b_p, gamma_p / np.sin(g.theta)[:, None], rtol=1e-14, atol=0)
+    want = st.b_t**2 + st.b_p**2
     assert np.allclose(st.grad_sq, want, rtol=1e-14, atol=0)
     assert np.all(st.grad_sq >= 0.0)
 
@@ -168,8 +174,8 @@ def test_radial_gradient_identity_is_exact():
         g, _ = fundamental_forms(st)
         g_tt, g_tp, g_pp = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
         # rho gradient in the same orthonormalized frame as the metric
-        r1 = st.rho * st.gamma_t
-        r2 = st.rho * (st.gamma_p / grid.sin_theta if grid.mode == "full_s2" else 0.0)
+        r1 = st.rho * st.b_t
+        r2 = st.rho * st.b_p
         det = g_tt * g_pp - g_tp**2
         contracted = (g_pp * r1**2 - 2.0 * g_tp * r1 * r2 + g_tt * r2**2) / det
         want = 1.0 - 1.0 / st.omega**2
@@ -245,3 +251,46 @@ def test_export_obj(tmp_path):
     assert np.allclose(radii, R, atol=1e-12)
     idx = np.array([[int(tok) for tok in f] for f in faces])
     assert idx.min() >= 1 and idx.max() <= grid.node_count
+
+
+def pencil_kappa(grid, gamma):
+    """κ of full_s2 nodes as the eigenvalues of A = g⁻¹h, from the
+    discriminant (a_θθ - a_φφ)² + 4 a_θφ a_φθ, with g = ρ²(I + bbᵀ) and
+    h = u(I + bbᵀ - H) written out component by component: the pencil (h, g)
+    solved in closed form."""
+    b_t, b_p, h_tt, h_tp, h_pp = spheregrid.derivatives(grid, gamma)
+    rho = np.exp(gamma)
+    u = rho / np.sqrt(1.0 + b_t**2 + b_p**2)
+    g_tt, g_tp, g_pp = rho**2 * (1.0 + b_t**2), rho**2 * b_t * b_p, rho**2 * (1.0 + b_p**2)
+    k_tt, k_tp, k_pp = u * (1.0 + b_t**2 - h_tt), u * (b_t * b_p - h_tp), u * (1.0 + b_p**2 - h_pp)
+    det = g_tt * g_pp - g_tp**2
+    a_tt, a_tp = (g_pp * k_tt - g_tp * k_tp) / det, (g_pp * k_tp - g_tp * k_pp) / det
+    a_pt, a_pp = (g_tt * k_tp - g_tp * k_tt) / det, (g_tt * k_pp - g_tp * k_tp) / det
+    root = np.sqrt(np.maximum((a_tt - a_pp) ** 2 + 4.0 * a_tp * a_pt, 0.0))
+    return np.stack([(a_tt + a_pp + root) / 2.0, (a_tt + a_pp - root) / 2.0], axis=-1)
+
+
+@pytest.mark.parametrize("m", [8, 24, 64])
+def test_frame_kappa_matches_the_form_pencil(m):
+    # smooth fields of low degree in xi, whose pole rows are the least
+    # resolved: the Weingarten map (I - P)/(rho omega) gives the pencil's
+    # eigenvalues to rounding at every node
+    grid = full_s2_grid(m_theta=m, m_phi=2 * m)
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        gamma = rng.uniform(-0.5, 0.5) + sum(
+            rng.uniform(-0.2, 0.2) * (grid.xi @ rng.normal(size=3)) ** d for d in (1, 2, 3)
+        )
+        kappa = assemble(grid, gamma).kappa
+        want = pencil_kappa(grid, gamma)
+        assert np.max(np.abs(kappa - want) / np.max(np.abs(want), axis=-1, keepdims=True)) <= 1e-12
+
+
+def test_frame_kappa_of_a_phi_constant_field_is_the_axisym_kappa():
+    ax = axisym_grid(n=2, m_theta=32)
+    s2 = full_s2_grid(m_theta=32, m_phi=16)
+    for amp in (0.05, 0.15, 0.3):
+        prof = amp * (np.cos(ax.theta) + 0.5 * np.cos(2.0 * ax.theta) ** 3)
+        want = assemble(ax, prof).kappa
+        got = assemble(s2, np.tile(prof[:, None], (1, s2.m_phi))).kappa
+        assert np.max(np.abs(got - want[:, None]) / np.abs(want[:, None])) <= 1e-14, amp

@@ -2,11 +2,14 @@
 
 The references below are the straightforward forms: θ-ghost rows built by
 np.roll of the pole rows and a concatenate, φ neighbours and the mixed
-derivative by np.roll along φ, the frame forms g and h written out term by
-term, and κ stacked or repeated per node and moved to the last axis.  spheregrid.derivatives reads every stencil as a slice of
-one gathered padding, and geometry.assemble fills κ in place from products
-it forms once; both round every operation as the references do, so every
-output must be equal bit for bit.
+derivative by np.roll along φ, the frame gradient b and Hessian H written
+out term by term, and κ stacked or repeated per node and moved to the last
+axis: on full_s2 the eigenvalues of the Weingarten map (I - P)/(ρω) with
+P = H - b(Hb)ᵀ/ω², on axisym the meridian and parallel values.
+spheregrid.derivatives reads every stencil as a slice of one gathered
+padding, and geometry.assemble fills κ in place from products it forms
+once; both round every operation as the references do, so every output must
+be equal bit for bit.
 """
 
 import numpy as np
@@ -32,59 +35,47 @@ def reference_pad_theta(grid, f):
 
 
 def reference_derivatives(grid, f):
-    """(∂_θ f, ∂_φ f, f_{;θθ}, f_{;θφ}, f_{;φφ}) with φ neighbours by np.roll."""
+    """(b_θ, b_φ, H_θθ, H_θφ, H_φφ) in the frame (ê_θ, ê_φ/sinθ), with φ
+    neighbours by np.roll."""
     p = reference_pad_theta(grid, f)
     dt = grid.dtheta
     f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)
     f_t = (p[2:] - p[:-2]) / (2.0 * dt)
+    cot = np.cos(grid.theta) / np.sin(grid.theta)
     if grid.mode == "axisym":
-        h_pp = grid.sin_theta * grid.cos_theta * f_t
-        return f_t, np.zeros_like(f), f_tt, np.zeros_like(f), h_pp
-    dp = grid.dphi
+        return f_t, np.zeros_like(f), f_tt, np.zeros_like(f), cot * f_t
+    dp, st, cot = grid.dphi, np.sin(grid.theta)[:, None], cot[:, None]
     f_e, f_w = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
-    f_p = (f_e - f_w) / (2.0 * dp)
-    f_pp = (f_e - 2.0 * f + f_w) / (dp * dp)
-    f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp)
-    h_tp = f_tp - grid.cot_theta * f_p
-    h_pp = f_pp + grid.sin_theta * grid.cos_theta * f_t
-    return f_t, f_p, f_tt, h_tp, h_pp
-
-
-def reference_grad_norm_sq(grid, f_t, f_p):
-    """|Df|² in the round chart metric: f_θ² + f_φ²/sin²θ."""
-    if grid.mode == "axisym":
-        return f_t * f_t
-    return f_t * f_t + (f_p / grid.sin_theta) ** 2
+    b_p = (f_e - f_w) / (2.0 * dp * st)
+    f_tp = (np.roll(f_t, -1, axis=1) - np.roll(f_t, 1, axis=1)) / (2.0 * dp * st)
+    h_tp = f_tp - cot * b_p
+    h_pp = (f_e - 2.0 * f + f_w) / (dp * st) ** 2 + cot * f_t
+    return f_t, b_p, f_tt, h_tp, h_pp
 
 
 def reference_assemble(grid, gamma):
     """(κ, u, ρ, ω) of the graph ρ = e^γ, κ built per direction by np.repeat
     or np.stack and moved to the last axis."""
-    g_t, g_p, h_cov_tt, h_cov_tp, h_cov_pp = reference_derivatives(grid, gamma)
-    gsq = reference_grad_norm_sq(grid, g_t, g_p)
-    omega = np.sqrt(1.0 + gsq)
+    b_t, b_p, h_tt, h_tp, h_pp = reference_derivatives(grid, gamma)
+    w2 = 1.0 + (b_t * b_t if grid.mode == "axisym" else b_t * b_t + b_p * b_p)
+    omega = np.sqrt(w2)
     rho = np.exp(gamma)
     u = rho / omega
     if grid.mode == "axisym":
-        kappa_mer = (-h_cov_tt + g_t * g_t + 1.0) / (rho * omega**3)
-        kappa_par = (1.0 - grid.cot_theta * g_t) / (rho * omega)
+        kappa_mer = (-h_tt + b_t * b_t + 1.0) / (rho * omega**3)
+        kappa_par = (1.0 - grid.cot_theta * b_t) / (rho * omega)
         kappa = np.repeat(kappa_par[None], grid.n, axis=0)
         kappa[0] = np.maximum(kappa_mer, kappa_par)
         kappa[-1] = np.minimum(kappa_mer, kappa_par)
     else:
-        rr = rho * rho
-        b_p = g_p / grid.sin_theta
-        g_tt, g_tp, g_pp = rr * (1.0 + g_t * g_t), rr * (g_t * b_p), rr * (1.0 + b_p * b_p)
-        h_tt = u * (-h_cov_tt + g_t * g_t + 1.0)
-        h_tp = u * (-h_cov_tp / grid.sin_theta + g_t * b_p)
-        h_pp = u * (-h_cov_pp / grid.sin_sq + b_p * b_p + 1.0)
-        det_g = rr * rr * omega * omega
-        trace = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
-        a_diff = (g_pp * h_tt - g_tt * h_pp) / det_g
-        a_tp = (g_pp * h_tp - g_tp * h_pp) / det_g
-        a_pt = (g_tt * h_tp - g_tp * h_tt) / det_g
-        root = np.sqrt(np.maximum(a_diff * a_diff + 4.0 * a_tp * a_pt, 0.0))
-        kappa = np.stack([(trace + root) / 2.0, (trace - root) / 2.0])
+        # P = H - b cᵀ with c = Hb/ω²
+        c_t = (h_tt * b_t + h_tp * b_p) / w2
+        c_p = (h_tp * b_t + h_pp * b_p) / w2
+        p_tt, p_tp = h_tt - b_t * c_t, h_tp - b_t * c_p
+        p_pt, p_pp = h_tp - b_p * c_t, h_pp - b_p * c_p
+        root = np.sqrt(np.maximum((p_tt - p_pp) ** 2 + 4.0 * (p_tp * p_pt), 0.0))
+        trace = 2.0 - p_tt - p_pp
+        kappa = np.stack([(trace + root) / (2.0 * rho * omega), (trace - root) / (2.0 * rho * omega)])
     return np.moveaxis(kappa, 0, -1), u, rho, omega
 
 
