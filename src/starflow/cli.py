@@ -25,14 +25,11 @@ Exit codes are part of the interface and nothing else is ever returned:
     70  internal error (a bug; please report the traceback)
 """
 
-from __future__ import annotations
-
 import argparse
 import configparser
 import json
 import re
 import sys
-import traceback
 from pathlib import Path
 from typing import NamedTuple
 
@@ -456,6 +453,7 @@ def main(argv=None) -> int:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
     except Exception:  # pragma: no cover - defensive
+        import traceback  # only this branch reads it
         traceback.print_exc()
         return EXIT_INTERNAL
 

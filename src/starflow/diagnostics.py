@@ -14,21 +14,19 @@ the checks below consume those records:
 Each check returns a small result object instead of asserting, and each is
 skipped (never silently passed) when its hypothesis fails on the supplied
 history.  History files begin with the fixed version line
-``starflow-history-v1`` followed by a column header.
+``starflow-history-v1`` followed by a column header, and keep the byte
+convention of spheregrid's node tables; a row with more or fewer cells than
+the header is refused when read.
 """
 
-from __future__ import annotations
-
-import csv
 import json
 import math
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import GeometryState, assemble
-from .spheregrid import derivatives
+from .spheregrid import derivatives, table_rows
 
 __all__ = [
     "HISTORY_CSV_MAGIC",
@@ -263,41 +261,30 @@ def uniqueness_crosscheck(geom_a: GeometryState, geom_b: GeometryState) -> float
 
 
 def write_history_csv(path, history) -> None:
-    """Write records under the fixed ``starflow-history-v1`` version line."""
-    cols = DiagnosticsRecord._fields
-    floats = attrgetter(*cols[1:-1])
+    """Write records under the fixed ``starflow-history-v1`` version line,
+    in the byte convention of spheregrid.write_node_table."""
     with open(path, "w", newline="") as fh:
-        fh.write(HISTORY_CSV_MAGIC + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        writer.writerows(
-            [int(rec.step), *(repr(float(v)) for v in floats(rec)), int(rec.cone_ok)]
-            for rec in history
+        fh.write(HISTORY_CSV_MAGIC + "\n" + ",".join(DiagnosticsRecord._fields) + "\r\n")
+        fh.writelines(
+            f"{int(step)},{','.join(map(repr, map(float, floats)))},{int(cone_ok)}\r\n"
+            for step, *floats, cone_ok in history
         )
 
 
 def read_history_csv(path) -> list:
-    """Inverse of write_history_csv."""
-    with open(path, "r", newline="") as fh:
-        magic = fh.readline().strip()
-        if magic != HISTORY_CSV_MAGIC:
+    """Inverse of write_history_csv; a row of another width than the column
+    header raises ValueError."""
+    cols = DiagnosticsRecord._fields
+    with open(path) as fh:
+        if fh.readline().strip() != HISTORY_CSV_MAGIC:
             raise ValueError(f"not a {HISTORY_CSV_MAGIC} file: {path}")
-        reader = csv.reader(fh)
-        cols = next(reader)
-        if cols != list(DiagnosticsRecord._fields):
-            raise ValueError(f"unexpected columns {cols}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            out.append(
-                DiagnosticsRecord(
-                    step=int(row[0]),
-                    **{c: float(v) for c, v in zip(cols[1:-1], row[1:-1])},
-                    cone_ok=bool(int(row[-1])),
-                )
-            )
-    return out
+        header = fh.readline().rstrip("\n")
+        if header != ",".join(cols):
+            raise ValueError(f"unexpected columns {header!r}")
+        return [
+            DiagnosticsRecord(int(step), *map(float, floats), bool(int(cone_ok)))
+            for step, *floats, cone_ok in table_rows(fh, len(cols))
+        ]
 
 
 def write_summary_json(path, summary: dict) -> None:

@@ -52,8 +52,6 @@ run() is deterministic: identical configs and initial data reproduce
 identical histories bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from typing import NamedTuple

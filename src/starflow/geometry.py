@@ -30,8 +30,6 @@ never mutated after construction.  assemble() builds a state without judging
 it; star_shape_failure() alone decides whether it is a star-shaped graph.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

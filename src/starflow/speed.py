@@ -20,8 +20,6 @@ Validators are report-only: nothing here mutates a flow, and the run loop
 never calls them.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -31,13 +31,15 @@ Python floats on axisym grids, whose one system is too small to repay numpy's
 per-call overhead, and by parallel cyclic reduction over all φ-modes at once
 on full_s2 grids.
 
-Per-node text tables live here too: write_node_table formats a table one
-latitude row at a time (the field CSV and `starflow curvature`'s table use
-it), and write_field_csv / read_field_csv round-trip a field exactly, read
-on a grid the caller already has, whose version line the file must carry.
+Per-node text tables live here too, in the one byte convention of every
+starflow table, history.csv included: an LF-terminated version line, then
+CRLF rows, floats as repr(float(x)) and integers as integers, joined and
+split by hand.  write_node_table formats a table one latitude row at a time
+(the field CSV and `starflow curvature`'s table use it), write_field_csv /
+read_field_csv round-trip a field exactly, read on a grid the caller already
+has, whose version line the file must carry, and table_rows splits the rows
+of any such table, refusing one of another width.
 """
-
-from __future__ import annotations
 
 import math
 
@@ -53,6 +55,7 @@ __all__ = [
     "write_node_table",
     "write_field_csv",
     "read_field_csv",
+    "table_rows",
 ]
 
 FIELD_CSV_MAGIC = "starflow-field-v1"
@@ -376,20 +379,25 @@ def read_field_csv(path, grid: Grid) -> np.ndarray:
     writes for grid, and one row must follow the column header per node.
     """
     expected = _version_line(grid, FIELD_CSV_MAGIC)
-    expect_cols = 2 if grid.mode == "axisym" else 3
     with open(path, "r") as fh:
         header = fh.readline().rstrip("\n")
         if header != expected:
             raise ValueError(f"{path} begins {header!r}; a field on this grid begins {expected!r}")
         next((row for row in fh if row != "\n"), None)  # column header
-        values = []
-        for row in fh:
-            cells = row.split(",")
-            if len(cells) != expect_cols:
-                if row == "\n":
-                    continue
-                raise ValueError(f"malformed row {row.rstrip()!r}")
-            values.append(float(cells[-1]))
+        values = [float(cells[-1]) for cells in table_rows(fh, 2 if grid.mode == "axisym" else 3)]
     if len(values) != grid.node_count:
         raise ValueError(f"expected {grid.node_count} rows, found {len(values)} in {path}")
     return np.reshape(values, grid.shape)
+
+
+def table_rows(lines, width: int):
+    """Split each line of a table's rows at its commas: a blank line is
+    skipped, and a line of other than width cells raises ValueError quoting
+    it."""
+    for row in lines:
+        cells = row.split(",")
+        if len(cells) != width:
+            if row == "\n":
+                continue
+            raise ValueError(f"row {row.rstrip()!r} has {len(cells)} cells, not {width}")
+        yield cells

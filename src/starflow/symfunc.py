@@ -25,8 +25,6 @@ structure (cached: the highest σ_j F reads, its natural cone) and once per
 σ sweep for its values, F with ∂F/∂κ_n.  Everything here is pure and reentrant.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb, inf
 from typing import NamedTuple

@@ -1228,12 +1228,25 @@ def test_product_variant_runs_from_the_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_internal_error_exits_70_with_its_traceback(tmp_path, monkeypatch, capsys):
+    # the one branch that imports traceback
+    def fail(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert cli.main(["validate", str(make_cfg(tmp_path / "p.cfg"))]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: a bug\n")
+
+
 def test_import_loads_no_scipy(tmp_path):
     # nor OpenSSL: hashlib maps libcrypto into the process (~3.6 MB of
     # resident memory), so starflow hashes with the interpreter's built-in
     # SHA-256.  numpy < 2 imports numpy.random, and with it hashlib, on its
     # own; starflow must add no _hashlib to what numpy loaded.  Nor
-    # dataclasses, whose classes cost every process code generation at import
+    # dataclasses, whose classes cost every process code generation at import.
+    # Nor csv, traceback (read only on exit 70) or __future__: each is a
+    # module that every process would import for nothing
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -1243,6 +1256,7 @@ def test_import_loads_no_scipy(tmp_path):
         "import sys, numpy\n"
         "numpy_hashlib = '_hashlib' in sys.modules\n"
         "numpy_dataclasses = 'dataclasses' in sys.modules\n"
+        "numpy_loaded = {m for m in ('csv', 'traceback', '__future__') if m in sys.modules}\n"
         "import starflow.cli as cli\n"
         f"cfg, out = {str(cfg)!r}, {str(out)!r}\n"
         "assert cli.main(['run', cfg, '--out', out, '--t-max', '0.01']) == 3\n"
@@ -1254,6 +1268,8 @@ def test_import_loads_no_scipy(tmp_path):
         "assert numpy_hashlib or '_hashlib' not in sys.modules, 'starflow loaded _hashlib'\n"
         "assert numpy_dataclasses or 'dataclasses' not in sys.modules, "
         "'starflow loaded dataclasses'\n"
+        "extra = {'csv', 'traceback', '__future__'} & set(sys.modules) - numpy_loaded\n"
+        "assert not extra, f'starflow loaded {extra}'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True

@@ -252,6 +252,22 @@ def test_history_csv_round_trip(tmp_path):
         read_history_csv(wrong_cols)
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["3,0.03,0.001,1.0,1.0,1.0,1.0,1.0,0.1,1.0,1.0,1.0,1.0,0.0,1,9.9,7",
+     "3,0.03,0.001,1.0,1.0,1.0,1.0,1.0,0.1,1.0,1.0,1.0,1.0,0.0"],
+    ids=["two-extra-cells", "one-cell-short"],
+)
+def test_history_csv_refuses_a_row_of_another_width(tmp_path, row):
+    # a long row must not read cone_ok from a stray last cell, and a short
+    # one must not depend on int() failing to be refused
+    path = tmp_path / "history.csv"
+    write_history_csv(path, [rec(0.0), rec(0.01)])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(ValueError, match=f"row '{row}' has"):
+        read_history_csv(path)
+
+
 def test_write_summary_json(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_json(path, {"b": 2, "a": [1.5, "x"], "nested": {"k": None}})

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import typing
 
 import pytest
 
@@ -194,3 +195,18 @@ def test_no_module_reads_another_modules_private_names(name):
     # a name with a leading _ is its module's own; what another module needs
     # gets a public name
     assert private_reads(SRC / f"{name}.py") == set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_named_tuple_annotations_are_evaluated(name):
+    # under postponed evaluation typing.NamedTuple turns each annotation
+    # string into a ForwardRef, class creation time that every process pays
+    module = importlib.import_module(f"starflow.{name}")
+    unevaluated = {
+        f"{cls.__name__}.{field}": hint
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+        for field, hint in cls.__annotations__.items()
+        if isinstance(hint, (str, typing.ForwardRef))
+    }
+    assert unevaluated == {}

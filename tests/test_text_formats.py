@@ -4,7 +4,8 @@ The references below are the straightforward writers: csv.writer rows of
 repr(float(x)) for the field and curvature tables and for each history
 record read through its _asdict, and one formatted line per OBJ
 vertex and face.  The production writers format whole latitude rows at once,
-or read a record's fields by name, and must produce the same bytes: an
+or unpack a record by position, and join cells by hand without the csv
+module; they must produce the same bytes: an
 LF-terminated version line, CRLF-terminated CSV rows, and OBJ vertices to 9
 significant digits.
 """
