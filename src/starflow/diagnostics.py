@@ -13,10 +13,10 @@ the checks below consume those records:
 
 Each check returns a small result object instead of asserting, and each is
 skipped (never silently passed) when its hypothesis fails on the supplied
-history.  History files begin with the fixed version line
-``starflow-history-v1`` followed by a column header, and keep the byte
-convention of spheregrid's node tables; a row with more or fewer cells than
-the header is refused when read.
+history.  History files are spheregrid tables, written by write_table and
+read by read_table under the fixed version line ``starflow-history-v1``:
+another version line, another column header or a row with more or fewer
+cells than the header is refused when read.
 """
 
 import json
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import GeometryState, assemble
-from .spheregrid import derivatives, table_rows
+from .spheregrid import derivatives, read_table, write_table
 
 __all__ = [
     "HISTORY_CSV_MAGIC",
@@ -261,30 +261,20 @@ def uniqueness_crosscheck(geom_a: GeometryState, geom_b: GeometryState) -> float
 
 
 def write_history_csv(path, history) -> None:
-    """Write records under the fixed ``starflow-history-v1`` version line,
-    in the byte convention of spheregrid.write_node_table."""
-    with open(path, "w", newline="") as fh:
-        fh.write(HISTORY_CSV_MAGIC + "\n" + ",".join(DiagnosticsRecord._fields) + "\r\n")
-        fh.writelines(
-            f"{int(step)},{','.join(map(repr, map(float, floats)))},{int(cone_ok)}\r\n"
-            for step, *floats, cone_ok in history
-        )
+    """Write records under the fixed ``starflow-history-v1`` version line
+    through spheregrid.write_table: one block, a row per record."""
+    rows = ((f"{int(step)}", *map(repr, map(float, floats)), f"{int(cone_ok)}")
+            for step, *floats, cone_ok in history)
+    write_table(path, HISTORY_CSV_MAGIC, DiagnosticsRecord._fields, [rows])
 
 
 def read_history_csv(path) -> list:
-    """Inverse of write_history_csv; a row of another width than the column
-    header raises ValueError."""
-    cols = DiagnosticsRecord._fields
-    with open(path) as fh:
-        if fh.readline().strip() != HISTORY_CSV_MAGIC:
-            raise ValueError(f"not a {HISTORY_CSV_MAGIC} file: {path}")
-        header = fh.readline().rstrip("\n")
-        if header != ",".join(cols):
-            raise ValueError(f"unexpected columns {header!r}")
-        return [
-            DiagnosticsRecord(int(step), *map(float, floats), bool(int(cone_ok)))
-            for step, *floats, cone_ok in table_rows(fh, len(cols))
-        ]
+    """Inverse of write_history_csv through spheregrid.read_table, which
+    refuses another version line, another column header or a row of
+    another width."""
+    rows = read_table(path, HISTORY_CSV_MAGIC, DiagnosticsRecord._fields, "a history file")
+    return [DiagnosticsRecord(int(step), *map(float, floats), bool(int(cone_ok)))
+            for step, *floats, cone_ok in rows]
 
 
 def write_summary_json(path, summary: dict) -> None:

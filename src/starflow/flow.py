@@ -310,10 +310,6 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
     each history row is appended; it must not mutate anything it is handed.
     """
     gamma0 = np.asarray(gamma0, dtype=float)
-    if gamma0.shape != config.grid.shape:
-        raise ValueError(
-            f"initial field shape {gamma0.shape} does not match grid {config.grid.shape}"
-        )
     t_start = time.perf_counter()
     state = FlowState(t=0.0, step=0, gamma=gamma0)
     history: list = []

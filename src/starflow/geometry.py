@@ -75,8 +75,6 @@ def assemble(grid: Grid, gamma: np.ndarray) -> GeometryState:
     is star-shaped is star_shape_failure's question.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != grid.shape:
-        raise ValueError(f"gamma shape {gamma.shape} does not match grid {grid.shape}")
 
     b_t, b_p, h_tt, h_tp, h_pp = derivatives(grid, gamma)
     bt2 = b_t * b_t

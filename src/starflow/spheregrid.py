@@ -31,14 +31,13 @@ Python floats on axisym grids, whose one system is too small to repay numpy's
 per-call overhead, and by parallel cyclic reduction over all φ-modes at once
 on full_s2 grids.
 
-Per-node text tables live here too, in the one byte convention of every
-starflow table, history.csv included: an LF-terminated version line, then
-CRLF rows, floats as repr(float(x)) and integers as integers, joined and
-split by hand.  write_node_table formats a table one latitude row at a time
-(the field CSV and `starflow curvature`'s table use it), write_field_csv /
-read_field_csv round-trip a field exactly, read on a grid the caller already
-has, whose version line the file must carry, and table_rows splits the rows
-of any such table, refusing one of another width.
+Every starflow table, history.csv included, is written by write_table and
+read by read_table: an LF-terminated version line, then a column header and
+rows ended by CRLF, cells joined and split at commas by hand, floats as
+repr(float(x)) and integers as integers.  The reader checks the version line,
+the header and each row's width.  write_node_table writes one row per node
+(the field CSV and `starflow curvature`'s table), and write_field_csv /
+read_field_csv round-trip a field exactly on a grid the caller already has.
 """
 
 import math
@@ -55,7 +54,8 @@ __all__ = [
     "write_node_table",
     "write_field_csv",
     "read_field_csv",
-    "table_rows",
+    "write_table",
+    "read_table",
 ]
 
 FIELD_CSV_MAGIC = "starflow-field-v1"
@@ -332,7 +332,40 @@ def _factor_sweep(grid: Grid, a: np.ndarray, z: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# per-node CSV tables and the field CSV round trip
+# text tables: the one writer and reader, the node tables and the field CSV
+
+
+def write_table(path, first_line: str, names, blocks) -> None:
+    """Write first_line and an LF, then the column names and each row of
+    each block, a sequence of cell strings that the caller formats, joined by
+    commas and ended by CRLF, as csv.writer ends them."""
+    with open(path, "w", newline="") as fh:
+        fh.write(first_line + "\n" + ",".join(names) + "\r\n")
+        for block in blocks:
+            fh.write("\r\n".join([*map(",".join, block), ""]))
+
+
+def read_table(path, first_line: str, names, what: str):
+    """Stream the cells of each row of a write_table file.  Its first line
+    must be first_line and its first non-blank line after that the names;
+    blank lines are skipped, and a row of other than len(names) cells is
+    refused.  Each refusal is a ValueError quoting the file's line and what
+    the table should be, as in "a field on this grid"."""
+    header, width = ",".join(names), len(names)
+    with open(path) as fh:
+        found = fh.readline().rstrip("\n")
+        if found != first_line:
+            raise ValueError(f"{path} begins {found!r}; {what} begins {first_line!r}")
+        found = next((row for row in fh if row != "\n"), "").rstrip("\n")
+        if found != header:
+            raise ValueError(f"{path} has columns {found!r}; {what} has {header!r}")
+        for row in fh:
+            cells = row.split(",")
+            if len(cells) != width:
+                if row == "\n":
+                    continue
+                raise ValueError(f"row {row.rstrip()!r} has {len(cells)} cells, not {width}")
+            yield cells
 
 
 def _version_line(grid: Grid, magic: str) -> str:
@@ -341,30 +374,25 @@ def _version_line(grid: Grid, magic: str) -> str:
 
 
 def write_node_table(path, grid: Grid, magic: str, columns: dict) -> None:
-    """Write one CSV row per node: θ (and φ on full_s2), then each column
-    (name → array of the grid's shape) in order.
+    """Write one row per node: θ (and φ on full_s2), then each column
+    (name → array of the grid's shape) in order, under the version line
+    "# MAGIC mode=.. n=.. m_theta=.. m_phi=..".
 
-    A version line "# MAGIC mode=.. n=.. m_theta=.. m_phi=.." ends in LF; the
-    column header and node rows end in CRLF, as csv.writer ends them.  Float
-    columns are written with repr of the Python float, the shortest text that
-    round-trips the value, and integer columns as integers.  The table is
-    built and written one latitude row at a time (an axisym table, one node
-    per latitude, in one piece).
+    Float columns are written with repr of the Python float, the shortest
+    text that round-trips the value, and integer columns as integers.  Each
+    write_table block is one latitude row, whose θ is formatted once (an
+    axisym table, one node per latitude, is one block).
     """
     theta = list(map(repr, grid.theta.tolist()))
     if grid.mode == "axisym":
-        names, blocks = ["theta"], [[theta]]
+        names, angles = ["theta"], [[theta]]
         planes = [np.reshape(c, (1, -1)) for c in columns.values()]
     else:
         phi = list(map(repr, grid.phi.tolist()))
-        names, blocks = ["theta", "phi"], ([[t] * grid.m_phi, phi] for t in theta)
+        names, angles = ["theta", "phi"], ([[t] * grid.m_phi, phi] for t in theta)
         planes = [np.reshape(c, grid.shape) for c in columns.values()]
-    with open(path, "w", newline="") as fh:
-        fh.write(_version_line(grid, magic) + "\n")
-        fh.write(",".join(names + list(columns)) + "\r\n")
-        for i, angles in enumerate(blocks):
-            cells = angles + [map(repr, c[i].tolist()) for c in planes]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    blocks = (zip(*a, *[map(repr, c[i].tolist()) for c in planes]) for i, a in enumerate(angles))
+    write_table(path, _version_line(grid, magic), names + list(columns), blocks)
 
 
 def write_field_csv(path, grid: Grid, values: np.ndarray) -> None:
@@ -373,31 +401,11 @@ def write_field_csv(path, grid: Grid, values: np.ndarray) -> None:
 
 
 def read_field_csv(path, grid: Grid) -> np.ndarray:
-    """The values of a field that write_field_csv wrote on grid.
-
-    The file's first line must be exactly the version line write_field_csv
-    writes for grid, and one row must follow the column header per node.
-    """
-    expected = _version_line(grid, FIELD_CSV_MAGIC)
-    with open(path, "r") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != expected:
-            raise ValueError(f"{path} begins {header!r}; a field on this grid begins {expected!r}")
-        next((row for row in fh if row != "\n"), None)  # column header
-        values = [float(cells[-1]) for cells in table_rows(fh, 2 if grid.mode == "axisym" else 3)]
+    """The values of a field that write_field_csv wrote on grid: the file
+    must carry grid's version line and its columns, and one row per node."""
+    names = ["theta", "value"] if grid.mode == "axisym" else ["theta", "phi", "value"]
+    rows = read_table(path, _version_line(grid, FIELD_CSV_MAGIC), names, "a field on this grid")
+    values = [float(cells[-1]) for cells in rows]
     if len(values) != grid.node_count:
         raise ValueError(f"expected {grid.node_count} rows, found {len(values)} in {path}")
     return np.reshape(values, grid.shape)
-
-
-def table_rows(lines, width: int):
-    """Split each line of a table's rows at its commas: a blank line is
-    skipped, and a line of other than width cells raises ValueError quoting
-    it."""
-    for row in lines:
-        cells = row.split(",")
-        if len(cells) != width:
-            if row == "\n":
-                continue
-            raise ValueError(f"row {row.rstrip()!r} has {len(cells)} cells, not {width}")
-        yield cells

@@ -1051,6 +1051,28 @@ def test_curvature_refuses_a_field_header_of_another_grid(tmp_path, capsys, edit
     assert_curvature_refuses_header(tmp_path, capsys, edit)
 
 
+def test_curvature_refuses_a_field_of_other_columns(tmp_path, capsys):
+    cfg = make_cfg(
+        tmp_path / "s2.cfg",
+        grid__mode="full_s2",
+        grid__n=None,
+        grid__m_theta="8",
+        grid__m_phi="16",
+    )
+    field = tmp_path / "field.csv"
+    write_field_csv(field, spheregrid.full_s2_grid(m_theta=8, m_phi=16), np.zeros((8, 16)))
+    text = field.read_bytes()
+    field.write_bytes(text.replace(b"\ntheta,phi,value\r\n", b"\nrho,u,kappa_1\r\n", 1))
+    assert field.read_bytes() != text
+    table = tmp_path / "table.csv"
+    assert cli.main(["curvature", str(field), str(cfg), "--out", str(table)]) == 65
+    assert capsys.readouterr().err == (
+        f"gate failure: cannot read field file: {field} has columns 'rho,u,kappa_1';"
+        " a field on this grid has 'theta,phi,value'\n"
+    )
+    assert not table.exists()
+
+
 def test_full_s2_run_emits_meshes(tmp_path, capsys):
     cfg = make_cfg(
         tmp_path / "s2.cfg",

@@ -268,6 +268,26 @@ def test_history_csv_refuses_a_row_of_another_width(tmp_path, row):
         read_history_csv(path)
 
 
+def test_history_csv_skips_blank_lines_before_its_header(tmp_path):
+    hist = [rec(0.0), rec(0.01)]
+    path = tmp_path / "history.csv"
+    write_history_csv(path, hist)
+    # one blank line after the LF of the version line, as the field reader allows
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\r\n", 1))
+    assert read_history_csv(path) == hist
+
+
+def test_history_csv_version_line_is_compared_exactly(tmp_path):
+    path = tmp_path / "history.csv"
+    write_history_csv(path, [rec(0.0)])
+    path.write_bytes(path.read_bytes().replace(b"v1\n", b"v1  \n", 1))
+    with pytest.raises(ValueError) as info:
+        read_history_csv(path)
+    assert str(info.value) == (
+        f"{path} begins {HISTORY_CSV_MAGIC + '  '!r}; a history file begins {HISTORY_CSV_MAGIC!r}"
+    )
+
+
 def test_write_summary_json(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_json(path, {"b": 2, "a": [1.5, "x"], "nested": {"k": None}})

@@ -218,6 +218,11 @@ def test_run_from_stationary_data_converges_immediately():
     assert res.residual <= cfg.tol_residual
 
 
+def test_run_refuses_an_initial_field_of_another_shape():
+    with pytest.raises(ValueError):
+        run(setup1(), np.zeros(15))
+
+
 def test_run_converges_to_unit_sphere():
     cfg = setup1()
     res = run(cfg, initial_gamma(Constant(R=1.3), cfg.grid))

@@ -298,6 +298,20 @@ def test_field_csv_read_on_another_grid_quotes_both_lines(tmp_path, written, oth
     assert str(info.value) == f"{path} begins {found!r}; a field on this grid begins {want!r}"
 
 
+def test_field_csv_read_refuses_another_column_header(tmp_path):
+    g = full_s2_grid(m_theta=8, m_phi=16)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, g, np.zeros(g.shape))
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"\ntheta,phi,value\r\n", b"\nrho,u,kappa_1\r\n", 1))
+    assert path.read_bytes() != text
+    with pytest.raises(ValueError) as info:
+        read_field_csv(path, g)
+    assert str(info.value) == (
+        f"{path} has columns 'rho,u,kappa_1'; a field on this grid has 'theta,phi,value'"
+    )
+
+
 def test_field_csv_read_builds_no_grid(tmp_path, monkeypatch):
     g = full_s2_grid(m_theta=8, m_phi=16)
     values = np.arange(g.node_count, dtype=float).reshape(g.shape)

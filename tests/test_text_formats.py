@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from starflow import cli, diagnostics, flow, geometry, symfunc
-from starflow.spheregrid import axisym_grid, full_s2_grid, write_field_csv
+from starflow.spheregrid import axisym_grid, full_s2_grid, read_field_csv, write_field_csv
 
 AXISYM_CFG = """\
 [flow]
@@ -288,3 +288,12 @@ def test_writers_stream_at_the_benchmark_size(tmp_path):
     geom = geometry.assemble(grid, gamma)
     assert peak_bytes(lambda: write_field_csv(tmp_path / "f.csv", grid, gamma)) <= 1e6
     assert peak_bytes(lambda: geometry.export_obj(tmp_path / "m.obj", geom)) <= 1e6
+
+
+def test_field_reader_streams_at_the_benchmark_size(tmp_path):
+    # 64x128: a reader that splits every row before parsing any holds a few
+    # MB of cell strings; one row at a time keeps the floats and the array
+    grid = full_s2_grid(m_theta=64, m_phi=128)
+    path = tmp_path / "f.csv"
+    write_field_csv(path, grid, 0.05 * wavy_gamma(grid))
+    assert peak_bytes(lambda: read_field_csv(path, grid)) <= 1e6
