@@ -22,9 +22,12 @@ parallel directions are already principal:
 
 the parallel value carrying multiplicity n-1.
 
+The same frame gives the support identity ∇u = h(·, ∇Φ), Φ = ρ²/2, in closed
+form: h g⁻¹ ρ²b = u(I + bbᵀ - H)b/ω², so it reads Du = u(b - Hb/ω²), and
+support_identity_residual() checks it with no g, h or per-node solve.
+
 Axisym states embed the meridian half-plane into the Cartesian xz-plane, so X
-is a 3-vector in both modes.  X, g and h are computed on demand
-(fundamental_forms() for g and h), since the flow itself never reads them.
+is a 3-vector in both modes, computed on demand since the flow never reads it.
 All functions are pure; a GeometryState is a plain bundle of arrays that is
 never mutated after construction.  assemble() builds a state without judging
 it; star_shape_failure() alone decides whether it is a star-shaped graph.
@@ -40,17 +43,13 @@ __all__ = [
     "GeometryState",
     "assemble",
     "star_shape_failure",
-    "fundamental_forms",
     "support_identity_residual",
     "export_obj",
 ]
 
 
 class GeometryState(NamedTuple):
-    """What the flow reads of one γ field.  Read-only by convention.
-
-    g and h are not stored: fundamental_forms() rebuilds them on demand.
-    """
+    """What the flow reads of one γ field.  Read-only by convention."""
 
     grid: Grid
     gamma: np.ndarray
@@ -148,36 +147,17 @@ def star_shape_failure(state: GeometryState) -> str | None:
     return f"not a star-shaped graph at node {node}: u = {u[node]:.6g}, kappa = ({values})"
 
 
-def fundamental_forms(state: GeometryState) -> tuple[np.ndarray, np.ndarray]:
-    """Metric g = ρ²(I + bbᵀ) and second fundamental form h = u(I + bbᵀ - H),
-    each of shape (..., 2, 2), with b and H the frame gradient and Hessian of
-    γ.
-
-    Both are written in the frame (ê_θ, ê_φ/sinθ), where they stay O(1) near
-    the poles.  On axisym grids the second direction is one of the n - 1
-    parallel ones and the cross terms vanish.  Rebuilt from γ on each call;
-    the flow never reads them.
-    """
-    b_t, b_p, h_tt, h_tp, h_pp = derivatives(state.grid, state.gamma)
-    b = np.stack([b_t, b_p], axis=-1)
-    eye_bb = np.eye(2) + b[..., :, None] * b[..., None, :]
-    hess = np.stack([h_tt, h_tp, h_tp, h_pp], axis=-1).reshape(state.grid.shape + (2, 2))
-    g = (state.rho**2)[..., None, None] * eye_bb
-    h = state.u[..., None, None] * (eye_bb - hess)
-    return g, h
-
-
 def support_identity_residual(state: GeometryState) -> float:
-    """Max-norm residual of ∇u = h(·, ∇Φ) with Φ = ρ²/2.
-
-    In the frame the identity reads Du = h g⁻¹ ρ² b, with Du the frame
-    gradient of u.  O(Δθ²) on smooth profiles.
+    """Max-norm residual of Du = u(b - Hb/ω²), the frame form of
+    ∇u = h(·, ∇Φ) with Φ = ρ²/2, over both frame components, with Du the
+    frame gradient of u.  O(Δθ²) on smooth profiles.
     """
-    lhs = np.stack(derivatives(state.grid, state.u)[:2], axis=-1)
-    phi = (state.rho**2)[..., None] * np.stack([state.b_t, state.b_p], axis=-1)
-    g, h = fundamental_forms(state)
-    rhs = h @ np.linalg.solve(g, phi[..., None])
-    return float(np.max(np.abs(lhs - rhs[..., 0])))
+    du_t, du_p = derivatives(state.grid, state.u)[:2]
+    b_t, b_p, h_tt, h_tp, h_pp = derivatives(state.grid, state.gamma)
+    w2 = 1.0 + state.grad_sq
+    res_t = du_t - state.u * (b_t - (h_tt * b_t + h_tp * b_p) / w2)
+    res_p = du_p - state.u * (b_p - (h_tp * b_t + h_pp * b_p) / w2)
+    return float(max(np.max(np.abs(res_t)), np.max(np.abs(res_p))))
 
 
 def export_obj(path, state: GeometryState) -> None:

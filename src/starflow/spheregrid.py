@@ -59,7 +59,8 @@ __all__ = [
 ]
 
 FIELD_CSV_MAGIC = "starflow-field-v1"
-# checked before any table is allocated; 512 times the 64x128 benchmark grid
+# checked before any table is allocated, against the node count and, on
+# axisym grids, the n curvatures per node; 512 times the 64x128 benchmark grid
 MAX_NODES = 2**22
 
 
@@ -91,6 +92,11 @@ class Grid:
         self.node_count = math.prod(self.shape)
         if self.node_count > MAX_NODES:
             raise ValueError(f"grid of {self.node_count} nodes exceeds MAX_NODES = {MAX_NODES}")
+        if self.mode == "axisym" and self.n * self.node_count > MAX_NODES:
+            raise ValueError(
+                f"hypersurface dimension n = {self.n} on {self.node_count} nodes needs "
+                f"{self.n * self.node_count} curvatures, more than MAX_NODES = {MAX_NODES}"
+            )
         self.dtheta = np.pi / self.m_theta
         self.theta = (np.arange(self.m_theta) + 0.5) * self.dtheta
         if self.mode == "full_s2":

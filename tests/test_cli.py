@@ -993,6 +993,32 @@ def test_config_asking_for_more_than_max_nodes_exits_64(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "curvature"])
+def test_dimension_whose_curvatures_exceed_max_nodes_exits_64(tmp_path, capsys, command):
+    # 48 nodes, each with n = 1e12 curvatures: the grid is refused before
+    # validate's F(1, ..., 1) or a step's kappa table asks for terabytes
+    text = (pathlib.Path(__file__).resolve().parents[1] / "configs" / "sphere_expand.cfg").read_text()
+    assert "\nn = 2\n" in text
+    cfg = tmp_path / "huge_n.cfg"
+    cfg.write_text(text.replace("\nn = 2\n", "\nn = 1000000000000\n"))
+    field = tmp_path / "field.csv"
+    write_field_csv(field, axisym_grid(n=2, m_theta=48), np.zeros(48))
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", str(cfg)],
+        "run": ["run", str(cfg), "--out", str(out)],
+        "curvature": ["curvature", str(field), str(cfg), "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: hypersurface dimension n = 1000000000000 on 48 nodes needs "
+        "48000000000000 curvatures, more than MAX_NODES = 4194304\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # e^gamma underflows to 0 (u = 0) or overflows to inf (u = inf, kappa = 0)
 @pytest.mark.parametrize("value, u", [("-800.0", "0"), ("800.0", "inf")])
 def test_curvature_refuses_a_field_that_is_not_star_shaped(tmp_path, capsys, value, u):

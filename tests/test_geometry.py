@@ -17,7 +17,6 @@ from starflow import spheregrid
 from starflow.geometry import (
     assemble,
     export_obj,
-    fundamental_forms,
     star_shape_failure,
     support_identity_residual,
 )
@@ -35,6 +34,18 @@ def spheroid_kappa_oracle(grid, a, b):
     cv = rho * np.cos(grid.theta) / b
     W = np.sqrt(a**2 * cv**2 + b**2 * sv**2)
     return a * b / W**3, b / (a * W)
+
+
+def fundamental_forms(st):
+    """Metric g = ρ²(I + bbᵀ) and second fundamental form h = u(I + bbᵀ - H),
+    each of shape (..., 2, 2), built here from the frame gradient b and
+    Hessian H of γ as a reference for assemble's closed forms.  On axisym
+    grids the second direction is one of the n - 1 parallel ones."""
+    b_t, b_p, h_tt, h_tp, h_pp = spheregrid.derivatives(st.grid, st.gamma)
+    b = np.stack([b_t, b_p], axis=-1)
+    eye_bb = np.eye(2) + b[..., :, None] * b[..., None, :]
+    hess = np.stack([h_tt, h_tp, h_tp, h_pp], axis=-1).reshape(st.grid.shape + (2, 2))
+    return st.rho[..., None, None] ** 2 * eye_bb, st.u[..., None, None] * (eye_bb - hess)
 
 
 def outward_normal(st):

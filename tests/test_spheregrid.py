@@ -54,6 +54,19 @@ def test_grid_rejects_bad_parameters():
         axisym_grid(n=2, m_theta=MAX_NODES + 1)
 
 
+def test_axisym_grid_bounds_its_curvature_count_by_max_nodes():
+    # kappa holds n values per node; n * m_theta = MAX_NODES is the largest
+    # table accepted, and the node-count message still comes first
+    assert axisym_grid(n=MAX_NODES // 8, m_theta=8).n == MAX_NODES // 8
+    with pytest.raises(ValueError, match=(
+        r"^hypersurface dimension n = 524289 on 8 nodes needs 4194312 curvatures, "
+        r"more than MAX_NODES = 4194304$"
+    )):
+        axisym_grid(n=MAX_NODES // 8 + 1, m_theta=8)
+    with pytest.raises(ValueError, match=r"^grid of 4194305 nodes exceeds MAX_NODES = 4194304$"):
+        axisym_grid(n=10**12, m_theta=MAX_NODES + 1)
+
+
 def test_grid_equality():
     assert axisym_grid(2, 16) == axisym_grid(2, 16)
     assert full_s2_grid(8, 16) == Grid(mode="full_s2", n=2, m_theta=8, m_phi=16)
