@@ -60,14 +60,13 @@ import numpy as np
 
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_failure
-from .speed import RHO_CEIL, RHO_FLOOR, G_from_table, SpeedSpec
+from .speed import RHO_CEIL, RHO_FLOOR, SpeedSpec
 from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import F_fused, check_spec, cone_failure, natural_cone
 
 __all__ = [
     "PSI_IDENTITY",
     "PSI_NEG_RECIPROCAL",
-    "psi_apply",
     "psi_prime",
     "FlowConfig",
     "FlowState",
@@ -105,13 +104,6 @@ H_FLOOR = 1e-12
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # the first step, as a fraction of the explicit bound
 FIRST_STEP_FRACTION = 0.5
-
-
-def psi_apply(mode: str, s):
-    """Ψ(s): identity, or -1/s for the contracting normalization."""
-    if mode == PSI_NEG_RECIPROCAL:
-        return -1.0 / s
-    return s
 
 
 def psi_prime(s):
@@ -193,9 +185,14 @@ class RunResult(NamedTuple):
 
 def speed_terms(config: FlowConfig, geom: GeometryState):
     """(cone mask, F, λ_max(∂F/∂κ), Q = G·F^{-β}) at the nodes of geom, from
-    one σ sweep; F, λ_max and Q mean nothing where the mask fails."""
+    one σ sweep and G = c ψ(ξ) u^a ρ^b with c ψ(ξ) from config.G_table; F,
+    λ_max and Q mean nothing where the mask fails."""
     ok, f_val, lam = F_fused(config.F, geom.kappa)
-    g = G_from_table(config.G, config.G_table, geom.u, geom.rho)
+    g = config.G_table
+    if config.G.a != 0.0:
+        g = g * geom.u**config.G.a
+    if config.G.b != 0.0:
+        g = g * geom.rho**config.G.b
     return ok, f_val, lam, g * f_val ** (-config.beta)
 
 
@@ -214,7 +211,8 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
     ok, f_val, lam, q = speed_terms(config, geom)
     if not np.logical_and.reduce(ok, axis=None):
         raise FlowAbort(STATUS_CONE_EXIT, cone_failure(geom.kappa, natural_cone(config.F)))
-    speed = psi_apply(config.psi_mode, q) - psi_apply(config.psi_mode, 1.0)
+    # Ψ(Q) - Ψ(1), with Ψ(s) = -1/s read as 1 - 1/Q: the same bits
+    speed = 1.0 - 1.0 / q if config.psi_mode == PSI_NEG_RECIPROCAL else q - 1.0
     return speed, q, f_val, lam, geom
 
 

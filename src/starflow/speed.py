@@ -28,7 +28,6 @@ from .symfunc import F_fused
 
 __all__ = [
     "SpeedSpec",
-    "G_from_table",
     "barrier_radii",
     "sphere_radius",
     "monotonicity_report",
@@ -81,16 +80,6 @@ class SpeedSpec(_SpeedSpec):
     def axis_aligned(self) -> bool:
         """True when w is parallel to the polar axis (0, 0, 1), or zero."""
         return abs(self.w[0]) <= 1e-12 and abs(self.w[1]) <= 1e-12
-
-
-def G_from_table(spec: SpeedSpec, table: np.ndarray, u: np.ndarray, rho: np.ndarray):
-    """G = table · u^a · ρ^b, where table holds c ψ(ξ) at the nodes."""
-    out = table
-    if spec.a != 0.0:
-        out = out * u**spec.a
-    if spec.b != 0.0:
-        out = out * rho**spec.b
-    return out
 
 
 # ---------------------------------------------------------------------------

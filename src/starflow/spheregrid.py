@@ -48,7 +48,6 @@ __all__ = [
     "Grid",
     "axisym_grid",
     "full_s2_grid",
-    "pad_theta",
     "derivatives",
     "factor_shifted_laplacian",
     "write_node_table",
@@ -124,8 +123,10 @@ class Grid:
         self.arc_dphi_sq = (self.dphi * st) ** 2
         self.zeros = np.zeros(self.shape)
         self.zeros.flags.writeable = False
-        # flat gather index of pad_theta's padding: the pole rows mirrored
-        # half a period on in φ, and on full_s2 each row wrapped one column
+        # flat gather index of the ghost padding f.ravel()[pad_index]: rows 0
+        # and m_theta + 1 mirror f's first and last rows across the poles,
+        # on full_s2 half a period on in φ as stepping over a pole does, and
+        # there columns 0 and m_phi + 1 wrap f's last and first, ghost rows too
         rows = np.r_[0, np.arange(self.m_theta), self.m_theta - 1]
         self.pad_index = rows
         if self.mode == "full_s2":
@@ -192,19 +193,6 @@ def _check_shape(grid: Grid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def pad_theta(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """f, of the grid's shape, with one ghost row beyond each pole and, on
-    full_s2, one ghost column on each side in φ; one gather by grid.pad_index.
-
-    Row 0 mirrors f's first row across the north pole and row m_theta + 1 its
-    last row across the south pole; on full_s2 the mirrored rows are shifted
-    half a period in φ, which is what stepping over a pole does to the
-    meridian.  Column 0 repeats f's last column and column m_phi + 1 its
-    first, ghost rows included.
-    """
-    return f.ravel()[grid.pad_index]
-
-
 def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gradient b and Hessian H of f in the frame (ê_θ, ê_φ/sinθ), from one
     ghost padding.
@@ -215,14 +203,14 @@ def derivatives(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, ...]:
         b_φ = ∂_φ f / sinθ          H_θφ = (∂_θ∂_φ f - cotθ ∂_φ f) / sinθ
                                     H_φφ = ∂²_φ f / sin²θ + cotθ ∂_θ f
 
-    each read as slices of pad_theta(grid, f): the covariant θφ-chart
-    Hessian f_{;ij} with the frame's 1/sinθ per φ index, so no caller needs
-    the chart.  On axisym grids every ∂_φ term is zero: b_φ and H_θφ are the
-    grid's shared read-only zeros, and H_φφ = cotθ ∂_θ f is the value shared
-    by every parallel direction.
+    each read as slices of the padding f.ravel()[grid.pad_index]: the
+    covariant θφ-chart Hessian f_{;ij} with the frame's 1/sinθ per φ index,
+    so no caller needs the chart.  On axisym grids every ∂_φ term is zero:
+    b_φ and H_θφ are the grid's shared read-only zeros, and H_φφ = cotθ ∂_θ f
+    is the value shared by every parallel direction.
     """
     f = _check_shape(grid, f)
-    p = pad_theta(grid, f)
+    p = f.ravel()[grid.pad_index]
     dt = grid.dtheta
     if grid.mode == "axisym":
         f_tt = (p[2:] - 2.0 * f + p[:-2]) / (dt * dt)

@@ -101,6 +101,29 @@ def test_speed_field_psi_contrast():
     assert np.max(np.abs(speed + 1.0)) <= 1e-13
 
 
+def test_speed_field_is_psi_q_minus_psi_one_bit_for_bit():
+    # Ψ(Q) - Ψ(1) with Ψ applied to both terms: (-1/Q) - (-1) for the
+    # contracting normalization, Q - 1 for the expanding one
+    aniso = SpeedSpec(c=1.0, a=-0.5, b=-1.5, w=(0.1, -0.2, 0.15))
+    problems = [setup1(), setup1(grid=full_s2_grid(m_theta=8, m_phi=16), G=aniso)]
+    shapes = [Constant(R=1.0), Perturbed(R=1.0, amplitude=1e-9), Perturbed(R=1.0, amplitude=1e-3),
+              Constant(R=0.05), Constant(R=20.0)]
+    gaps = []
+    for base in problems:
+        for mode in (PSI_IDENTITY, PSI_NEG_RECIPROCAL):
+            cfg = setup1(grid=base.grid, G=base.G, psi_mode=mode)
+            for shape in shapes:
+                speed, q, *_ = speed_field(cfg, initial_gamma(shape, cfg.grid))
+                want = (-1.0 / q) - (-1.0) if mode == PSI_NEG_RECIPROCAL else q - 1.0
+                assert speed.tobytes() == want.tobytes()
+                gaps.append(np.abs(q - 1.0))
+    gaps = np.concatenate([g.ravel() for g in gaps])
+    # Q = 1 exactly, Q within 1e-8 of 1 but not 1, and Q far from 1 all occur
+    assert np.any(gaps == 0.0)
+    assert np.any((gaps > 0.0) & (gaps < 1e-8))
+    assert np.max(gaps) > 10.0
+
+
 def test_speed_field_zero_at_stationary_radius():
     cfg = setup1()
     r_star = sphere_radius(cfg.G, cfg.F, cfg.grid.n, cfg.beta)

@@ -161,6 +161,23 @@ def test_spheroid_curvatures_converge():
     assert order >= 1.9, f"observed order {order:.3f}, errors {errs}"
 
 
+def test_full_s2_curvature_order_off_centre_sphere():
+    # a unit sphere centred at 0.3 e_x: ρ = s + sqrt(s² + 1 - 0.09) with
+    # s = ⟨ξ, 0.3 e_x⟩, and κ = 1 at every node.  Away from the poles κ is
+    # second order; in the rows next to them the φ-differences' O(Δφ²) error
+    # is divided by sinθ ≈ Δθ/2, so over the whole grid only first order holds
+    band_errs = []
+    for m in (16, 32, 64):
+        grid = full_s2_grid(m_theta=m, m_phi=2 * m)
+        s = grid.xi @ np.array([0.3, 0.0, 0.0])
+        err = np.max(np.abs(assemble(grid, np.log(s + np.sqrt(s * s + 0.91))).kappa - 1.0), axis=-1)
+        assert np.max(err) <= 0.15 * grid.dtheta
+        band = (grid.theta > np.pi / 4) & (grid.theta < 3 * np.pi / 4)
+        band_errs.append(float(np.max(err[band])))
+    ratios = np.divide(band_errs[:-1], band_errs[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), f"errors {band_errs}, ratios {ratios}"
+
+
 def test_spheroid_support_minimum():
     # support function of a spheroid attains min(a, b); the discrete minimum
     # sits O(dtheta^2) above it

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from starflow.cli import _parse_psi_terms
-from starflow.flow import FlowConfig
+from starflow.flow import FlowConfig, speed_terms
+from starflow.geometry import GeometryState
 from starflow.speed import (
-    G_from_table,
     SpeedSpec,
     barrier_radii,
     monotonicity_report,
@@ -109,8 +109,17 @@ def test_sphere_radius_between_the_barriers_for_every_direction():
 
 
 def G_at(spec, xi, u, rho):
-    """G at one node through the run's table form, table = c ψ(ξ)."""
-    return G_from_table(spec, spec.c * np.exp(xi @ np.array(spec.w)), u, rho)
+    """G at one node through flow.speed_terms, the run's one definition of
+    Q = G·F^{-β}, with the table c ψ(ξ) at ξ and the unit sphere's κ = (1, 1),
+    at which F = σ_2^{1/2} is 1, so that Q is G."""
+    cfg = FlowConfig(full_s2_grid(m_theta=8, m_phi=16), SigmaKRoot(k=2), spec, beta=1.0)
+    cfg.G_table = spec.c * np.exp(xi @ np.array(spec.w))
+    # speed_terms reads κ, u and ρ of a state
+    geom = GeometryState(grid=cfg.grid, gamma=None, b_t=None, b_p=None, rho=rho, omega=None,
+                         u=u, grad_sq=None, kappa=np.ones(2))
+    ok, f_val, _, q = speed_terms(cfg, geom)
+    assert ok and f_val == 1.0
+    return q
 
 
 def test_G_from_table_values():
