@@ -67,7 +67,6 @@ from .symfunc import F_fused, check_spec, cone_failure, natural_cone
 __all__ = [
     "PSI_IDENTITY",
     "PSI_NEG_RECIPROCAL",
-    "psi_prime",
     "FlowConfig",
     "FlowState",
     "FlowAbort",
@@ -104,12 +103,6 @@ H_FLOOR = 1e-12
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # the first step, as a fraction of the explicit bound
 FIRST_STEP_FRACTION = 0.5
-
-
-def psi_prime(s):
-    """Ψ'(s) = 1/s² of the contracting normalization Ψ(s) = -1/s, strictly
-    positive on s > 0.  The identity's Ψ' is 1, so its callers skip it."""
-    return 1.0 / (np.asarray(s, dtype=float) ** 2)
 
 
 class FlowConfig:
@@ -216,19 +209,16 @@ def speed_field(config: FlowConfig, gamma: np.ndarray):
     return speed, q, f_val, lam, geom
 
 
-def diffusivity(
-    config: FlowConfig,
-    geom: GeometryState,
-    q: np.ndarray,
-    f_val: np.ndarray,
-    lam: np.ndarray,
-) -> np.ndarray:
-    """Per-node D = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F, the factor of the
-    speed's second derivatives in arc length."""
+def diffusivity(config: FlowConfig, geom: GeometryState, q, f_val, lam):
+    """(D, Ψ'(Q)·Q) per node, with D = β · u · Ψ'(Q) · Q · λ_max(∂F/∂κ) / F the
+    factor of the speed's second derivatives in arc length: the two parts of
+    W that Ψ' enters, from one Ψ'(Q) = 1/Q² (Ψ(s) = -1/s), or none for the
+    identity, whose Ψ' is 1."""
     d = config.beta * geom.u
-    if config.psi_mode != PSI_IDENTITY:  # the identity's Ψ' is 1
-        d = d * psi_prime(q)
-    return d * q * lam / f_val
+    if config.psi_mode == PSI_IDENTITY:
+        return d * q * lam / f_val, q
+    dpsi = 1.0 / q**2
+    return d * dpsi * q * lam / f_val, dpsi * q
 
 
 def cfl_dt(config: FlowConfig, geom: GeometryState, diff: np.ndarray) -> float:
@@ -264,9 +254,9 @@ def step(config: FlowConfig, state: FlowState, h: float, first=None) -> FlowStat
     """
     grid = config.grid
     speed, q, f_val, lam, geom = first if first is not None else speed_field(config, state.gamma)
-    a = diffusivity(config, geom, q, f_val, lam) / geom.rho**2
+    diff, pq = diffusivity(config, geom, q, f_val, lam)
+    a = diff / geom.rho**2
     G = config.G
-    pq = q if config.psi_mode == PSI_IDENTITY else psi_prime(q) * q
     dilation = pq * (G.a + G.b + config.beta)
     if grid.mode == "full_s2":  # one coefficient pair per latitude row
         a = np.maximum.reduce(a, axis=1)
@@ -324,7 +314,7 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
             # step's first stage
             current = speed_field(config, gamma0)
             speed, q, f_val, lam, geom = current
-            h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam))
+            h = cfl_dt(config, geom, diffusivity(config, geom, q, f_val, lam)[0])
         except FlowAbort as abort:
             status, detail = abort.status, abort.detail
 

@@ -20,12 +20,11 @@ the stable one-entry-at-a-time recurrence
 
     e_k(x_1..x_m) = e_k(x_1..x_{m-1}) + x_m e_{k-1}(x_1..x_{m-1}),
 
-never through monomial expansion.  A speed spec is walked once for its
-structure (cached: the highest σ_j F reads, its natural cone) and once per
-σ sweep for its values, F with ∂F/∂κ_n.  Everything here is pure and reentrant.
+never through monomial expansion.  Each σ sweep walks the speed spec for its
+structure (the highest σ_j F reads, its natural cone) and then for its
+values, F with ∂F/∂κ_n.  Everything here is pure and reentrant.
 """
 
-from functools import lru_cache
 from math import comb, inf
 from typing import NamedTuple
 
@@ -105,18 +104,6 @@ def sigma(kappa, k: int):
     return sigma_all(kappa, k)[..., k]
 
 
-def _same_type_eq(self, other) -> bool:
-    """== of cones and specs, which are named tuples: plain tuple equality
-    would make SigmaKRoot(k=-1) equal PowerMean(p=-1.0), and _plan's cache
-    would answer for one with the verdict on the other.  They keep the tuple
-    hash, as equal values need, and collide only across types."""
-    return type(self) is type(other) and tuple.__eq__(self, other)
-
-
-def _same_type_ne(self, other) -> bool:
-    return not _same_type_eq(self, other)
-
-
 # ---------------------------------------------------------------------------
 # cones
 
@@ -125,7 +112,6 @@ class Cone(NamedTuple):
     """Admissibility cone: Γ_k^+ for integer k, Γ_+ when k is None."""
 
     k: int | None = None
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
     def describe(self) -> str:
         return "Gamma_plus" if self.k is None else f"Gamma_{self.k}^+"
@@ -177,7 +163,6 @@ class SigmaKRoot(NamedTuple):
     """F = σ_k^{1/k}."""
 
     k: int
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 class QuotientRoot(NamedTuple):
@@ -185,28 +170,25 @@ class QuotientRoot(NamedTuple):
 
     k: int
     l: int
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 class PowerMean(NamedTuple):
     """F = (Σ κ_i^p)^{1/p} with p finite, < 0; needs strictly positive κ."""
 
     p: float
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 class WeightedProduct(NamedTuple):
     """F = Π F_i^{α_i} with α_i >= 0 summing to one; evaluated in log space."""
 
     terms: tuple
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
-@lru_cache(maxsize=None)
 def _plan(spec) -> tuple[int, int | None]:
     """(highest σ_j that F reads, k of its natural cone or None for Γ_+): the
-    one walk of a spec for its structure.  Raises ValueError for a spec that
-    is malformed whatever n is, TypeError for one that is no spec."""
+    walk of a spec for its structure, made anew on each call.  Raises
+    ValueError for a spec that is malformed whatever n is, TypeError for one
+    that is no spec."""
     if isinstance(spec, SigmaKRoot):
         if not spec.k >= 1:
             raise ValueError(f"sigma_k root needs k >= 1, got k={spec.k}")
@@ -222,8 +204,8 @@ def _plan(spec) -> tuple[int, int | None]:
     if isinstance(spec, WeightedProduct):
         if not spec.terms:
             raise ValueError("weighted product needs at least one factor")
-        weights = np.array([w for _, w in spec.terms], dtype=float)
-        if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= 1e-12:
+        weights = [float(w) for _, w in spec.terms]
+        if min(weights) < 0.0 or not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError("weighted product weights must be >= 0 and sum to 1")
         if any(isinstance(sub, WeightedProduct) for sub, _ in spec.terms):
             raise ValueError("weighted products do not nest")

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starflow import cli, spheregrid
+from starflow import cli, flow, spheregrid
 from starflow.diagnostics import read_history_csv
 from starflow.spheregrid import axisym_grid, write_field_csv
 from test_text_formats import wavy_gamma
@@ -754,6 +754,24 @@ def test_bundled_configs_parse_and_validate(capsys):
         assert setup.config.beta > 0
         assert cli.main(["validate", str(here / name)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config, start, steps, rejected",
+    [
+        ("sphere_expand.cfg", None, 258, 0),
+        ("sphere_contract.cfg", None, 253, 0),
+        ("aniso_s2.cfg", None, 282, 2),
+        # flowbench's aniso_converge problem at its default amplitude
+        ("aniso_s2.cfg", flow.Perturbed(R=1.0, amplitude=0.1), 214, 2),
+    ],
+    ids=["sphere_expand", "sphere_contract", "aniso_s2", "aniso_converge"],
+)
+def test_bundled_configs_take_readmes_step_counts(config, start, steps, rejected):
+    setup = cli.parse_config(CONFIGS / config)
+    res = flow.run(setup.config, flow.initial_gamma(start or setup.initial, setup.config.grid))
+    assert res.status == flow.STATUS_CONVERGED, res.detail
+    assert (res.state.step, res.rejected_steps) == (steps, rejected)
 
 
 MARGINS_A0 = (  # the five conditions at a = 0, by radial margin -(a + b + beta)

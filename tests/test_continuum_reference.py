@@ -1,6 +1,6 @@
 """Flow limits against continuum references, at second order in the grid.
 
-Two references need no code under test beyond the flow itself:
+Three references need no code under test beyond the flow itself:
 
 - Every ψ = exp⟨ξ, w⟩ is symmetric about w, so where the limit is unique the
   full_s2 limit is the axisym n = 2 limit for |w| e_z rotated to w/|w|.  The
@@ -14,7 +14,14 @@ Two references need no code under test beyond the flow itself:
   b = -(n+2)/n, c = (Π a_i)^{-2/n} and ψ = (ξᵀA⁻⁴ξ)^{-(n+2)/(2n)}, E solves
   F^β = G exactly.  a + b + β = -2/n < 0, so E is the unique stationary
   profile, γ_E = -½ log ξᵀA⁻²ξ.
+- Any smooth axisym γ* is the limit of a forcing made for it (manufactured
+  solutions, Roache 1998): its κ*, u* and ρ* follow in closed form from the
+  formulas in the geometry docstring, and ψ = F(κ*)^β / (u*^a ρ*^b) makes
+  F^β = G hold at γ*.  With a = (1 - p)/k and b = (q - k - 1)/k,
+  a + b + β = (q - p)/k at β = 1, so for p > q γ* is the unique limit.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -31,6 +38,20 @@ from starflow.flow import (
 from starflow.speed import SpeedSpec
 from starflow.spheregrid import axisym_grid, full_s2_grid
 from starflow.symfunc import SigmaKRoot
+
+
+def manufactured_axisym(grid, k):
+    """γ* = 0.12 cosθ + 0.06 cos 2θ - 0.03 cos 3θ at the nodes, with σ_k^{1/k}
+    of its κ* (κ_mer once, κ_par n - 1 times), u* and ρ* in closed form."""
+    t, n = grid.theta, grid.n
+    gamma = 0.12 * np.cos(t) + 0.06 * np.cos(2 * t) - 0.03 * np.cos(3 * t)
+    d1 = -0.12 * np.sin(t) - 0.12 * np.sin(2 * t) + 0.09 * np.sin(3 * t)
+    d2 = -0.12 * np.cos(t) - 0.24 * np.cos(2 * t) + 0.27 * np.cos(3 * t)
+    rho, omega = np.exp(gamma), np.sqrt(1.0 + d1**2)
+    mer = (1.0 + d1**2 - d2) / (rho * omega**3)
+    par = (1.0 - d1 * np.cos(t) / np.sin(t)) / (rho * omega)
+    sigma_k = comb(n - 1, k) * par**k + comb(n - 1, k - 1) * mer * par ** (k - 1)
+    return gamma, sigma_k ** (1.0 / k), rho / omega, rho
 
 
 def limit(config, start):
@@ -97,3 +118,22 @@ def test_ellipsoid_is_the_limit_at_second_order(grids, semi_axes):
     for values in (residuals, errors):
         ratios = np.array(values[:-1]) / np.array(values[1:])
         assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (residuals, errors)
+
+
+@pytest.mark.parametrize(
+    "n, k, p, q",
+    [(3, 2, 2, 0), (3, 1, 0, -2), (3, 2, 0, -1), (4, 2, 0, -2), (4, 3, 0, -1), (5, 3, 0, -2)],
+)
+def test_manufactured_axisym_limit_at_second_order(n, k, p, q):
+    # G = c ψ u^a ρ^b of the paper's p > q cells, GLL's k < n among them
+    a, b = (1 - p) / k, (q - k - 1) / k
+    G = SpeedSpec(c=1.0, a=a, b=b, w=(0.0, 0.0, 0.0))
+    errors = []
+    for m in (8, 16, 32):
+        config = FlowConfig(axisym_grid(n=n, m_theta=m), SigmaKRoot(k=k), G, 1.0,
+                            t_max=400.0, tol_residual=1e-9)
+        gamma, f_val, u, rho = manufactured_axisym(config.grid, k)
+        config.G_table = f_val / (u**a * rho**b)
+        errors.append(float(np.max(np.abs(limit(config, Constant(R=1.0)) - gamma))))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), errors

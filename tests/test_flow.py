@@ -124,6 +124,35 @@ def test_speed_field_is_psi_q_minus_psi_one_bit_for_bit():
     assert np.max(gaps) > 10.0
 
 
+def test_diffusivity_evaluates_psi_prime_once_bit_for_bit():
+    # (D, Ψ'(Q) Q) from one Ψ'(Q) = 1/Q² equal D = ((β u) Ψ'(Q)) Q λ / F and
+    # Ψ'(Q) Q with Ψ'(Q) formed for each, and D = (β u) Q λ / F and Q for
+    # the identity, whose Ψ' is 1
+    aniso = SpeedSpec(c=1.0, a=-0.5, b=-1.5, w=(0.1, -0.2, 0.15))
+    problems = [setup1(), setup1(grid=full_s2_grid(m_theta=8, m_phi=16), G=aniso)]
+    shapes = [Constant(R=1.0), Perturbed(R=1.0, amplitude=1e-9), Perturbed(R=1.0, amplitude=0.3),
+              Constant(R=1e-3), Constant(R=1e3)]
+    gaps = []
+    for base in problems:
+        for mode in (PSI_IDENTITY, PSI_NEG_RECIPROCAL):
+            cfg = setup1(grid=base.grid, G=base.G, psi_mode=mode, beta=1.5)
+            for shape in shapes:
+                _, q, f_val, lam, geom = speed_field(cfg, initial_gamma(shape, cfg.grid))
+                diff, pq = diffusivity(cfg, geom, q, f_val, lam)
+                if mode == PSI_NEG_RECIPROCAL:
+                    want_diff = ((1.5 * geom.u) * (1.0 / np.asarray(q) ** 2)) * q * lam / f_val
+                    want_pq = (1.0 / q**2) * q
+                else:
+                    want_diff, want_pq = (1.5 * geom.u) * q * lam / f_val, q
+                assert diff.tobytes() == want_diff.tobytes()
+                assert pq.tobytes() == want_pq.tobytes()
+                gaps.append(np.abs(q - 1.0))
+    gaps = np.concatenate([g.ravel() for g in gaps])
+    # Q within 1e-8 of 1 and Q far from 1 both occur
+    assert np.any(gaps < 1e-8)
+    assert np.max(gaps) > 10.0
+
+
 def test_speed_field_zero_at_stationary_radius():
     cfg = setup1()
     r_star = sphere_radius(cfg.G, cfg.F, cfg.grid.n, cfg.beta)
@@ -195,7 +224,7 @@ def test_step_rejects_a_dilation_that_overflows(mode):
         first = speed_field(cfg, gamma)
         speed, q, f_val, lam, geom = first
         assert np.isfinite(speed).all()
-        assert np.isfinite(diffusivity(cfg, geom, q, f_val, lam)).all()
+        assert np.isfinite(diffusivity(cfg, geom, q, f_val, lam)[0]).all()
         with pytest.raises(FlowAbort, match=r"overflowed to -inf in latitude row 0$") as abort:
             step(cfg, FlowState(t=0.0, step=0, gamma=gamma), 1e-3, first)
     assert abort.value.status == STATUS_DIVERGED
@@ -429,7 +458,7 @@ def test_cfl_dt_scalings():
         cfg = setup1(m_theta=m)
         gamma = np.full(m, np.log(1.3))
         _, q, f_val, lam, geom = speed_field(cfg, gamma)
-        return cfl_dt(cfg, geom, diffusivity(cfg, geom, q, f_val, lam))
+        return cfl_dt(cfg, geom, diffusivity(cfg, geom, q, f_val, lam)[0])
 
     dt16 = dt_for(16)
     dt32 = dt_for(32)
@@ -443,7 +472,7 @@ def test_cfl_dt_scalings():
 def test_cfl_dt_names_the_node_whose_bound_degenerates():
     cfg = setup1(grid=full_s2_grid(m_theta=8, m_phi=16))
     _, q, f_val, lam, geom = speed_field(cfg, initial_gamma(Constant(R=1.3), cfg.grid))
-    diff = diffusivity(cfg, geom, q, f_val, lam)
+    diff = diffusivity(cfg, geom, q, f_val, lam)[0]
     diff[2, 5] = np.nan
     with pytest.raises(FlowAbort) as info:
         cfl_dt(cfg, geom, diff)
@@ -566,7 +595,7 @@ def test_phi_dependent_start_steps_far_beyond_the_pole_bound():
     _, q, f_val, lam, geom = speed_field(cfg, gamma)
     # the explicit bound set by the pole rows' phi spacing rho sin(theta) dphi
     ds = np.minimum(geom.rho * grid.dtheta, geom.rho * grid.sin_theta * grid.dphi)
-    diff = diffusivity(cfg, geom, q, f_val, lam)
+    diff = diffusivity(cfg, geom, q, f_val, lam)[0]
     pole_dt = FIRST_STEP_FRACTION * float(np.min(ds * ds / (2.0 * grid.n * diff)))
 
     res = run(cfg, gamma)
