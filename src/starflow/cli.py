@@ -169,7 +169,7 @@ def _parse_psi_terms(text: str) -> tuple:
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-8:
             raise ConfigError(f"psi direction must be unit length, |v| = {norm:.6g}")
-        with np.errstate(over="ignore"):  # SpeedSpec refuses an infinite |w|
+        with np.errstate(over="ignore"):  # check_forcing refuses an infinite |w|
             w = w + s * v
     return tuple(w.tolist())
 
@@ -178,6 +178,20 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError("must be a count >= 0")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):  # NaN fails too
+        raise ValueError("must be finite and positive")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("must be finite")
     return value
 
 
@@ -196,16 +210,16 @@ def _parse_grid(cp) -> spheregrid.Grid:
 def _parse_initial(cp) -> object:
     kind = _get(cp, "initial", "kind", str, required=True).strip().lower()
     if kind == "constant":
-        return flow.Constant(R=_get(cp, "initial", "radius", float, required=True))
+        return flow.Constant(R=_get(cp, "initial", "radius", _positive, required=True))
     if kind == "spheroid":
         return flow.Spheroid(
-            a=_get(cp, "initial", "a_axis", float, required=True),
-            b=_get(cp, "initial", "b_axis", float, required=True),
+            a=_get(cp, "initial", "a_axis", _positive, required=True),
+            b=_get(cp, "initial", "b_axis", _positive, required=True),
         )
     if kind == "perturbed":
         return flow.Perturbed(
-            R=_get(cp, "initial", "radius", float, required=True),
-            amplitude=_get(cp, "initial", "amplitude", float, required=True),
+            R=_get(cp, "initial", "radius", _positive, required=True),
+            amplitude=_get(cp, "initial", "amplitude", _finite, required=True),
         )
     raise ConfigError(f"unknown initial kind {kind!r}")
 
@@ -265,9 +279,9 @@ def parse_config(path, t_max=None) -> RunSetup:
             beta=_get(cp, "flow", "beta", float, required=True),
             **{key: value for key, value in given.items() if value is not None},
         )
-        initial = _parse_initial(cp)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    initial = _parse_initial(cp)
     obj_every = _get(cp, "output", "obj_every", _count, default=0)
     if obj_every and grid.mode != "full_s2":
         raise ConfigError(

@@ -48,8 +48,9 @@ clipping Z changes only W, which a W-method leaves free.  A run therefore
 ends in exactly one of five states: converged, diverged, cone_exit,
 star_shape_lost, or time_cap.
 
-run() is deterministic: identical configs and initial data reproduce
-identical histories bit for bit.
+The inputs are plain records, each judged once: F and G by FlowConfig, the
+initial data by initial_gamma's gate.  run() is deterministic: identical
+configs and initial data reproduce identical histories bit for bit.
 """
 
 import math
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import diagnostics
 from .geometry import GeometryState, assemble, star_shape_failure
-from .speed import RHO_CEIL, RHO_FLOOR, SpeedSpec
+from .speed import RHO_CEIL, RHO_FLOOR, SpeedSpec, check_forcing
 from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import F_fused, check_spec, cone_failure, natural_cone
 
@@ -106,7 +107,8 @@ FIRST_STEP_FRACTION = 0.5
 
 
 class FlowConfig:
-    """Everything run() needs besides the initial profile."""
+    """Everything run() needs besides the initial profile; it judges F
+    (symfunc.check_spec) and G (speed.check_forcing) once, when built."""
 
     grid: Grid
     F: object
@@ -129,11 +131,7 @@ class FlowConfig:
         for key in ("t_max", "tol_residual"):
             if getattr(self, key) == math.inf:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        # the scaling exponent of G / F^beta; the barrier radii divide by it
-        if not np.isfinite(self.G.a + self.G.b + self.beta):
-            raise ValueError(
-                f"a + b + beta must be finite, got {self.G.a} + {self.G.b} + {self.beta}"
-            )
+        check_forcing(self.G, self.beta)
         if self.psi_mode not in (PSI_IDENTITY, PSI_NEG_RECIPROCAL):
             raise ValueError(f"unknown psi mode {self.psi_mode!r}")
         if self.cadence < 1:
@@ -387,61 +385,24 @@ def run(config: FlowConfig, gamma0: np.ndarray, on_record=None) -> RunResult:
 # initial data
 
 
-def _require_positive(**values) -> None:
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0.0):  # NaN fails too
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+class Constant(NamedTuple):
+    """Round sphere of radius R."""
 
-
-# the fields of each kind of initial data; the public class checks them in
-# __new__, which a NamedTuple body may not define
-class _Constant(NamedTuple):
     R: float
 
 
-class Constant(_Constant):
-    """Round sphere of radius R."""
+class Spheroid(NamedTuple):
+    """Spheroid with equatorial semi-axis a and polar semi-axis b."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_positive(radius=self.R)
-        return self
-
-
-class _Spheroid(NamedTuple):
     a: float
     b: float
 
 
-class Spheroid(_Spheroid):
-    """Spheroid with equatorial semi-axis a and polar semi-axis b."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_positive(a_axis=self.a, b_axis=self.b)
-        return self
-
-
-class _Perturbed(NamedTuple):
-    R: float
-    amplitude: float
-
-
-class Perturbed(_Perturbed):
+class Perturbed(NamedTuple):
     """Sphere of radius R with a single low-mode bump of the given amplitude."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _require_positive(radius=self.R)
-        if not np.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
-        return self
+    R: float
+    amplitude: float
 
 
 def initial_gamma(kind, grid: Grid) -> np.ndarray:
@@ -452,23 +413,26 @@ def initial_gamma(kind, grid: Grid) -> np.ndarray:
     Perturbed: γ = log R + amplitude · ⟨ξ, v⟩, with v = e_z on axisym grids
                (cosθ) and v = e_x on full_s2 grids (sinθ cosφ).
 
-    Raises ValueError, naming the first node and its u, when the profile is
-    not a star-shaped graph.
+    The kinds are plain records and this gate is their one check: a radius
+    or a single axis that is not finite and positive, or an amplitude that
+    is not finite, gives a γ of nan or ±inf, which fails it; two negative
+    axes give the spheroid of |a| and |b|.  Raises ValueError, naming the
+    first node and its u, when the profile is not a star-shaped graph.
     """
-    if isinstance(kind, Constant):
-        gamma = np.full(grid.shape, np.log(kind.R))
-    elif isinstance(kind, Spheroid):
-        st, ct = grid.sin_theta, grid.cos_theta
-        rho = kind.a * kind.b / np.sqrt(kind.b**2 * st**2 + kind.a**2 * ct**2)
-        gamma = np.broadcast_to(np.log(rho), grid.shape).copy()
-    elif isinstance(kind, Perturbed):
-        bump = grid.xi[..., 2 if grid.mode == "axisym" else 0]
-        gamma = np.log(kind.R) + kind.amplitude * bump
-    else:
-        raise TypeError(f"unknown initial-data kind {kind!r}")
-
-    # a huge γ overflows e^γ or |Dγ|²; the verdict reports it, not a warning
+    # a bad radius or axis gives a γ of nan or ±inf, and a huge γ overflows
+    # e^γ or |Dγ|²; the verdict reports each, not a warning
     with np.errstate(all="ignore"):
+        if isinstance(kind, Constant):
+            gamma = np.full(grid.shape, np.log(kind.R))
+        elif isinstance(kind, Spheroid):
+            st, ct = grid.sin_theta, grid.cos_theta
+            rho = kind.a * kind.b / np.sqrt(np.square(kind.b) * st**2 + np.square(kind.a) * ct**2)
+            gamma = np.broadcast_to(np.log(rho), grid.shape).copy()
+        elif isinstance(kind, Perturbed):
+            bump = grid.xi[..., 2 if grid.mode == "axisym" else 0]
+            gamma = np.log(kind.R) + kind.amplitude * bump
+        else:
+            raise TypeError(f"unknown initial-data kind {kind!r}")
         failure = star_shape_failure(assemble(grid, gamma))
     if failure is not None:
         raise ValueError(f"initial profile is {failure}")

@@ -8,6 +8,8 @@ with u = ⟨X, ν⟩ the support value, ρ = |X| and w a fixed 3-vector;
 ψ = exp⟨ξ, w⟩ is the anisotropy, and w = 0 gives ψ ≡ 1.  Admissibility
 of a (G, F, β) triple is decided here:
 
+- check_forcing: the one check of a SpeedSpec, a plain record; FlowConfig
+  makes it once per problem, beside symfunc.check_spec for F.
 - barrier_radii: the largest sphere pinched from inside and the smallest
   pinching from outside, at the extrema e^{∓|w|} of ψ.
 - sphere_radius: the one sphere on which (c ψ)^{1/β} r^{(a+b+β)/β} meets
@@ -16,8 +18,8 @@ of a (G, F, β) triple is decided here:
 - monotonicity_report: the closed-form exponent conditions that the various
   convergence and uniqueness arguments need, each with its margin.
 
-Validators are report-only: nothing here mutates a flow, and the run loop
-never calls them.
+Apart from check_forcing, validators are report-only: nothing here mutates
+a flow, and the run loop never calls them.
 """
 
 from typing import NamedTuple
@@ -28,6 +30,7 @@ from .symfunc import F_fused
 
 __all__ = [
     "SpeedSpec",
+    "check_forcing",
     "barrier_radii",
     "sphere_radius",
     "monotonicity_report",
@@ -40,37 +43,14 @@ RHO_FLOOR, RHO_CEIL = 1e-6, 1e6
 _LOG_MAX = -float(np.log(np.finfo(float).tiny))
 
 
-# SpeedSpec's fields; SpeedSpec checks them in __new__, which a NamedTuple
-# body may not define
-class _SpeedSpec(NamedTuple):
+class SpeedSpec(NamedTuple):
+    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩; w is a tuple of three
+    floats, so equal forcings compare equal.  check_forcing judges it."""
+
     c: float
     a: float
     b: float
     w: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-
-class SpeedSpec(_SpeedSpec):
-    """Forcing G = c ψ(ξ) u^a ρ^b, with ψ(ξ) = exp⟨ξ, w⟩; w is a tuple of three
-    floats, so equal forcings compare equal."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"amplitude c must be positive, got {self.c}")
-        for x in (self.a, self.b):
-            if not np.isfinite(x):
-                raise ValueError("exponents must be finite")
-        with np.errstate(over="ignore"):  # an infinite |w| is refused below
-            size = float(np.linalg.norm(self.w))
-        # c ψ ranges over c e^{±|w|}: both ends, and e^{±|w|}, are finite
-        # normal doubles exactly when |log c| + |w| < -log(tiny)
-        if not abs(float(np.log(self.c))) + size < _LOG_MAX:
-            raise ValueError(
-                f"forcing c e^(+-|w|) overflows a double: c = {self.c:g}, |w| = {size:g}"
-            )
-        return self
 
     @property
     def isotropic(self) -> bool:
@@ -84,6 +64,23 @@ class SpeedSpec(_SpeedSpec):
 
 # ---------------------------------------------------------------------------
 # admissibility
+
+
+def check_forcing(spec: SpeedSpec, beta: float) -> None:
+    """Raise ValueError unless c > 0, c ψ stays a normal double on the sphere,
+    and a + b + β (so a and b) is finite: the barrier radii divide by it."""
+    if not (np.isfinite(spec.c) and spec.c > 0.0):
+        raise ValueError(f"amplitude c must be positive, got {spec.c}")
+    with np.errstate(over="ignore"):  # an infinite |w| is refused below
+        size = float(np.linalg.norm(spec.w))
+    # c ψ ranges over c e^{±|w|}: both ends, and e^{±|w|}, are finite
+    # normal doubles exactly when |log c| + |w| < -log(tiny)
+    if not abs(float(np.log(spec.c))) + size < _LOG_MAX:
+        raise ValueError(
+            f"forcing c e^(+-|w|) overflows a double: c = {spec.c:g}, |w| = {size:g}"
+        )
+    if not np.isfinite(spec.a + spec.b + beta):
+        raise ValueError(f"a + b + beta must be finite, got {spec.a} + {spec.b} + {beta}")
 
 
 def barrier_radii(spec: SpeedSpec, F_spec, n: int, beta: float) -> tuple[float, float]:
@@ -120,7 +117,10 @@ def sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float = 1.0
     slope = (spec.a + spec.b + beta) / beta
     if slope == 0.0:
         raise ValueError("a + b + beta = 0: forcing is scale-invariant, radii are not pinned")
-    f_unit = float(F_fused(F_spec, np.ones(n))[1])
+    with np.errstate(all="ignore"):  # an F(1, ..., 1) out of range is refused below
+        f_unit = float(F_fused(F_spec, np.ones(n))[1])
+    if not np.finfo(float).tiny <= f_unit < np.inf:
+        raise ValueError(f"F(1, ..., 1) = {f_unit:g} is not a positive normal double")
     # a float quotient: a tiny slope sends log r to inf without a warning
     log_r = float(np.log(f_unit) - np.log(spec.c * psi) / beta) / slope
     if not np.log(RHO_FLOOR) < log_r < np.log(RHO_CEIL):

@@ -267,6 +267,43 @@ def test_bad_initial_data_values_exit_64(tmp_path, capsys, edits):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["a_axis", "b_axis"])
+def test_huge_spheroid_axis_exits_65(tmp_path, capsys, axis):
+    # 1e200 squared overflows a double, so rho underflows to 0 off the
+    # equator: the gate refuses the profile, where a Python float power
+    # would raise OverflowError (exit 70)
+    edits = {"initial__kind": "spheroid", "initial__radius": None,
+             "initial__a_axis": "1", "initial__b_axis": "1"}
+    cfg = make_cfg(tmp_path / "s.cfg", **{**edits, f"initial__{axis}": "1e200"})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert err.startswith("gate failure: initial data rejected: initial profile is not a star-shaped")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"F__variant": "power_mean", "F__k": None, "F__p": "-1e-4"},
+        {"F__variant": "product", "F__k": None,
+         "F__terms": "0.5*sigma_k_root(1), 0.5*power_mean(-1e-4)"},
+    ],
+    ids=["power_mean", "product"],
+)
+def test_validate_refuses_an_F_of_ones_that_underflows(tmp_path, capsys, edits):
+    # F(1, 1) = 0: both sphere checks name it, with no RuntimeWarning, which
+    # pytest would turn into an error and the command into exit 70
+    cfg = make_cfg(tmp_path / "f.cfg", **edits)
+    assert cli.main(["validate", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    reason = "F(1, ..., 1) = 0 is not a positive normal double"
+    assert f"no admissible barrier radii: {reason}" in captured.out
+    assert f"no stationary sphere radius: {reason}" in captured.out
+    assert captured.err == ""
+
+
 def test_config_that_is_not_utf8_exits_64(tmp_path, capsys):
     cfg = make_cfg(tmp_path / "latin1.cfg")
     cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")

@@ -681,3 +681,25 @@ def test_initial_gamma_shapes():
         initial_gamma(Constant(R=0.0), grid)
     with pytest.raises(ValueError):
         initial_gamma(Spheroid(a=-1.0, b=1.0), grid)
+
+
+_NOT_POSITIVE = (0.0, -1.0, float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [axisym_grid(n=2, m_theta=16), axisym_grid(n=4, m_theta=16), full_s2_grid(m_theta=8, m_phi=16)],
+    ids=["axisym-n2", "axisym-n4", "full_s2"],
+)
+def test_initial_gamma_refuses_every_bad_parameter(grid):
+    # the kinds are plain records: a radius or axis that is not finite and
+    # positive, or an amplitude that is not finite, is refused by the gate,
+    # with no RuntimeWarning on the way (pytest turns one into an error)
+    cases = [(Constant, {"R": x}) for x in _NOT_POSITIVE]
+    cases += [(Perturbed, {"R": x, "amplitude": 0.1}) for x in _NOT_POSITIVE]
+    cases += [(Spheroid, {"a": x, "b": 1.0}) for x in _NOT_POSITIVE]
+    cases += [(Spheroid, {"a": 1.5, "b": x}) for x in _NOT_POSITIVE]
+    cases += [(Perturbed, {"R": 1.0, "amplitude": x}) for x in _NOT_POSITIVE[2:]]
+    for kind, fields in cases:
+        with pytest.raises(ValueError):
+            initial_gamma(kind(**fields), grid)

@@ -11,6 +11,7 @@ from starflow.geometry import GeometryState
 from starflow.speed import (
     SpeedSpec,
     barrier_radii,
+    check_forcing,
     monotonicity_report,
     sphere_radius,
 )
@@ -23,9 +24,9 @@ def test_speed_spec_validation():
     assert spec.isotropic
     assert spec.axis_aligned()
     with pytest.raises(ValueError):
-        SpeedSpec(c=0.0, a=0.0, b=1.0)
+        check_forcing(SpeedSpec(c=0.0, a=0.0, b=1.0), 1.0)
     with pytest.raises(ValueError):
-        SpeedSpec(c=-2.0, a=0.0, b=1.0)
+        check_forcing(SpeedSpec(c=-2.0, a=0.0, b=1.0), 1.0)
     aniso = SpeedSpec(c=1.0, a=0.0, b=0.0, w=(0.0, 0.0, 0.2))
     assert not aniso.isotropic
     assert aniso.axis_aligned()
@@ -60,11 +61,30 @@ def test_speed_spec_refuses_forcing_outside_double_range(c, s, ok):
     w = (0.0, 0.0, s)
     if ok:
         spec = SpeedSpec(c=c, a=0.0, b=-2.0, w=w)
+        check_forcing(spec, 1.0)
         size = np.linalg.norm(spec.w)
         assert 0.0 < c * np.exp(-size) and c * np.exp(size) < np.inf
     else:
         with pytest.raises(ValueError, match="overflows a double"):
-            SpeedSpec(c=c, a=0.0, b=-2.0, w=w)
+            check_forcing(SpeedSpec(c=c, a=0.0, b=-2.0, w=w), 1.0)
+
+
+# F(1, 1) = 2^{1/p} underflows to 0 for |p| below about 1e-3 at n = 2
+UNDERFLOWING_F = [
+    PowerMean(p=-1e-4),
+    WeightedProduct(terms=((SigmaKRoot(k=1), 0.5), (PowerMean(p=-1e-4), 0.5))),
+]
+
+
+@pytest.mark.parametrize("F", UNDERFLOWING_F, ids=["power_mean", "product"])
+def test_sphere_radius_refuses_an_F_of_ones_that_underflows(F):
+    # pytest turns a RuntimeWarning from evaluating F(1, 1) into an error
+    spec = SpeedSpec(c=1.0, a=0.0, b=-2.0)
+    message = r"F\(1, \.\.\., 1\) = 0 is not a positive normal double"
+    with pytest.raises(ValueError, match=message):
+        sphere_radius(spec, F, 2, 1.0)
+    with pytest.raises(ValueError, match=message):
+        barrier_radii(spec, F, 2, 1.0)
 
 
 def G_table(w, c=1.0):
