@@ -48,11 +48,6 @@ except ImportError:
 
 from . import __version__, diagnostics, flow, geometry, speed, spheregrid, symfunc
 
-__all__ = [
-    "ConfigError", "GateError", "RunSetup", "parse_config", "build_parser", "main",
-    "cmd_run", "cmd_validate", "cmd_curvature",
-]
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1  # validate: no admissible barrier radii
 EXIT_ABORTED = 2

@@ -28,22 +28,6 @@ import numpy as np
 from .geometry import GeometryState, assemble
 from .spheregrid import derivatives, read_table, write_table
 
-__all__ = [
-    "HISTORY_CSV_MAGIC",
-    "DiagnosticsRecord",
-    "snapshot",
-    "CheckResult",
-    "check_barriers",
-    "check_sign_preservation",
-    "evolution_identity_check",
-    "DecayFit",
-    "decay_fit",
-    "uniqueness_crosscheck",
-    "write_history_csv",
-    "read_history_csv",
-    "write_summary_json",
-]
-
 HISTORY_CSV_MAGIC = "starflow-history-v1"
 
 

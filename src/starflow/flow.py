@@ -65,25 +65,6 @@ from .speed import RHO_CEIL, RHO_FLOOR, SpeedSpec, check_forcing
 from .spheregrid import Grid, factor_shifted_laplacian
 from .symfunc import F_fused, check_spec, cone_failure, natural_cone
 
-__all__ = [
-    "PSI_IDENTITY",
-    "PSI_NEG_RECIPROCAL",
-    "FlowConfig",
-    "FlowState",
-    "FlowAbort",
-    "RunResult",
-    "speed_terms",
-    "speed_field",
-    "diffusivity",
-    "cfl_dt",
-    "step",
-    "run",
-    "Constant",
-    "Spheroid",
-    "Perturbed",
-    "initial_gamma",
-]
-
 PSI_IDENTITY = "identity"
 PSI_NEG_RECIPROCAL = "neg_reciprocal"
 

@@ -39,14 +39,6 @@ import numpy as np
 
 from .spheregrid import Grid, derivatives
 
-__all__ = [
-    "GeometryState",
-    "assemble",
-    "star_shape_failure",
-    "support_identity_residual",
-    "export_obj",
-]
-
 
 class GeometryState(NamedTuple):
     """What the flow reads of one γ field.  Read-only by convention."""

@@ -12,9 +12,9 @@ of a (G, F, β) triple is decided here:
   makes it once per problem, beside symfunc.check_spec for F.
 - barrier_radii: the largest sphere pinched from inside and the smallest
   pinching from outside, at the extrema e^{∓|w|} of ψ.
-- sphere_radius: the one sphere on which (c ψ)^{1/β} r^{(a+b+β)/β} meets
-  F(1, ..., 1), in closed form in log r; at ψ = 1 it is the stationary sphere
-  of isotropic G, η c R^{a+b+β} = 1 with η = F(1, ..., 1)^{-β}.
+- sphere_radius: the one sphere r on which c ψ r^{a+b} = (F(1, ..., 1)/r)^β,
+  log r = (β log F(1, ..., 1) - log(c ψ))/(a + b + β); at ψ = 1 it is the
+  stationary sphere of isotropic G, η c R^{a+b+β} = 1, η = F(1, ..., 1)^{-β}.
 - monotonicity_report: the closed-form exponent conditions that the various
   convergence and uniqueness arguments need, each with its margin.
 
@@ -27,14 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .symfunc import F_fused
-
-__all__ = [
-    "SpeedSpec",
-    "check_forcing",
-    "barrier_radii",
-    "sphere_radius",
-    "monotonicity_report",
-]
 
 # the radii a run may reach: a run diverges once some radius leaves
 # [RHO_FLOOR, RHO_CEIL], and a barrier or stationary sphere outside it is refused
@@ -109,20 +101,21 @@ def barrier_radii(spec: SpeedSpec, F_spec, n: int, beta: float) -> tuple[float, 
 def sphere_radius(spec: SpeedSpec, F_spec, n: int, beta: float, psi: float = 1.0) -> float:
     """Radius r where G = F^β on the sphere of radius r, with ψ taken as psi.
 
-    On that sphere u = ρ = r, so r solves (c ψ)^{1/β} r^{(a+b+β)/β} = F(1, ..., 1)
-    in closed form in log r; raises ValueError when a + b + β = 0 or the root
-    lies outside (RHO_FLOOR, RHO_CEIL).  F(1, ..., 1) is F_fused's F at κ = 1,
+    On that sphere u = ρ = r and κ = 1/r, so c ψ r^{a+b} = (F(1, ..., 1)/r)^β
+    and log r = (β log F(1, ..., 1) - log(c ψ))/(a + b + β), with nothing
+    divided by β.  Raises ValueError when a + b + β = 0 or the root lies
+    outside (RHO_FLOOR, RHO_CEIL).  F(1, ..., 1) is F_fused's F at κ = 1,
     inside every cone; F_spec is FlowConfig.F, which FlowConfig checked.
     """
-    slope = (spec.a + spec.b + beta) / beta
-    if slope == 0.0:
+    scale = spec.a + spec.b + beta
+    if scale == 0.0:
         raise ValueError("a + b + beta = 0: forcing is scale-invariant, radii are not pinned")
     with np.errstate(all="ignore"):  # an F(1, ..., 1) out of range is refused below
         f_unit = float(F_fused(F_spec, np.ones(n))[1])
     if not np.finfo(float).tiny <= f_unit < np.inf:
         raise ValueError(f"F(1, ..., 1) = {f_unit:g} is not a positive normal double")
-    # a float quotient: a tiny slope sends log r to inf without a warning
-    log_r = float(np.log(f_unit) - np.log(spec.c * psi) / beta) / slope
+    # float arithmetic: a tiny a + b + beta sends log r to inf, refused below
+    log_r = (beta * float(np.log(f_unit)) - float(np.log(spec.c * psi))) / scale
     if not np.log(RHO_FLOOR) < log_r < np.log(RHO_CEIL):
         raise ValueError(
             f"no sphere radius inside [{RHO_FLOOR:g}, {RHO_CEIL:g}] "

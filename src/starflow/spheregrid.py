@@ -44,19 +44,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Grid",
-    "axisym_grid",
-    "full_s2_grid",
-    "derivatives",
-    "factor_shifted_laplacian",
-    "write_node_table",
-    "write_field_csv",
-    "read_field_csv",
-    "write_table",
-    "read_table",
-]
-
 FIELD_CSV_MAGIC = "starflow-field-v1"
 # checked before any table is allocated, against the node count and, on
 # axisym grids, the n curvatures per node; 512 times the 64x128 benchmark grid
@@ -266,8 +253,7 @@ def factor_shifted_laplacian(grid: Grid, a: np.ndarray, z: np.ndarray):
         s *= 2
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape != grid.shape:
-            raise ValueError(f"field shape {rhs.shape} does not match grid {grid.shape}")
+        rhs = _check_shape(grid, rhs)
         d = np.fft.rfft(rhs, axis=1)
         for s, alpha, beta in levels:
             # both terms read the old d before either is added to it
@@ -309,8 +295,7 @@ def _factor_sweep(grid: Grid, a: np.ndarray, z: np.ndarray):
     backward = list(zip(upper[::-1], inv[::-1]))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape != grid.shape:
-            raise ValueError(f"field shape {rhs.shape} does not match grid {grid.shape}")
+        rhs = _check_shape(grid, rhs)
         y, acc = [], 0.0
         for f, m in zip(rhs.tolist(), mult):
             acc = f + m * acc

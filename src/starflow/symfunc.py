@@ -30,22 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Cone",
-    "SigmaKRoot",
-    "QuotientRoot",
-    "PowerMean",
-    "WeightedProduct",
-    "sigma",
-    "sigma_all",
-    "in_cone",
-    "cone_failure",
-    "F_fused",
-    "check_spec",
-    "natural_cone",
-    "newton_maclaurin_margin",
-]
-
 
 def _as_batch(kappa) -> np.ndarray:
     arr = np.asarray(kappa, dtype=float)

@@ -877,6 +877,27 @@ def test_validate_prints_the_exact_barrier_radii(tmp_path, capsys, config, edits
     assert capsys.readouterr().out == stdout
 
 
+def test_validate_and_run_agree_on_a_tiny_beta(tmp_path, capsys):
+    # sphere_expand.cfg at beta = 1e-310 and c = 2: the stationary sphere
+    # 2 rho^-2 = 1 that validate prints is the limit that run reaches
+    text = (CONFIGS / "sphere_expand.cfg").read_text()
+    edited = text.replace("\nbeta = 1.0\n", "\nbeta = 1e-310\n").replace("\nc = 1.0\n", "\nc = 2.0\n")
+    assert "\nbeta = 1e-310\n" in edited and "\nc = 2.0\n" in edited
+    cfg = tmp_path / "tiny_beta.cfg"
+    cfg.write_text(edited)
+    assert cli.main(["validate", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "barrier radii: r1 = 1.41421356237, r2 = 1.41421356237 " in captured.out
+    assert "stationary sphere radius: R = 1.41421356237\n" in captured.out
+    assert captured.err == ""
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    setup = cli.parse_config(cfg)
+    rho = np.exp(spheregrid.read_field_csv(out / "final_field.csv", setup.config.grid))
+    assert np.max(np.abs(rho - np.sqrt(2.0))) <= setup.config.tol_residual
+    capsys.readouterr()
+
+
 def test_bundled_sphere_expand_runs_to_convergence(tmp_path, capsys):
     import pathlib
 

@@ -19,6 +19,8 @@ Three references need no code under test beyond the flow itself:
   formulas in the geometry docstring, and ψ = F(κ*)^β / (u*^a ρ*^b) makes
   F^β = G hold at γ*.  With a = (1 - p)/k and b = (q - k - 1)/k,
   a + b + β = (q - p)/k at β = 1, so for p > q γ* is the unique limit.
+  On full_s2 γ* is the restriction to S² of a polynomial Γ on R³ with no
+  symmetry, and its κ* follow from ∇Γ and D²Γ alone.
 """
 
 from math import comb
@@ -51,6 +53,40 @@ def manufactured_axisym(grid, k):
     mer = (1.0 + d1**2 - d2) / (rho * omega**3)
     par = (1.0 - d1 * np.cos(t) / np.sin(t)) / (rho * omega)
     sigma_k = comb(n - 1, k) * par**k + comb(n - 1, k - 1) * mer * par ** (k - 1)
+    return gamma, sigma_k ** (1.0 / k), rho / omega, rho
+
+
+# γ* = Γ(ξ) on full_s2: Γ = 0.15x + 0.1xy - 0.08z² + 0.05yz + 0.04xz, whose
+# Hessian D²Γ is constant
+HESS_GAMMA = np.array([[0.0, 0.1, 0.04], [0.1, 0.0, 0.05], [0.04, 0.05, -0.16]])
+
+
+def manufactured_full_s2(grid, k):
+    """γ* = Γ at the nodes, with σ_k^{1/k} of its κ*, u* and ρ* in closed form.
+
+    In the frame (ê_θ, ê_φ/sinθ) b = P_T∇Γ and H = P_T D²Γ P_T - ⟨ξ, ∇Γ⟩P_T;
+    P_T fixes the tangent frame vectors, so b = E∇Γ and H = E D²Γ Eᵀ -
+    ⟨ξ, ∇Γ⟩I for the rows E = (ê_θ, ê_φ).  κ* are the eigenvalues of the
+    Weingarten map (I - P)/(ρω), P = H - b(Hb)ᵀ/ω², found by
+    np.linalg.eigvals at each node rather than by assemble.
+    """
+    xi = grid.xi
+    x, y, z = xi[..., 0], xi[..., 1], xi[..., 2]
+    gamma = 0.15 * x + 0.1 * x * y - 0.08 * z**2 + 0.05 * y * z + 0.04 * x * z
+    grad = np.stack([0.15 + 0.1 * y + 0.04 * z, 0.1 * x + 0.05 * z,
+                     0.04 * x + 0.05 * y - 0.16 * z], axis=-1)
+    t, p = np.broadcast_arrays(grid.theta[:, None], grid.phi[None, :])
+    e_theta = np.stack([np.cos(t) * np.cos(p), np.cos(t) * np.sin(p), -np.sin(t)], axis=-1)
+    e_phi = np.stack([-np.sin(p), np.cos(p), np.zeros_like(p)], axis=-1)
+    frame = np.stack([e_theta, e_phi], axis=-2)
+    b = frame @ grad[..., None]
+    normal = np.sum(xi * grad, axis=-1)[..., None, None]
+    H = frame @ HESS_GAMMA @ frame.swapaxes(-1, -2) - normal * np.eye(2)
+    rho, omega = np.exp(gamma), np.sqrt(1.0 + np.sum(b**2, axis=(-2, -1)))
+    P = H - b @ (H @ b).swapaxes(-1, -2) / (omega**2)[..., None, None]
+    weingarten = (np.eye(2) - P) / (rho * omega)[..., None, None]
+    kappa = np.linalg.eigvals(weingarten).real
+    sigma_k = kappa.prod(axis=-1) if k == 2 else kappa.sum(axis=-1)
     return gamma, sigma_k ** (1.0 / k), rho / omega, rho
 
 
@@ -122,7 +158,8 @@ def test_ellipsoid_is_the_limit_at_second_order(grids, semi_axes):
 
 @pytest.mark.parametrize(
     "n, k, p, q",
-    [(3, 2, 2, 0), (3, 1, 0, -2), (3, 2, 0, -1), (4, 2, 0, -2), (4, 3, 0, -1), (5, 3, 0, -2)],
+    [(3, 2, 2, 0), (3, 1, 0, -2), (3, 2, 0, -1), (4, 2, 0, -2), (4, 3, 0, -1), (5, 3, 0, -2),
+     (4, 3, 1, -1)],
 )
 def test_manufactured_axisym_limit_at_second_order(n, k, p, q):
     # G = c ψ u^a ρ^b of the paper's p > q cells, GLL's k < n among them
@@ -137,3 +174,24 @@ def test_manufactured_axisym_limit_at_second_order(n, k, p, q):
         errors.append(float(np.max(np.abs(limit(config, Constant(R=1.0)) - gamma))))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all((3.5 <= ratios) & (ratios <= 4.5)), errors
+
+
+@pytest.mark.parametrize("k, p, q", [(2, 2, 0), (1, 1, 0), (2, 1, -1)])
+def test_manufactured_full_s2_limit_at_second_order(k, p, q):
+    # the p > q cells of n = 2 on a γ* with no symmetry
+    a, b = (1 - p) / k, (q - k - 1) / k
+    G = SpeedSpec(c=1.0, a=a, b=b, w=(0.0, 0.0, 0.0))
+    residuals, errors = [], []
+    for m in (8, 16, 32):
+        config = FlowConfig(full_s2_grid(m_theta=m, m_phi=2 * m), SigmaKRoot(k=k), G, 1.0,
+                            t_max=400.0, tol_residual=1e-7)
+        gamma, f_val, u, rho = manufactured_full_s2(config.grid, k)
+        config.G_table = f_val / (u**a * rho**b)
+        residuals.append(float(np.max(np.abs(speed_field(config, gamma)[0]))))
+        errors.append(float(np.max(np.abs(limit(config, Constant(R=1.0)) - gamma))))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (residuals, errors)
+    # the static residual carries the pole rows' first-order κ, so it is held
+    # to first order at least, which a second-order pole fix also meets
+    ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
+    assert np.all(ratios >= 2.0), (residuals, errors)

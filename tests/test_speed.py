@@ -253,6 +253,17 @@ def test_sphere_radius_reads_F_at_one(F_spec, n, f_unit):
     assert r2 == pytest.approx(2.0 * np.exp(0.3) / f_unit**2, rel=1e-12)
 
 
+def test_sphere_radius_of_a_tiny_beta():
+    # c r^-2 = (F(1, 1)/r)^β with F(1, 1) = 1 holds at r = 2^{1/(2-β)}, √2 for
+    # β near 0; log(c ψ) / β would overflow at β = 1e-310, which pytest turns
+    # into an error, and the closed form divides only by a + b + β
+    spec = SpeedSpec(c=2.0, a=0.0, b=-2.0)
+    assert sphere_radius(spec, SigmaKRoot(k=2), 2, 1e-310) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    r1, r2 = barrier_radii(spec, SigmaKRoot(k=2), 2, 1e-310)
+    assert r1 == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert r2 == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
 def test_sphere_radius_rejections():
     with pytest.raises(ValueError, match="scale-invariant"):
         sphere_radius(SpeedSpec(c=1.0, a=0.0, b=-1.0), SigmaKRoot(k=2), 2, 1.0)
